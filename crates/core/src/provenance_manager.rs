@@ -213,7 +213,7 @@ impl ProvenanceManager {
 
     fn build(store: Arc<TableStore>, registry: Arc<Registry>) -> Self {
         // Captures feed the change journal so the cross-run index can
-        // trail them with the same cursor machinery the reassessor uses.
+        // trail them as a derived view (`ProvView`).
         store
             .mark_journaled(PROVENANCE_TABLE)
             .expect("valid table name");

@@ -11,8 +11,8 @@ use preserva_storage::table::TableSnapshot;
 use preserva_taxonomy::fuzzy;
 use preserva_taxonomy::ngram::{candidate_threshold, grams};
 
-use crate::indexer::Indexer;
 use crate::{join_key, tables, SearchConfig, SearchError, SEP};
+use preserva_storage::view::ViewState;
 
 /// Exclusive upper bound for a prefix scan: the prefix with its last
 /// byte incremented (our prefixes always end with [`SEP`] = 0x00, so
@@ -69,7 +69,7 @@ impl SearchReader {
     /// The indexer cursor as of `snap` — pair with `snap.lsn()` to
     /// report exactly how fresh an answer is.
     pub fn cursor_at(&self, snap: &TableSnapshot) -> Result<u64, SearchError> {
-        Ok(Indexer::load_state_at(snap)?.cursor)
+        Ok(ViewState::load_at(snap, tables::META)?.cursor)
     }
 
     /// Record ids whose `field` contains `token`, straight off the

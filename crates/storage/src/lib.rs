@@ -25,7 +25,9 @@
 //! * [`bulk::BulkLoader`] and [`engine::Engine::ingest_run`] are the
 //!   archive-scale write paths: DEFERRED-durability batches (periodic
 //!   fsync, recovery lands on a batch boundary) and presorted input
-//!   written straight into a sorted run, bypassing the memtable.
+//!   written straight into a sorted run, bypassing the memtable;
+//! * [`view::ViewDriver`] keeps journal-derived views (search, provenance
+//!   index, reassessment) current from a durable cursor.
 //!
 //! The engine is deliberately dependency-free: encoding lives in
 //! [`codec`], checksums in [`crc32`].
@@ -57,6 +59,7 @@ pub mod memtable;
 pub mod snapshot;
 pub mod sstable;
 pub mod table;
+pub mod view;
 pub mod wal;
 
 pub use bulk::{BulkLoader, BulkOptions, BulkSummary};

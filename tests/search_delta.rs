@@ -1,20 +1,18 @@
-//! Change-feed equivalence and crash-safety properties of the search
-//! index layer (`preserva-search`):
+//! Search-specific properties of the journal-fed index
+//! (`preserva-search`). Split runs ≡ one run ≡ rebuild and torn-commit
+//! atomicity are checked for every derived view in `derived_views.rs`;
+//! this file keeps what only the search index promises:
 //!
-//! * `delta ≡ full` — any sequence of edit/delete/bulk-load batches,
-//!   indexed at any cursor split points, converges to byte-identical
-//!   search tables as one run consuming the whole feed, and to the
-//!   same tables a from-scratch `rebuild` derives.
 //! * The persisted facet counters and name refcounts always equal a
-//!   recomputation from the stored records.
+//!   recomputation from the stored records — also while writers and
+//!   index runs interleave on many threads.
 //! * The n-gram candidate set always contains the linear `best_match`
 //!   winner, and the indexed fuzzy answer is identical to it.
-//! * A WAL torn at ANY byte inside an index-run commit leaves cursor
-//!   and postings atomic — both advanced or neither — and the next run
-//!   converges without double-applying or skipping a journal range.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::sync::Barrier;
+use std::thread;
 
 use proptest::prelude::*;
 
@@ -43,33 +41,24 @@ fn open(dir: &std::path::Path) -> Arc<TableStore> {
     )))
 }
 
-/// The five DATA tables of the index. `__search:meta` is compared via
-/// the cursor only — its run counter legitimately differs between an
-/// incrementally maintained store and one indexed in a single run.
-const DATA_TABLES: [&str; 5] = [
-    tables::POSTINGS,
-    tables::DOCS,
-    tables::NGRAMS,
-    tables::NAMES,
-    tables::FACETS,
-];
-
-fn dump(store: &TableStore) -> BTreeMap<(String, Vec<u8>), Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for t in DATA_TABLES {
-        for (k, v) in store.scan(t).unwrap() {
-            out.insert((t.to_string(), k), v);
-        }
-    }
-    out
+fn palette(records: &[Record]) -> Vec<String> {
+    let mut palette: Vec<String> = records
+        .iter()
+        .filter_map(|r| r.get_text("species").map(str::to_string))
+        .collect();
+    palette.sort();
+    palette.dedup();
+    palette.push("Qqxus zzti".to_string());
+    palette
 }
 
-/// Recompute facet counters and name refcounts straight from the
-/// record table — the ground truth the incremental counters must equal.
-fn recompute(
-    store: &TableStore,
-    config: &SearchConfig,
-) -> (BTreeMap<(String, String), u64>, BTreeMap<String, u64>) {
+fn decode_count(v: Vec<u8>) -> u64 {
+    String::from_utf8(v).unwrap().parse().unwrap()
+}
+
+/// The stored facet counters and name refcounts equal a recomputation
+/// straight from the record table.
+fn assert_counters_match_records(store: &TableStore, config: &SearchConfig) {
     let mut facets: BTreeMap<(String, String), u64> = BTreeMap::new();
     let mut names: BTreeMap<String, u64> = BTreeMap::new();
     for (_, v) in store.scan("records").unwrap() {
@@ -82,7 +71,24 @@ fn recompute(
             *names.entry(n.clone()).or_insert(0) += 1;
         }
     }
-    (facets, names)
+    let stored_facets: BTreeMap<(String, String), u64> = store
+        .scan(tables::FACETS)
+        .unwrap()
+        .into_iter()
+        .map(|(k, v)| {
+            let mut parts = k.splitn(2, |&b| b == 0u8);
+            let mut part = || String::from_utf8(parts.next().unwrap().to_vec()).unwrap();
+            ((part(), part()), decode_count(v))
+        })
+        .collect();
+    assert_eq!(facets, stored_facets, "facet counters ≠ recompute");
+    let stored_names: BTreeMap<String, u64> = store
+        .scan(tables::NAMES)
+        .unwrap()
+        .into_iter()
+        .map(|(k, v)| (String::from_utf8(k).unwrap(), decode_count(v)))
+        .collect();
+    assert_eq!(names, stored_names, "name refcounts ≠ recompute");
 }
 
 /// One adjacent transposition in the epithet — a distance-1 misspelling.
@@ -99,11 +105,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random edit/delete/bulk-load batches, indexed at random cursor
-    /// split points, converge to the same search tables as one run over
-    /// the whole feed — which a from-scratch rebuild reproduces, and
-    /// whose counters match a recomputation from the records.
+    /// split points: the counters always equal a recomputation from the
+    /// records, and indexed fuzzy lookups equal the linear scan.
     #[test]
-    fn incremental_index_equals_full_and_rebuild(
+    fn incremental_counters_equal_recompute_and_fuzzy_equals_linear(
         seed in 0u64..200,
         batches in proptest::collection::vec(
             proptest::collection::vec((0usize..120, 0usize..8), 1..6),
@@ -120,58 +125,37 @@ proptest! {
             ..GeneratorConfig::default()
         };
         let collection = generator::generate(&config);
-        let mut palette: Vec<String> = collection
-            .records
-            .iter()
-            .filter_map(|r| r.get_text("species").map(str::to_string))
-            .collect();
-        palette.sort();
-        palette.dedup();
-        palette.push("Qqxus zzti".to_string());
+        let palette = palette(&collection.records);
 
-        let dir_a = tmpdir(&format!("split-{seed}"));
-        let dir_b = tmpdir(&format!("whole-{seed}"));
-        let store_a = open(&dir_a);
-        let store_b = open(&dir_b);
-        let cat_a = RecordCatalog::open_on(store_a.clone(), "records").unwrap();
-        let cat_b = RecordCatalog::open_on(store_b.clone(), "records").unwrap();
-        cat_a.insert_all(&collection.records).unwrap();
-        cat_b.insert_all(&collection.records).unwrap();
-        let ia = Indexer::new(store_a.clone(), "records");
-        let ib = Indexer::new(store_b.clone(), "records");
-
-        // Store A bootstraps eagerly; store B stays a blank index until
-        // the very end, consuming EVERYTHING in one run.
-        ia.run().unwrap();
+        let dir = tmpdir(&format!("split-{seed}"));
+        let store = open(&dir);
+        let catalog = RecordCatalog::open_on(store.clone(), "records").unwrap();
+        catalog.insert_all(&collection.records).unwrap();
+        let indexer = Indexer::new(store.clone(), "records");
+        indexer.run().unwrap();
 
         for (i, batch) in batches.iter().enumerate() {
-            let mut sa = store_a.session();
-            let mut sb = store_b.session();
+            let mut session = store.session();
             for &(idx, choice) in batch {
                 let base = &collection.records[idx % collection.records.len()];
                 match choice {
                     6 => {
-                        // Raw journaled delete of the record row.
-                        sa.delete("records", base.id.as_bytes()).unwrap();
-                        sb.delete("records", base.id.as_bytes()).unwrap();
+                        session.delete("records", base.id.as_bytes()).unwrap();
                     }
                     7 => {
                         let mut edited = base.clone();
                         edited.set("recordist", Value::Text(format!("editor {i}")));
-                        cat_a.stage(&mut sa, &edited).unwrap();
-                        cat_b.stage(&mut sb, &edited).unwrap();
+                        catalog.stage(&mut session, &edited).unwrap();
                     }
                     _ => {
                         let mut edited = base.clone();
                         let name = &palette[choice % palette.len()];
                         edited.set("species", Value::Text(name.clone()));
-                        cat_a.stage(&mut sa, &edited).unwrap();
-                        cat_b.stage(&mut sb, &edited).unwrap();
+                        catalog.stage(&mut session, &edited).unwrap();
                     }
                 }
             }
-            sa.commit().unwrap();
-            sb.commit().unwrap();
+            session.commit().unwrap();
             // Fresh ids through the direct-run bulk path: journaled
             // per row, so the index must see them like any edit.
             if bulks[i.min(bulks.len() - 1)] {
@@ -183,68 +167,21 @@ proptest! {
                         r
                     })
                     .collect();
-                cat_a.insert_all_bulk(&fresh).unwrap();
-                cat_b.insert_all_bulk(&fresh).unwrap();
+                catalog.insert_all_bulk(&fresh).unwrap();
             }
             if splits[i.min(splits.len() - 1)] {
-                ia.run().unwrap();
+                indexer.run().unwrap();
             }
         }
-        ia.run().unwrap();
-        ib.run().unwrap();
-        prop_assert_eq!(ia.journal_lag().unwrap(), 0);
-        prop_assert_eq!(ib.journal_lag().unwrap(), 0);
-        prop_assert_eq!(ia.cursor().unwrap(), ib.cursor().unwrap());
-
-        // Byte-identical index tables, split-indexed vs one-shot.
-        let da = dump(&store_a);
-        prop_assert_eq!(&da, &dump(&store_b));
-
-        // An unchanged journal head makes the next run a strict no-op.
-        prop_assert!(ia.run().unwrap().is_noop());
-        prop_assert_eq!(&da, &dump(&store_a));
-
-        // A from-scratch rebuild (wipe + replay from seq 0) re-derives
-        // exactly what incremental maintenance accumulated.
-        ia.rebuild().unwrap();
-        prop_assert_eq!(&da, &dump(&store_a));
-
-        // Counters equal a recomputation from the stored records.
-        let (facets, names) = recompute(&store_a, ia.config());
-        let stored_facets: BTreeMap<(String, String), u64> = store_a
-            .scan(tables::FACETS)
-            .unwrap()
-            .into_iter()
-            .map(|(k, v)| {
-                let mut parts = k.splitn(2, |&b| b == 0u8);
-                (
-                    (
-                        String::from_utf8(parts.next().unwrap().to_vec()).unwrap(),
-                        String::from_utf8(parts.next().unwrap().to_vec()).unwrap(),
-                    ),
-                    String::from_utf8(v).unwrap().parse::<u64>().unwrap(),
-                )
-            })
-            .collect();
-        prop_assert_eq!(facets, stored_facets);
-        let stored_names: BTreeMap<String, u64> = store_a
-            .scan(tables::NAMES)
-            .unwrap()
-            .into_iter()
-            .map(|(k, v)| {
-                (
-                    String::from_utf8(k).unwrap(),
-                    String::from_utf8(v).unwrap().parse::<u64>().unwrap(),
-                )
-            })
-            .collect();
-        prop_assert_eq!(names, stored_names);
+        indexer.run().unwrap();
+        prop_assert_eq!(indexer.journal_lag().unwrap(), 0);
+        assert_counters_match_records(&store, indexer.config());
 
         // The n-gram candidate path: for misspellings of indexed names,
         // the candidate set contains the linear winner and the indexed
         // answer IS the linear answer.
-        let reader = ia.reader();
-        let snap = store_a.snapshot();
+        let reader = indexer.reader();
+        let snap = store.snapshot();
         let all = reader.names(&snap).unwrap();
         for name in all.iter().step_by((all.len() / 5).max(1)) {
             let query = transpose(name);
@@ -267,143 +204,69 @@ proptest! {
         }
         drop(snap);
 
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
-    }
-}
-
-fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
-
-/// Everything a battery iteration needs to know about the scenario,
-/// learned once from a template directory that each cut clones.
-struct Scenario {
-    template: std::path::PathBuf,
-    baseline_len: u64,
-    full_len: u64,
-    pre_dump: BTreeMap<(String, Vec<u8>), Vec<u8>>,
-    final_dump: BTreeMap<(String, Vec<u8>), Vec<u8>>,
-    pre_cursor: u64,
-    final_cursor: u64,
-}
-
-/// Build the template: two records indexed (bootstrap run), then one
-/// commit editing r0's species and deleting r1 — the pending delta —
-/// then the index run whose WAL frame the battery tears.
-fn build_scenario() -> Scenario {
-    let template = tmpdir("torn-template");
-    let store = open(&template);
-    let catalog = RecordCatalog::open_on(store.clone(), "records").unwrap();
-    let r0 = Record::new("r0")
-        .with("species", Value::Text("Hyla faber".into()))
-        .with("family", Value::Text("Hylidae".into()));
-    let r1 = Record::new("r1")
-        .with("species", Value::Text("Scinax ruber".into()))
-        .with("family", Value::Text("Hylidae".into()));
-    catalog.insert_all(&[r0.clone(), r1]).unwrap();
-    let indexer = Indexer::new(store.clone(), "records");
-    indexer.run().unwrap(); // bootstrap: cursor covers the inserts
-
-    let mut s = store.session();
-    let edited = r0.with("species", Value::Text("Hyla fabra".into()));
-    catalog.stage(&mut s, &edited).unwrap();
-    s.delete("records", b"r1").unwrap();
-    s.commit().unwrap();
-
-    let baseline_len = std::fs::metadata(template.join("wal.log")).unwrap().len();
-    let pre_dump = dump(&store);
-    let pre_cursor = indexer.cursor().unwrap();
-
-    indexer.run().unwrap(); // the commit under test
-    let full_len = std::fs::metadata(template.join("wal.log")).unwrap().len();
-    let final_dump = dump(&store);
-    let final_cursor = indexer.cursor().unwrap();
-    assert!(full_len > baseline_len);
-    assert!(final_cursor > pre_cursor);
-    assert_ne!(pre_dump, final_dump);
-
-    Scenario {
-        template,
-        baseline_len,
-        full_len,
-        pre_dump,
-        final_dump,
-        pre_cursor,
-        final_cursor,
-    }
-}
-
-/// Whatever byte the WAL is torn at inside an index-run commit,
-/// recovery sees cursor and postings move together — the whole delta
-/// applied or none of it — and the next run converges to the exact
-/// final tables: no journal range is ever double-applied or skipped.
-#[test]
-fn torn_index_commit_keeps_cursor_and_postings_atomic() {
-    let sc = build_scenario();
-    let mut landed = 0usize;
-    let mut torn = 0usize;
-    for cut in sc.baseline_len..=sc.full_len {
-        let dir = tmpdir(&format!("torn-{cut}"));
-        copy_dir(&sc.template, &dir);
-        let wal = dir.join("wal.log");
-        let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-        f.set_len(cut).unwrap();
-        drop(f);
-
-        let store = open(&dir);
-        let indexer = Indexer::new(store.clone(), "records");
-        let cursor = indexer.cursor().unwrap();
-        let recovered = dump(&store);
-        if cursor == sc.final_cursor {
-            assert_eq!(
-                recovered, sc.final_dump,
-                "cut at {cut}: cursor advanced without the postings"
-            );
-            landed += 1;
-        } else {
-            assert_eq!(
-                cursor, sc.pre_cursor,
-                "cut at {cut}: cursor neither old nor new"
-            );
-            assert_eq!(
-                recovered, sc.pre_dump,
-                "cut at {cut}: postings moved without the cursor"
-            );
-            torn += 1;
-        }
-
-        // Re-running converges to the exact final index either way: a
-        // torn run replays the range once; a landed run is a no-op.
-        let outcome = indexer.run().unwrap();
-        if cursor == sc.final_cursor {
-            assert!(
-                outcome.is_noop(),
-                "cut at {cut}: landed run must not re-apply"
-            );
-        }
-        assert_eq!(indexer.cursor().unwrap(), sc.final_cursor, "cut at {cut}");
-        assert_eq!(
-            dump(&store),
-            sc.final_dump,
-            "cut at {cut}: did not converge"
-        );
-        assert_eq!(indexer.journal_lag().unwrap(), 0, "cut at {cut}");
-
-        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
-    // The battery must actually exercise both outcomes.
-    assert!(torn > 0, "no cut tore the commit");
-    assert!(landed > 0, "no cut preserved the commit");
-    std::fs::remove_dir_all(&sc.template).ok();
+}
+
+/// The server runs the indexer inline on every search and facets
+/// request, from many connections at once, while writers commit. Runs
+/// are serialised per indexer: a run pinned at an older snapshot can
+/// never commit after a newer one, which would move the cursor back
+/// and lose a counter update for good (the newer run's doc states make
+/// the replayed entry diff to nothing).
+#[test]
+fn concurrent_runs_keep_counters_equal_to_recompute() {
+    let collection = generator::generate(&GeneratorConfig {
+        records: 60,
+        distinct_species: 12,
+        outdated_names: 2,
+        seed: 3,
+        ..GeneratorConfig::default()
+    });
+    let palette = palette(&collection.records);
+    let families = ["Hylidae", "Bufonidae", "Leptodactylidae"];
+    let dir = tmpdir("concurrent");
+    let store = open(&dir);
+    let catalog = RecordCatalog::open_on(store.clone(), "records").unwrap();
+    catalog.insert_all(&collection.records).unwrap();
+    let indexer = Indexer::new(store.clone(), "records");
+    // Two writers and three runners, released together.
+    let start = Barrier::new(5);
+
+    thread::scope(|s| {
+        for w in 0..2 {
+            let (catalog, indexer, start) = (&catalog, &indexer, &start);
+            let (records, palette) = (&collection.records, &palette);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..60 {
+                    let mut r = records[(w * 31 + i * 7) % records.len()].clone();
+                    r.set(
+                        "species",
+                        Value::Text(palette[(w + i) % palette.len()].clone()),
+                    );
+                    r.set("family", Value::Text(families[i % 3].to_string()));
+                    catalog.insert(&r).unwrap();
+                    if i % 5 == 0 {
+                        indexer.run().unwrap();
+                    }
+                }
+            });
+        }
+        for _ in 0..3 {
+            let (indexer, start) = (&indexer, &start);
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..80 {
+                    indexer.run().unwrap();
+                }
+            });
+        }
+    });
+
+    indexer.run().unwrap();
+    assert_eq!(indexer.cursor().unwrap(), store.journal_head());
+    assert_eq!(indexer.journal_lag().unwrap(), 0);
+    assert_counters_match_records(&store, indexer.config());
+    std::fs::remove_dir_all(&dir).ok();
 }
