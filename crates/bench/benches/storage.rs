@@ -139,21 +139,15 @@ fn bench_recovery(c: &mut Criterion) {
 /// not O(total data). Prefill engines at two sizes an order of magnitude
 /// apart (100k and 1M resident keys, already flushed into runs), then
 /// measure flushing a fixed 1k-entry memtable on top of each — the two
-/// timings should be flat across prefill size. The pre-tiered engine
-/// rewrote *every live key* into a fresh snapshot on each checkpoint;
-/// that legacy cost is measured directly with `write_snapshot` over the
-/// full resident map, which is the exact code the old checkpoint ran.
+/// timings should be flat across prefill size.
 fn bench_flush_scaling(c: &mut Criterion) {
-    use preserva_storage::sstable::write_snapshot;
-    use std::collections::BTreeMap;
-
     const FRESH: u64 = 1_000; // memtable size being flushed
     let payload = [7u8; 24];
 
     let mut g = c.benchmark_group("storage/flush_scaling");
     g.sample_size(10);
     for (label, total) in [("100k", 100_000u64), ("1m", 1_000_000u64)] {
-        // --- tiered: memtable-only flush on top of `total` resident keys.
+        // Memtable-only flush on top of `total` resident keys.
         let dir = tmpdir(&format!("flush-{label}"));
         let opts = EngineOptions {
             compaction: CompactionOptions {
@@ -195,24 +189,6 @@ fn bench_flush_scaling(c: &mut Criterion) {
                     engine.apply_batch(batch).unwrap();
                 },
                 |_| engine.checkpoint().unwrap(),
-                BatchSize::PerIteration,
-            )
-        });
-
-        // --- legacy: the old checkpoint's full rewrite of `total` keys.
-        let resident: BTreeMap<(String, Vec<u8>), Option<Vec<u8>>> = (0..total)
-            .map(|i| {
-                (
-                    ("records".to_string(), i.to_be_bytes().to_vec()),
-                    Some(payload.to_vec()),
-                )
-            })
-            .collect();
-        let snap_path = dir.join("legacy-model.sst");
-        g.bench_function(format!("legacy_full_rewrite_of_{label}"), |b| {
-            b.iter_batched(
-                || (),
-                |_| write_snapshot(&snap_path, resident.iter()).unwrap(),
                 BatchSize::PerIteration,
             )
         });

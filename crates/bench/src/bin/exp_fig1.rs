@@ -4,10 +4,10 @@
 
 use std::collections::BTreeMap;
 
-use preserva_bench::case_study::{records_to_json, setup_case_study, WORKFLOW_ID};
+use preserva_bench::case_study::{records_to_json, setup_case_study};
 use preserva_bench::row;
 use preserva_bench::table;
-use preserva_core::architecture::{RECORDS_TABLE, WORKFLOWS_TABLE};
+use preserva_core::collection::{RECORDS_TABLE, WORKFLOWS_TABLE};
 use preserva_core::quality_manager::REPORTS_TABLE;
 use preserva_core::roles::EndUser;
 use preserva_fnjv::config::GeneratorConfig;
@@ -16,23 +16,22 @@ use preserva_wfms::services::port;
 fn main() {
     println!("== E7: Figure 1 — component smoke matrix ==\n");
     let dir = std::env::temp_dir().join(format!("preserva-exp-fig1-{}", std::process::id()));
-    let mut cs = setup_case_study(&dir, &GeneratorConfig::small(42), 0.9, 8);
+    let cs = setup_case_study(&dir, &GeneratorConfig::small(42), 0.9, 8);
 
-    cs.architecture
-        .save_records(&cs.collection.records)
+    cs.archive
+        .catalog()
+        .insert_all(&cs.collection.records)
         .unwrap();
     let input = port("sound_metadata", records_to_json(&cs.collection.records));
-    let trace = cs.architecture.run_workflow(WORKFLOW_ID, &input).unwrap();
+    let trace = cs.run(&input).unwrap();
     let summary = &trace.workflow_outputs["summary"];
     let mut facts = BTreeMap::new();
     facts.insert("names_checked".into(), summary["checked"].as_f64().unwrap());
     facts.insert("names_correct".into(), summary["current"].as_f64().unwrap());
     let user = EndUser::new("Dr. Toledo", "IB/Unicamp");
-    cs.architecture
-        .assess_run(&user, None, "fnjv", &trace.run_id, &facts)
-        .unwrap();
+    cs.assess(&user, "fnjv", &trace.run_id, &facts).unwrap();
 
-    let store = cs.architecture.store();
+    let store = cs.archive.store();
     let count = |t: &str| store.count(t).unwrap();
     let rows = vec![
         row!["figure-1 box", "evidence (repository table)", "rows"],

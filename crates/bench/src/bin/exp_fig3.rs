@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use serde_json::Value;
 
-use preserva_bench::case_study::{records_to_json, setup_case_study, WORKFLOW_ID};
+use preserva_bench::case_study::{records_to_json, setup_case_study};
 use preserva_core::roles::EndUser;
 use preserva_fnjv::config::GeneratorConfig;
 use preserva_opm::inference;
@@ -18,7 +18,7 @@ fn main() {
     println!("== E4: Figure 3 — architecture instance for the case study ==\n");
     let dir = std::env::temp_dir().join(format!("preserva-exp-fig3-{}", std::process::id()));
     let config = GeneratorConfig::default();
-    let mut cs = setup_case_study(&dir, &config, 0.9, 8);
+    let cs = setup_case_study(&dir, &config, 0.9, 8);
 
     // Step 1 (paper): experts added quality metadata to the workflow —
     // done inside setup via the Workflow Adapter.
@@ -28,14 +28,12 @@ fn main() {
 
     // Step 2–3: the workflow receives FNJV sound metadata and checks names
     // against the Catalogue of Life.
-    cs.architecture
-        .save_records(&cs.collection.records)
+    cs.archive
+        .catalog()
+        .insert_all(&cs.collection.records)
         .expect("records persist");
     let input = port("sound_metadata", records_to_json(&cs.collection.records));
-    let trace = cs
-        .architecture
-        .run_workflow(WORKFLOW_ID, &input)
-        .expect("case-study run succeeds");
+    let trace = cs.run(&input).expect("case-study run succeeds");
     println!(
         "step 2-3: workflow `{}` ran as {} in {:.2?} ({} retries absorbed)",
         trace.workflow_name, trace.run_id, trace.elapsed, trace.total_retries
@@ -43,7 +41,7 @@ fn main() {
 
     // Step 4: the Provenance Manager stored provenance.
     let graph = cs
-        .architecture
+        .archive
         .provenance()
         .load_graph(&trace.run_id)
         .expect("provenance stored");
@@ -80,8 +78,7 @@ fn main() {
         summary["current"].as_f64().unwrap_or(0.0),
     );
     let report = cs
-        .architecture
-        .assess_run(&user, None, "fnjv-species-names", &trace.run_id, &facts)
+        .assess(&user, "fnjv-species-names", &trace.run_id, &facts)
         .expect("assessment succeeds");
     println!("\ncomputed quality attributes (format ii):");
     print!("{}", report.render_text());

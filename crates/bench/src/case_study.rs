@@ -1,6 +1,7 @@
 //! Shared case-study setup: the Figure-3 instantiation of the
-//! architecture, reused by experiment binaries, examples and integration
-//! tests.
+//! architecture — a [`Collection`] plus a WFMS engine whose provenance
+//! sink is the collection's provenance manager — reused by experiment
+//! binaries and integration tests.
 //!
 //! The Outdated Species Name Detection Workflow is modeled faithfully:
 //!
@@ -12,21 +13,26 @@
 //! Services carry the simulated Catalogue of Life (`ColService`) inside
 //! closures; the engine's retry policy absorbs its connection problems.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use serde_json::{json, Value};
 
-use preserva_core::architecture::Architecture;
-use preserva_core::roles::ProcessDesigner;
+use preserva_core::adapter::WorkflowAdapter;
+use preserva_core::quality_manager::QualityManagerError;
+use preserva_core::roles::{EndUser, ProcessDesigner};
+use preserva_core::{Collection, CollectionOptions};
 use preserva_fnjv::config::GeneratorConfig;
 use preserva_fnjv::generator::{self, SyntheticCollection};
 use preserva_metadata::record::Record;
+use preserva_quality::report::QualityReport;
 use preserva_taxonomy::name::ScientificName;
 use preserva_taxonomy::service::{ColService, LookupOutcome, ServiceConfig};
-use preserva_wfms::engine::EngineConfig;
+use preserva_wfms::engine::{Engine as WfEngine, EngineConfig, RunError};
 use preserva_wfms::model::{Processor, Workflow};
 use preserva_wfms::services::{port, PortMap, ServiceError, ServiceRegistry};
+use preserva_wfms::trace::ExecutionTrace;
 
 /// Workflow id of the case study.
 pub const WORKFLOW_ID: &str = "wf-outdated-names";
@@ -35,7 +41,44 @@ pub const WORKFLOW_ID: &str = "wf-outdated-names";
 pub struct CaseStudy {
     pub collection: SyntheticCollection,
     pub service: Arc<ColService>,
-    pub architecture: Architecture,
+    /// The data, workflow and provenance repositories on one store, with
+    /// the case-study workflow published.
+    pub archive: Collection,
+    /// The WFMS engine; every run it finishes is captured by
+    /// `archive`'s provenance manager.
+    pub engine: WfEngine,
+}
+
+impl CaseStudy {
+    /// The published case-study workflow, read back from the repository.
+    fn workflow(&self) -> Workflow {
+        self.archive
+            .workflow(WORKFLOW_ID)
+            .expect("workflow repository readable")
+            .expect("published at setup")
+    }
+
+    /// Run the published workflow over `inputs`; provenance is captured
+    /// by the engine's sink, failed runs included.
+    pub fn run(&self, inputs: &PortMap) -> Result<ExecutionTrace, RunError> {
+        self.engine
+            .run(&self.workflow(), inputs)
+            .map_err(|(err, _trace)| err)
+    }
+
+    /// Assess a captured run for `user` with the case-study model (or
+    /// the one `user` registered), publishing the report.
+    pub fn assess(
+        &self,
+        user: &EndUser,
+        subject: &str,
+        run_id: &str,
+        facts: &BTreeMap<String, f64>,
+    ) -> Result<QualityReport, QualityManagerError> {
+        self.archive
+            .quality()
+            .assess_run(user, subject, run_id, &self.workflow(), facts)
+    }
 }
 
 /// Serialize records to the workflow's input format (id + species only;
@@ -204,8 +247,9 @@ pub fn build_workflow() -> Workflow {
 }
 
 /// Assemble the whole case study: synthetic collection, the Catalogue-of-
-/// Life service at the given availability, the architecture with services
-/// registered, and the annotated workflow published.
+/// Life service at the given availability, a fresh collection at `dir`,
+/// an engine with the services registered, and the annotated workflow
+/// published.
 pub fn setup_case_study(
     dir: &Path,
     config: &GeneratorConfig,
@@ -231,13 +275,14 @@ pub fn setup_case_study(
     registry.register_fn("summarize", summarize_service);
 
     let _ = std::fs::remove_dir_all(dir);
-    let architecture =
-        Architecture::open(dir, registry, EngineConfig::default()).expect("fresh directory opens");
+    let archive =
+        Collection::open(dir, CollectionOptions::default()).expect("fresh directory opens");
+    let engine =
+        WfEngine::new(registry, EngineConfig::default()).with_sink(archive.provenance().clone());
 
     let mut workflow = build_workflow();
     let designer = ProcessDesigner::new("expert", "IC/Unicamp");
-    architecture
-        .adapter()
+    WorkflowAdapter::new()
         .annotate_processor(
             &mut workflow,
             "Catalog_of_life",
@@ -246,12 +291,13 @@ pub fn setup_case_study(
             "2013-11-12 19:58:09.767 UTC",
         )
         .expect("processor exists");
-    architecture.publish_workflow(workflow).expect("publishes");
+    archive.publish_workflow(&workflow).expect("publishes");
 
     CaseStudy {
         collection,
         service,
-        architecture,
+        archive,
+        engine,
     }
 }
 
@@ -268,10 +314,7 @@ mod tests {
         let dir = tmp("e2e");
         let cs = setup_case_study(&dir, &GeneratorConfig::small(7), 1.0, 3);
         let input = port("sound_metadata", records_to_json(&cs.collection.records));
-        let trace = cs
-            .architecture
-            .run_workflow(WORKFLOW_ID, &input)
-            .expect("run succeeds");
+        let trace = cs.run(&input).expect("run succeeds");
         let summary = &trace.workflow_outputs["summary"];
         assert_eq!(summary["records_processed"], json!(600));
         assert_eq!(summary["distinct_names"], json!(120));
@@ -290,7 +333,7 @@ mod tests {
         let report =
             OutdatedNameDetector::new(&cs.service, 3).check_collection(&cs.collection.records);
         let input = port("sound_metadata", records_to_json(&cs.collection.records));
-        let trace = cs.architecture.run_workflow(WORKFLOW_ID, &input).unwrap();
+        let trace = cs.run(&input).unwrap();
         let summary = &trace.workflow_outputs["summary"];
         assert_eq!(
             summary["distinct_names"].as_u64().unwrap() as usize,

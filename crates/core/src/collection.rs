@@ -12,6 +12,9 @@
 //! * [`Collection::open`] builds engine, table store, record catalog,
 //!   provenance manager + cross-run index, reassessor, quality manager,
 //!   and capture batcher against ONE obs registry.
+//! * [`Collection::publish_workflow`] and [`Collection::workflow`] are
+//!   the workflow repository: versioned Listing-1 specs on the same
+//!   store as the data and provenance repositories.
 //! * [`Collection::maintain`] is the background hook: flush pending
 //!   group-commits, advance the provenance index, fold storage levels
 //!   that grew past their bound.
@@ -32,7 +35,9 @@ use std::sync::{Arc, Mutex};
 use preserva_obs::Registry;
 use preserva_search::{Indexer, SearchConfig, SearchError};
 use preserva_storage::{CompactionOptions, Engine, EngineOptions, StorageError, TableStore};
+use preserva_wfms::model::Workflow;
 use preserva_wfms::sink::SinkError;
+use preserva_wfms::spec::{self, SpecError};
 
 use crate::capture_batcher::{BatcherOptions, CaptureBatcher};
 use crate::prov_index::{ProvIndex, RefreshOutcome};
@@ -43,6 +48,13 @@ use crate::retrieval::{CatalogError, RecordCatalog};
 
 /// Default table the record catalog lives on.
 pub const RECORDS_TABLE: &str = "records";
+/// Table storing published workflow specs (Listing-1 XML), keyed by
+/// `id@version`.
+pub const WORKFLOWS_TABLE: &str = "workflows";
+/// Table storing the latest published version per workflow id — written
+/// in the same commit as the spec itself, so a reader never sees a
+/// pointer without its spec (or the reverse).
+pub const WORKFLOW_VERSIONS_TABLE: &str = "workflow_versions";
 
 /// Everything that shapes how a collection opens. One value, one
 /// fingerprint — commands that open the same directory with different
@@ -129,6 +141,8 @@ pub enum CollectionError {
     Provenance(ProvenanceError),
     /// Capture batcher flush failure.
     Sink(SinkError),
+    /// A stored workflow spec failed to parse.
+    Spec(SpecError),
     /// `close()` found snapshots still pinned; the collection refuses
     /// to report a clean shutdown while the fold horizon is floored.
     PinnedSnapshots(usize),
@@ -145,6 +159,7 @@ impl fmt::Display for CollectionError {
             CollectionError::Search(e) => write!(f, "search: {e}"),
             CollectionError::Provenance(e) => write!(f, "provenance: {e}"),
             CollectionError::Sink(e) => write!(f, "capture flush: {e}"),
+            CollectionError::Spec(e) => write!(f, "workflow spec: {e}"),
             CollectionError::PinnedSnapshots(n) => {
                 write!(f, "close with {n} snapshot(s) still pinned")
             }
@@ -215,6 +230,9 @@ pub struct Collection {
     search: Indexer,
     quality: Mutex<DataQualityManager>,
     batcher: Arc<CaptureBatcher>,
+    /// Held from reading a workflow's version pointer to committing the
+    /// next version, so two publishers never take the same number.
+    publish: Mutex<()>,
     closed: AtomicBool,
 }
 
@@ -277,6 +295,7 @@ impl Collection {
             search,
             quality: Mutex::new(quality),
             batcher,
+            publish: Mutex::new(()),
             closed: AtomicBool::new(false),
         })
     }
@@ -342,6 +361,57 @@ impl Collection {
     /// provenance manager.
     pub fn batcher(&self) -> &Arc<CaptureBatcher> {
         &self.batcher
+    }
+
+    /// Publish `workflow` to the workflow repository: its Listing-1 XML
+    /// under `id@version` and the latest-version pointer, in one commit.
+    /// The version is one past the persisted pointer, so numbering
+    /// carries on across reopens.
+    pub fn publish_workflow(&self, workflow: &Workflow) -> Result<u32, CollectionError> {
+        let _publishing = self.publish.lock().expect("publish lock poisoned");
+        let version = self.workflow_version(&workflow.id)?.unwrap_or(0) + 1;
+        let mut session = self.store.session();
+        session.put(
+            WORKFLOWS_TABLE,
+            format!("{}@{version}", workflow.id).as_bytes(),
+            spec::to_xml(workflow).as_bytes(),
+        )?;
+        session.put(
+            WORKFLOW_VERSIONS_TABLE,
+            workflow.id.as_bytes(),
+            version.to_string().as_bytes(),
+        )?;
+        session.commit()?;
+        Ok(version)
+    }
+
+    /// The latest published version of workflow `id`, parsed back from
+    /// its stored XML; `None` if it was never published.
+    pub fn workflow(&self, id: &str) -> Result<Option<Workflow>, CollectionError> {
+        let Some(version) = self.workflow_version(id)? else {
+            return Ok(None);
+        };
+        let key = format!("{id}@{version}");
+        let xml = self
+            .store
+            .get(WORKFLOWS_TABLE, key.as_bytes())?
+            .and_then(|raw| String::from_utf8(raw).ok())
+            .ok_or_else(|| {
+                StorageError::Decode(format!("workflow spec {key} missing or not UTF-8"))
+            })?;
+        Ok(Some(spec::from_xml(&xml).map_err(CollectionError::Spec)?))
+    }
+
+    /// The persisted latest-version pointer of workflow `id`.
+    fn workflow_version(&self, id: &str) -> Result<Option<u32>, CollectionError> {
+        let Some(raw) = self.store.get(WORKFLOW_VERSIONS_TABLE, id.as_bytes())? else {
+            return Ok(None);
+        };
+        let version = std::str::from_utf8(&raw)
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| StorageError::Decode(format!("workflow {id:?}: bad version pointer")))?;
+        Ok(Some(version))
     }
 
     /// Current change-journal head seq.
@@ -436,15 +506,19 @@ mod tests {
         dir
     }
 
-    fn run_of(id: &str) -> (Workflow, ExecutionTrace) {
-        let mut r = ServiceRegistry::new();
-        r.register_fn("id", |i: &PortMap| Ok(port("out", i["in"].clone())));
-        let w = Workflow::new(id, "identity")
+    fn identity_workflow(id: &str) -> Workflow {
+        Workflow::new(id, "identity")
             .with_input("x")
             .with_output("y")
             .with_processor(Processor::service("p", "id", &["in"], &["out"]))
             .link_input("x", "p", "in")
-            .link_output("p", "out", "y");
+            .link_output("p", "out", "y")
+    }
+
+    fn run_of(id: &str) -> (Workflow, ExecutionTrace) {
+        let mut r = ServiceRegistry::new();
+        r.register_fn("id", |i: &PortMap| Ok(port("out", i["in"].clone())));
+        let w = identity_workflow(id);
         let e = WfEngine::new(r, EngineConfig::default());
         let t = e.run(&w, &port("x", json!(1))).unwrap();
         (w, t)
@@ -576,6 +650,61 @@ mod tests {
         c.close().unwrap();
         submitter.join().unwrap();
         assert_eq!(c.provenance().run_ids().unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publish_commits_spec_and_version_pointer_together() {
+        let dir = temp_dir("publish-commit");
+        let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
+        let before = c.engine().stats().commits;
+        assert_eq!(c.publish_workflow(&identity_workflow("wf")).unwrap(), 1);
+        assert_eq!(
+            c.engine().stats().commits,
+            before + 1,
+            "spec row + version pointer must be one commit"
+        );
+        c.close().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workflow_versions_accumulate_and_read_back() {
+        let dir = temp_dir("publish-versions");
+        let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
+        let first = identity_workflow("wf");
+        let mut second = first.clone();
+        second.name = "identity, revised".into();
+        assert_eq!(c.publish_workflow(&first).unwrap(), 1);
+        assert_eq!(c.publish_workflow(&second).unwrap(), 2);
+        assert_eq!(c.store().count(WORKFLOWS_TABLE).unwrap(), 2);
+        assert_eq!(c.workflow("wf").unwrap(), Some(second));
+        assert_eq!(c.workflow("missing").unwrap(), None);
+        c.close().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workflow_versions_survive_reopen() {
+        let dir = temp_dir("publish-reopen");
+        let w = identity_workflow("wf");
+        {
+            let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
+            assert_eq!(c.publish_workflow(&w).unwrap(), 1);
+            c.close().unwrap();
+        }
+        let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
+        assert_eq!(c.publish_workflow(&w).unwrap(), 2, "numbering resumes");
+        for key in ["wf@1", "wf@2"] {
+            assert!(
+                c.store()
+                    .get(WORKFLOWS_TABLE, key.as_bytes())
+                    .unwrap()
+                    .is_some(),
+                "{key} stored"
+            );
+        }
+        c.close().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,12 +25,15 @@
 //!   workflow model)
 //! * [`provenance_manager`] — trace → OPM → durable provenance repository
 //! * [`quality_manager`] — the Data Quality Manager
-//! * [`architecture`] — the [`architecture::Architecture`] facade that a
-//!   deployment instantiates (Figure 3 is one such instance; see
-//!   `examples/` and the bench harness)
+//! * [`collection`] — the [`Collection`] facade a deployment opens: one
+//!   engine shared by the data, workflow and provenance repositories (the
+//!   figure's "database management system"), with the managers, derived
+//!   views and workflow publishing on top. Workflows run on a
+//!   `preserva_wfms::Engine` whose sink is the collection's provenance
+//!   manager (Figure 3 is one such instance; see `examples/` and the
+//!   bench harness).
 
 pub mod adapter;
-pub mod architecture;
 pub mod capture_batcher;
 pub mod collection;
 pub mod preservation;
@@ -43,7 +46,6 @@ pub mod retrieval;
 pub mod roles;
 pub mod sharding;
 
-pub use architecture::Architecture;
 pub use collection::{Collection, CollectionError, CollectionOptions, MaintenanceReport};
 pub use preservation::PreservationModel;
 pub use reassess::{ReassessOutcome, Reassessor};

@@ -26,7 +26,7 @@ use preserva_storage::engine::{Engine, EngineOptions, EngineStats};
 use preserva_storage::table::{CommitReceipt, TableStore};
 use preserva_wfms::pool::scoped_run;
 
-use crate::architecture::RECORDS_TABLE;
+use crate::collection::RECORDS_TABLE;
 use crate::retrieval::{CatalogError, RecordCatalog};
 
 /// FNV-1a over the record id — the shard routing hash. Stable across

@@ -1,7 +1,7 @@
 //! `preserva-server`: a multi-tenant HTTP front end for preserva
 //! collections.
 //!
-//! Architecture (std-only, no async runtime):
+//! Design (std-only, no async runtime):
 //!
 //! - one accept thread hands each `TcpStream` to a long-lived
 //!   [`preserva_wfms::pool::TaskPool`] worker — blocking thread per

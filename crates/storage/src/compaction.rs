@@ -153,8 +153,8 @@ pub fn fold_ranges(
 /// covering range tombstone at or below the horizon shadows it or it is
 /// a point tombstone at the bottom level. Layer LSN-disjointness means
 /// concatenating a key's versions across inputs in precedence order is
-/// already LSN-descending; v1 inputs (all `lsn = 0`) tie and the tie
-/// breaks by precedence, which is how they were written. Memory stays
+/// already LSN-descending; should two versions share an LSN, the tie
+/// breaks by precedence. Memory stays
 /// bounded by one block per input plus one key's version chain. Errors
 /// from any input end the merge and surface to the caller (the
 /// compaction aborts and the inputs stay in place).

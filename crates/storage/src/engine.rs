@@ -9,7 +9,6 @@
 //! <dir>/wal.frozen       -- WAL segment of an in-flight flush (transient)
 //! <dir>/run-<id>.sst     -- immutable sorted runs (tiered store)
 //! <dir>/MANIFEST         -- crash-safe catalog: which runs, at which level
-//! <dir>/snap-<id>.sst    -- legacy single-snapshot files; migrated on open
 //! ```
 //!
 //! ## Write path
@@ -67,18 +66,28 @@
 //!
 //! ## Recovery
 //!
-//! On open the engine sweeps temp files, loads the manifest (falling back
-//! to a directory scan when the manifest is missing or corrupt — safe
-//! because every run's footer records its level, so the fallback rebuilds
-//! the same `(level asc, id desc)` precedence), deletes corrupt or
-//! orphaned runs (plain I/O errors fail the open instead — a transient
-//! failure must not become permanent data loss), migrates any legacy
-//! `snap-*.sst` into run form, and replays the committed WAL suffix —
-//! `wal.frozen` first when a flush died mid-way, then the live log, the
-//! two folded back into one. Only operations covered by a `Commit` frame
-//! are applied — a crash between `append` and `Commit` rolls the partial
-//! transaction back, which is exactly the behaviour the curation layer
-//! relies on for its "original records are never half-updated" guarantee.
+//! On open the engine loads the manifest (falling back to a directory
+//! scan when the manifest is missing or corrupt — safe because every
+//! run's footer records its level, so the fallback rebuilds the same
+//! `(level asc, id desc)` precedence), opens every catalogued run and
+//! replays the committed WAL suffix — `wal.frozen` first when a flush
+//! died mid-way, then the live log. Only then does it change the
+//! directory: it sweeps temp files, deletes corrupt or orphaned runs
+//! (plain I/O errors fail the open instead — a transient failure must not
+//! become permanent data loss) and folds the two WAL segments back into
+//! one, or cuts a lone live log back to its last `Commit` frame so new
+//! commits never land behind a torn tail. Only operations covered by a
+//! `Commit` frame are applied — a crash between `append` and `Commit`
+//! rolls the partial transaction back, which is exactly the behaviour the
+//! curation layer relies on for its "original records are never
+//! half-updated" guarantee.
+//!
+//! A file in a format this build does not read — a `snap-*.sst`
+//! single-snapshot file, a v1 (`PRUN`) run, or a WAL frame that passes
+//! its CRC but does not decode — fails the open with
+//! [`StorageError::Unsupported`] before anything on disk changes, so an
+//! archive written by an older build is reported, never silently
+//! dropped.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -363,27 +372,6 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-fn snapshot_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("snap-{id:016}.sst"))
-}
-
-fn list_snapshot_ids(dir: &Path) -> StorageResult<Vec<u64>> {
-    let mut ids = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(rest) = name.strip_prefix("snap-") {
-            if let Some(idpart) = rest.strip_suffix(".sst") {
-                if let Ok(id) = idpart.parse::<u64>() {
-                    ids.push(id);
-                }
-            }
-        }
-    }
-    ids.sort_unstable();
-    Ok(ids)
-}
-
 fn run_tmp_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("run-{id:016}.tmp"))
 }
@@ -394,15 +382,9 @@ fn run_tmp_path(dir: &Path, id: u64) -> PathBuf {
 /// uncommitted trailing operations are dropped — that is the atomicity
 /// guarantee. Each batch is applied at its `Commit` frame's txid — the
 /// LSN it committed under originally — so replay rebuilds the exact
-/// version history, not just the final state. Legacy `Checkpoint` frames
-/// clear the memtable when their snapshot was migrated (see the legacy
-/// migration in [`Engine::open`]). Returns `(operations applied,
-/// highest txid seen)`.
-fn apply_committed(
-    records: Vec<WalRecord>,
-    memtable: &mut Memtable,
-    legacy_snapshot_id: u64,
-) -> (u64, u64) {
+/// version history, not just the final state. Returns `(operations
+/// applied, highest txid seen)`.
+fn apply_committed(records: Vec<WalRecord>, memtable: &mut Memtable) -> (u64, u64) {
     let mut pending: Vec<WalRecord> = Vec::new();
     let mut max_txid = 0u64;
     let mut ops = 0u64;
@@ -420,19 +402,9 @@ fn apply_committed(
                         WalRecord::DeleteRange { table, start, end } => {
                             memtable.delete_range(&table, &start, end.as_deref(), txid)
                         }
-                        _ => unreachable!("only puts/deletes/delete-ranges are pending"),
+                        WalRecord::Commit { .. } => unreachable!("commits are never pending"),
                     }
                 }
-            }
-            WalRecord::Checkpoint { snapshot_id: sid } => {
-                // A legacy checkpoint frame inside a live WAL means the
-                // old engine's reset() didn't complete; operations before
-                // it are captured by snapshot `sid` iff that is the
-                // snapshot we migrated.
-                if sid <= legacy_snapshot_id {
-                    memtable.clear();
-                }
-                pending.clear();
             }
             op => pending.push(op),
         }
@@ -584,8 +556,7 @@ impl Core {
         // one; newer layers are applied last and overwrite. Each layer
         // contributes its newest version at or below the read LSN per
         // key; cross-layer, LSN-disjointness makes "later layer wins"
-        // the correct merge (v1 runs tie at LSN 0 and the tie breaks by
-        // the same precedence they were written under).
+        // the correct merge.
         let mem_rows: Vec<(Vec<u8>, Lsn, Option<Vec<u8>>)> = {
             let mem = self.mem.read().expect("engine poisoned");
             mem.range(table, start, end, max_lsn)
@@ -1310,9 +1281,9 @@ impl Core {
 
 impl Engine {
     /// Open (creating if needed) an engine rooted at `dir` and recover any
-    /// previous state: manifest + runs + committed WAL suffix. Legacy
-    /// single-snapshot directories are migrated to the tiered layout;
-    /// unreadable or orphaned files are removed.
+    /// previous state: manifest + runs + committed WAL suffix. Corrupt or
+    /// orphaned files are removed; a file in an unsupported format fails
+    /// the open with [`StorageError::Unsupported`] and nothing is removed.
     pub fn open(dir: &Path, options: EngineOptions) -> StorageResult<Engine> {
         std::fs::create_dir_all(dir)?;
         let obs = options
@@ -1321,12 +1292,23 @@ impl Engine {
             .unwrap_or_else(|| Arc::new(Registry::new()));
         let metrics = StorageMetrics::resolve(&obs);
 
-        // 1. Sweep temp files: in-flight flushes/compactions/manifest
-        // swaps that never committed.
+        // 1. List the directory once. Temp files are flushes, compactions
+        // and manifest swaps that never committed; they are swept in step
+        // 5, once every check below has passed. A `snap-*.sst` is the
+        // single-snapshot format of builds before the tiered store.
+        let mut stale_tmps: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
-            if entry.file_name().to_string_lossy().ends_with(".tmp") {
-                let _ = std::fs::remove_file(entry.path());
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("snap-") && name.ends_with(".sst") {
+                return Err(StorageError::Unsupported {
+                    path: entry.path(),
+                    reason: "single-snapshot file from before the tiered store".into(),
+                });
+            }
+            if name.ends_with(".tmp") {
+                stale_tmps.push(entry.path());
             }
         }
 
@@ -1363,11 +1345,13 @@ impl Engine {
         };
 
         // 3. Open every catalogued run. Genuine corruption (bad CRC, bad
-        // framing) drops — and deletes — the run; the rest of the tree is
-        // served best-effort. A plain I/O error fails the open instead: a
-        // transient failure (permissions, fd exhaustion, a flaky disk)
-        // must not be converted into permanent data loss.
+        // framing) drops the run — its file is deleted in step 5 — and the
+        // rest of the tree is served best-effort. A plain I/O error fails
+        // the open instead: a transient failure (permissions, fd
+        // exhaustion, a flaky disk) must not be converted into permanent
+        // data loss. So does an unsupported (v1) run.
         let mut handles: Vec<Arc<RunHandle>> = Vec::with_capacity(catalog.len());
+        let mut corrupt_runs: Vec<PathBuf> = Vec::new();
         for &(id, declared_level) in &catalog {
             let path = manifest::run_path(dir, id);
             match Run::open(&path) {
@@ -1377,84 +1361,15 @@ impl Engine {
                 }
                 Err(e @ (StorageError::Corrupt { .. } | StorageError::Decode(_))) => {
                     obs.trace("storage", format!("dropping corrupt run {id} ({e})"));
-                    let _ = std::fs::remove_file(&path);
+                    corrupt_runs.push(path);
                     rewrite_manifest = true;
                 }
                 Err(e) => return Err(e),
             }
         }
-
-        // 4. Legacy migration: fold the newest readable `snap-*.sst` into
-        // run 1. Data a torn legacy checkpoint failed to capture is still
-        // in the WAL (the old engine reset it only after a durable
-        // snapshot), so every snap file — readable, torn, or superseded —
-        // is deleted afterwards. Keeping the newest readable snap id lets
-        // WAL replay honour legacy `Checkpoint` frames below.
-        let mut legacy_snapshot_id = 0u64;
-        let snap_ids = list_snapshot_ids(dir)?;
-        if !snap_ids.is_empty() {
-            for &sid in snap_ids.iter().rev() {
-                match sstable::read_snapshot(&snapshot_path(dir, sid)) {
-                    Ok(map) => {
-                        legacy_snapshot_id = sid;
-                        if handles.is_empty() {
-                            let id = 1u64;
-                            let tmp = run_tmp_path(dir, id);
-                            let count = map.len() as u64;
-                            // Legacy data predates the LSN clock: version 0,
-                            // older than any MVCC commit.
-                            sstable::write_run(
-                                &tmp,
-                                1,
-                                count,
-                                map.into_iter().map(|(k, v)| Ok((k, 0, v))),
-                                &[],
-                            )?;
-                            let path = manifest::run_path(dir, id);
-                            std::fs::rename(&tmp, &path)?;
-                            manifest::sync_dir(dir)?;
-                            handles.push(Arc::new(RunHandle {
-                                id,
-                                level: 1,
-                                run: Run::open(&path)?,
-                            }));
-                            rewrite_manifest = true;
-                            obs.trace(
-                                "storage",
-                                format!("migrated legacy snapshot {sid} to run {id}"),
-                            );
-                        }
-                        break;
-                    }
-                    Err(_) => continue,
-                }
-            }
-            for &sid in &snap_ids {
-                let _ = std::fs::remove_file(snapshot_path(dir, sid));
-            }
-        }
-
         handles.sort_by_key(|h| (h.level, std::cmp::Reverse(h.id)));
-        if rewrite_manifest {
-            manifest::store(dir, &Core::catalog_of(&handles))?;
-        }
 
-        // 5. Remove orphan runs: files never committed to the manifest
-        // (flush/compaction outputs whose commit didn't complete). Their
-        // contents are covered by the WAL or by their input runs.
-        let live_ids: std::collections::BTreeSet<u64> = handles.iter().map(|h| h.id).collect();
-        let mut max_file_id = 0u64;
-        for (id, path) in manifest::list_run_files(dir)? {
-            max_file_id = max_file_id.max(id);
-            if !live_ids.contains(&id) {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-
-        let run_entries: u64 = handles.iter().map(|h| h.run.entries()).sum();
-        metrics.recovered_snapshot_entries.add(run_entries);
-
-        // 6. Replay committed WAL operations on top. A flush that died
+        // 4. Replay committed WAL operations on top. A flush that died
         // between rotating the WAL and committing its run leaves a frozen
         // segment (`wal.frozen`) holding exactly the frozen memtable's
         // transactions; it is strictly older than the live log, so it
@@ -1465,6 +1380,7 @@ impl Engine {
         let mut memtable = Memtable::new();
         let mut max_txid = 0u64;
         let mut replayed_ops = 0u64;
+        let mut live_committed_len = 0u64;
         let segments: &[&Path] = if had_frozen_wal {
             &[&frozen_wal_path, &wal_path]
         } else {
@@ -1482,11 +1398,36 @@ impl Engine {
                     ),
                 );
             }
-            let (ops, txid) = apply_committed(replayed.records, &mut memtable, legacy_snapshot_id);
+            live_committed_len = replayed.committed_len;
+            let (ops, txid) = apply_committed(replayed.records, &mut memtable);
             replayed_ops += ops;
             max_txid = max_txid.max(txid);
         }
-        // Fold the two segments back into one live log so the steady-state
+
+        // 5. Nothing so far has changed the directory. Now sweep temp
+        // files and corrupt runs, persist the repaired catalog, and remove
+        // orphan runs: files never committed to the manifest (flush or
+        // compaction outputs whose commit didn't complete). Their contents
+        // are covered by the WAL or by their input runs.
+        for path in stale_tmps.iter().chain(&corrupt_runs) {
+            let _ = std::fs::remove_file(path);
+        }
+        if rewrite_manifest {
+            manifest::store(dir, &Core::catalog_of(&handles))?;
+        }
+        let live_ids: std::collections::BTreeSet<u64> = handles.iter().map(|h| h.id).collect();
+        let mut max_file_id = 0u64;
+        for (id, path) in manifest::list_run_files(dir)? {
+            max_file_id = max_file_id.max(id);
+            if !live_ids.contains(&id) {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+
+        let run_entries: u64 = handles.iter().map(|h| h.run.entries()).sum();
+        metrics.recovered_snapshot_entries.add(run_entries);
+
+        // 6. Fold the two segments back into one live log so the steady-state
         // invariant — exactly one WAL — holds before writers start. The
         // recovered memtable holds their combined committed state *with
         // per-version LSNs*; the rewrite emits one transaction per
@@ -1537,6 +1478,17 @@ impl Engine {
                 "storage",
                 "frozen WAL segment from an interrupted flush folded into wal.log".to_string(),
             );
+        } else if std::fs::metadata(&wal_path).map_or(0, |m| m.len()) > live_committed_len {
+            // Cut the live log back to its committed prefix before
+            // appending to it: a torn frame left in place would end the
+            // next replay early, hiding every commit acknowledged after
+            // this open, and operations whose commit never landed would
+            // be swept into the next one.
+            let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
+            file.set_len(live_committed_len)?;
+            if options.fsync {
+                file.sync_data()?;
+            }
         }
         metrics.recovered_records.add(replayed_ops);
         metrics.memtable_bytes.set(memtable.approx_bytes() as u64);
@@ -2024,6 +1976,52 @@ mod tests {
             Some(&b"yes"[..])
         );
         assert_eq!(e.get("t", b"uncommitted").unwrap(), None);
+    }
+
+    #[test]
+    fn commits_after_a_torn_tail_survive_the_next_reopen() {
+        let dir = tmpdir("torn-then-write");
+        {
+            let e = Engine::open(&dir, EngineOptions::default()).unwrap();
+            e.put("t", b"committed", b"yes").unwrap();
+        }
+        // A crash mid-transaction: one whole uncommitted Put, then a
+        // frame torn three bytes short.
+        let wal_path = dir.join("wal.log");
+        {
+            let mut w = Wal::open(&wal_path, false).unwrap();
+            w.append(&WalRecord::Put {
+                table: "t".into(),
+                key: b"uncommitted".to_vec(),
+                value: b"no".to_vec(),
+            })
+            .unwrap();
+            w.append(&WalRecord::Commit { txid: 99 }).unwrap();
+            w.sync().unwrap();
+        }
+        let bytes = std::fs::read(&wal_path).unwrap();
+        std::fs::write(&wal_path, &bytes[..bytes.len() - 3]).unwrap();
+        {
+            let e = Engine::open(&dir, EngineOptions::default()).unwrap();
+            assert!(e.stats().torn_tail_discarded);
+            e.put("t", b"after", b"acked").unwrap();
+        }
+        // The acknowledged write must not hide behind the torn frame, and
+        // the uncommitted Put must not ride along in its commit.
+        let e = Engine::open(&dir, EngineOptions::default()).unwrap();
+        assert!(
+            !e.stats().torn_tail_discarded,
+            "log cut to its committed prefix"
+        );
+        assert_eq!(
+            e.get("t", b"after").unwrap().as_deref(),
+            Some(&b"acked"[..])
+        );
+        assert_eq!(e.get("t", b"uncommitted").unwrap(), None);
+        assert_eq!(
+            e.get("t", b"committed").unwrap().as_deref(),
+            Some(&b"yes"[..])
+        );
     }
 
     #[test]
@@ -2586,58 +2584,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_snapshot_directory_is_migrated() {
-        let dir = tmpdir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Forge the old layout by hand: snap-3 + a WAL with one committed
-        // write and a stale Checkpoint frame (reset never completed).
-        let mut snap = BTreeMap::new();
-        snap.insert(
-            ("t".to_string(), b"old".to_vec()),
-            Some(b"from-snap".to_vec()),
-        );
-        sstable::write_snapshot(&snapshot_path(&dir, 3), snap.iter()).unwrap();
-        {
-            let mut w = Wal::open(&dir.join("wal.log"), false).unwrap();
-            w.append(&WalRecord::Put {
-                table: "t".into(),
-                key: b"old".to_vec(),
-                value: b"from-snap".to_vec(),
-            })
-            .unwrap();
-            w.append(&WalRecord::Commit { txid: 1 }).unwrap();
-            w.append(&WalRecord::Checkpoint { snapshot_id: 3 }).unwrap();
-            w.append(&WalRecord::Put {
-                table: "t".into(),
-                key: b"new".to_vec(),
-                value: b"from-wal".to_vec(),
-            })
-            .unwrap();
-            w.append(&WalRecord::Commit { txid: 2 }).unwrap();
-            w.sync().unwrap();
-        }
-        let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(
-            e.get("t", b"old").unwrap().as_deref(),
-            Some(&b"from-snap"[..])
-        );
-        assert_eq!(
-            e.get("t", b"new").unwrap().as_deref(),
-            Some(&b"from-wal"[..])
-        );
-        assert_eq!(e.runs_per_level(), vec![(1, 1)]);
-        assert!(
-            list_snapshot_ids(&dir).unwrap().is_empty(),
-            "legacy snap files deleted after migration"
-        );
-        assert!(manifest::load(&dir).unwrap().is_some());
-        // Stable across another reopen.
-        drop(e);
-        let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.count("t").unwrap(), 2);
-    }
-
-    #[test]
     fn recovery_survives_corrupt_manifest_via_directory_scan() {
         let dir = tmpdir("manifestfallback");
         {
@@ -2669,32 +2615,34 @@ mod tests {
 
     /// Forge the post-race layout on disk: a level-2 compaction output
     /// that was allocated a *higher* id than a level-1 flush run holding
-    /// strictly newer data (the review-found precedence race). Written
-    /// as **v1** runs — no per-entry LSNs — which also exercises the
-    /// footer-version-detection compatibility path end to end: every
-    /// entry reads back at LSN 0 and precedence alone must decide.
+    /// strictly newer data (a flush racing a compaction). Every
+    /// entry shares one LSN, so no version ordering can hide a wrong
+    /// precedence: `(level asc, id desc)` alone must decide.
     fn forge_inverted_id_layout(dir: &Path) {
         std::fs::create_dir_all(dir).unwrap();
+        let entry = |key: &[u8], value: Option<&[u8]>| {
+            Ok((
+                ("t".to_string(), key.to_vec()),
+                1,
+                value.map(<[u8]>::to_vec),
+            ))
+        };
         // Newer flush run: lower id, level 1.
-        sstable::write_run_v1(
+        sstable::write_run(
             &manifest::run_path(dir, 10),
             1,
             2,
-            vec![
-                Ok((("t".to_string(), b"del".to_vec()), None)),
-                Ok((("t".to_string(), b"k".to_vec()), Some(b"new".to_vec()))),
-            ],
+            vec![entry(b"del", None), entry(b"k", Some(b"new"))],
+            &[],
         )
         .unwrap();
         // Stale compaction output: higher id, level 2.
-        sstable::write_run_v1(
+        sstable::write_run(
             &manifest::run_path(dir, 11),
             2,
             2,
-            vec![
-                Ok((("t".to_string(), b"del".to_vec()), Some(b"zombie".to_vec()))),
-                Ok((("t".to_string(), b"k".to_vec()), Some(b"old".to_vec()))),
-            ],
+            vec![entry(b"del", Some(b"zombie")), entry(b"k", Some(b"old"))],
+            &[],
         )
         .unwrap();
     }
@@ -2806,11 +2754,10 @@ mod tests {
             e.put("t", b"k", b"v").unwrap();
             e.checkpoint().unwrap();
         }
-        // An orphan run (never committed to the manifest), a stray temp
-        // file, and a stray legacy snap.
+        // An orphan run (never committed to the manifest) and a stray
+        // temp file.
         std::fs::write(manifest::run_path(&dir, 999), b"not a run").unwrap();
         std::fs::write(dir.join("run-0000000000000500.tmp"), b"half").unwrap();
-        std::fs::write(snapshot_path(&dir, 7), b"torn snap").unwrap();
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
         assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
         assert!(!manifest::run_path(&dir, 999).exists(), "orphan removed");
@@ -2818,8 +2765,79 @@ mod tests {
             !dir.join("run-0000000000000500.tmp").exists(),
             "temp removed"
         );
-        assert!(list_snapshot_ids(&dir).unwrap().is_empty(), "snap removed");
         // And fresh ids never collide with the deleted orphan's.
         assert!(e.core.next_run_id.load(Ordering::SeqCst) > 999);
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    /// The three on-disk forms older builds wrote — a `snap-*.sst`, a v1
+    /// `PRUN` run (catalogued, and found by the manifest-fallback scan)
+    /// and a tag-4 WAL frame — each fail the open as `Unsupported` and
+    /// leave every file byte-identical: no temp sweep, no corrupt-run or
+    /// orphan deletion, no manifest rewrite, no WAL fold.
+    #[test]
+    fn legacy_formats_fail_open_and_stay_on_disk() {
+        let base = |tag: &str| {
+            let dir = tmpdir(tag);
+            {
+                let e = Engine::open(&dir, EngineOptions::default()).unwrap();
+                e.put("t", b"flushed", b"v").unwrap();
+                e.checkpoint().unwrap();
+                e.put("t", b"in-wal", b"v").unwrap();
+            }
+            // Things a successful open would clean up.
+            std::fs::write(dir.join("run-0000000000000500.tmp"), b"half").unwrap();
+            std::fs::write(manifest::run_path(&dir, 900), b"orphan").unwrap();
+            dir
+        };
+        let mut v1_run = vec![0u8; 64];
+        crate::codec::put_u32(&mut v1_run, 0x5052_554E); // "PRUN"
+        let mut tag4 = vec![4u8];
+        crate::codec::put_u64(&mut tag4, 3);
+        let mut tag4_frame = Vec::new();
+        crate::codec::put_u32(&mut tag4_frame, tag4.len() as u32);
+        crate::codec::put_u32(&mut tag4_frame, crate::crc32::checksum(&tag4));
+        tag4_frame.extend(tag4);
+
+        let snap = base("legacy-snap");
+        std::fs::write(snap.join("snap-0000000000000003.sst"), b"old snapshot").unwrap();
+
+        let catalogued = base("legacy-v1-catalogued");
+        std::fs::write(manifest::run_path(&catalogued, 50), &v1_run).unwrap();
+        let mut catalog = manifest::load(&catalogued).unwrap().unwrap();
+        catalog.push(RunEntry { id: 50, level: 1 });
+        manifest::store(&catalogued, &catalog).unwrap();
+
+        let scanned = base("legacy-v1-scanned");
+        std::fs::write(manifest::run_path(&scanned, 50), &v1_run).unwrap();
+        std::fs::remove_file(manifest::manifest_path(&scanned)).unwrap();
+
+        let wal = base("legacy-wal");
+        let mut log = std::fs::read(wal.join("wal.log")).unwrap();
+        log.extend(&tag4_frame);
+        std::fs::write(wal.join("wal.log"), &log).unwrap();
+
+        for dir in [snap, catalogued, scanned, wal] {
+            let before = dir_bytes(&dir);
+            match Engine::open(&dir, EngineOptions::default()) {
+                Err(StorageError::Unsupported { path, .. }) => {
+                    assert!(path.starts_with(&dir), "{path:?}")
+                }
+                other => panic!("{dir:?}: expected Unsupported, got {other:?}"),
+            }
+            assert_eq!(dir_bytes(&dir), before, "{dir:?} changed by a failed open");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

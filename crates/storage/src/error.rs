@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 /// Result alias used throughout the storage crate.
 pub type StorageResult<T> = Result<T, StorageError>;
@@ -11,7 +12,7 @@ pub type StorageResult<T> = Result<T, StorageError>;
 pub enum StorageError {
     /// Underlying filesystem failure.
     Io(io::Error),
-    /// A WAL or snapshot record failed its CRC or framing check.
+    /// A WAL frame or run file failed its CRC or framing check.
     ///
     /// Carries the byte offset at which corruption was detected.
     Corrupt {
@@ -28,6 +29,16 @@ pub enum StorageError {
     InvalidTableName(String),
     /// A transaction was used after commit/abort.
     TransactionClosed,
+    /// A file in an on-disk format this build does not read: a
+    /// `snap-*.sst` single-snapshot file, a v1 (`PRUN`) run, or a WAL
+    /// frame that passes its CRC but does not decode. Open fails and the
+    /// file stays where it is, byte for byte.
+    Unsupported {
+        /// The file in that format.
+        path: PathBuf,
+        /// Which format, and where in the file.
+        reason: String,
+    },
 }
 
 impl StorageError {
@@ -53,6 +64,9 @@ impl fmt::Display for StorageError {
                 write!(f, "invalid table name (reserved byte): {name:?}")
             }
             StorageError::TransactionClosed => write!(f, "transaction already closed"),
+            StorageError::Unsupported { path, reason } => {
+                write!(f, "unsupported format in {}: {reason}", path.display())
+            }
         }
     }
 }
@@ -89,6 +103,12 @@ mod tests {
         assert!(StorageError::TransactionClosed
             .to_string()
             .contains("closed"));
+        let u = StorageError::Unsupported {
+            path: PathBuf::from("dir/snap-1.sst"),
+            reason: "single-snapshot file".into(),
+        };
+        assert!(u.to_string().contains("dir/snap-1.sst"));
+        assert!(u.to_string().contains("single-snapshot file"));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * [`compaction`] merges runs level by level in the background,
 //!   folding tombstones at the bottom of the tree;
 //! * [`engine::Engine`] ties these together with atomic multi-key commits,
-//!   range scans and crash recovery (manifest + runs + WAL replay);
+//!   range scans and crash recovery (manifest + runs + WAL replay; a file
+//!   in a format older builds wrote fails the open as
+//!   [`StorageError::Unsupported`] and stays on disk);
 //! * [`table::TableStore`] layers named tables and secondary indexes on
 //!   top of the flat key space;
 //! * [`bulk::BulkLoader`] and [`engine::Engine::ingest_run`] are the

@@ -75,7 +75,7 @@ pub fn sync_dir(dir: &Path) -> StorageResult<()> {
     }
 }
 
-/// Load the manifest. `Ok(None)` means "no manifest" (fresh or legacy
+/// Load the manifest. `Ok(None)` means "no manifest" (a fresh
 /// directory); a corrupt manifest is an `Err` so the caller can fall back
 /// to scanning the directory.
 pub fn load(dir: &Path) -> StorageResult<Option<Vec<RunEntry>>> {
@@ -221,7 +221,6 @@ mod tests {
             std::fs::write(dir.join(name), b"x").unwrap();
         }
         std::fs::write(dir.join("run-junk.sst"), b"x").unwrap();
-        std::fs::write(dir.join("snap-0000000000000001.sst"), b"x").unwrap();
         std::fs::write(dir.join("run-0000000000000002.tmp"), b"x").unwrap();
         let ids: Vec<u64> = list_run_files(&dir)
             .unwrap()

@@ -202,14 +202,6 @@ impl Memtable {
         let range = self.ranges.iter().map(|rt| rt.lsn).max();
         point.max(range)
     }
-
-    /// Drop all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.ranges.clear();
-        self.versions = 0;
-        self.approx_bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -329,17 +321,5 @@ mod tests {
             vec![(b"a".to_vec(), 3), (b"a".to_vec(), 1), (b"b".to_vec(), 2)]
         );
         assert_eq!(m.max_lsn(), Some(3));
-    }
-
-    #[test]
-    fn clear_resets_size() {
-        let mut m = Memtable::new();
-        m.put("t", b"a", vec![0; 100], 1);
-        m.delete_range("t", b"", None, 2);
-        assert!(m.approx_bytes() >= 100);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.approx_bytes(), 0);
-        assert_eq!(m.max_lsn(), None);
     }
 }

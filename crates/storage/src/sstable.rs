@@ -1,20 +1,9 @@
 //! Sorted-run files ("SSTables").
 //!
-//! Three formats live here:
-//!
-//! * the **legacy snapshot** (`snap-*.sst`): one flat body of entries plus
-//!   a trailing `count | crc | MAGIC` footer. Kept so old directories can
-//!   be migrated on open and so the bench harness can compare the old
-//!   full-rewrite checkpoint against the tiered flush.
-//! * the **v1 tiered run** (`run-*.sst`, magic `PRUN`): single-version
-//!   entries, no LSNs. Opened **read-only** via footer-version detection;
-//!   every entry decodes with `lsn = 0` (older than any MVCC commit) so
-//!   v1 data sorts below all versioned data, which matches how it was
-//!   written. New v1 files are never produced.
-//! * the **v2 tiered run** (`run-*.sst`, magic `PRN2`): the immutable
-//!   multi-version unit of the leveled store. A run is a sequence of
-//!   ~4 KiB data blocks, a block index, a range-tombstone section, a
-//!   bloom filter and a fixed-size footer:
+//! One format lives here: the **tiered run** (`run-*.sst`, magic
+//! `PRN2`), the immutable multi-version unit of the leveled store. A run
+//! is a sequence of ~4 KiB data blocks, a block index, a range-tombstone
+//! section, a bloom filter and a fixed-size footer:
 //!
 //! ```text
 //! [data block]*                 -- versions sorted by (table, key) asc,
@@ -27,7 +16,7 @@
 //!          RUN_MAGIC_V2 u32]
 //! ```
 //!
-//! Each v2 entry is `tag u8 | lsn u64 | table | key | [value]` with
+//! Each entry is `tag u8 | lsn u64 | table | key | [value]` with
 //! length-prefixed byte strings; point tombstones and range tombstones
 //! round-trip so deletions shadow older runs until compaction folds them
 //! out at the bottom level, below the oldest pinned snapshot. The footer
@@ -40,8 +29,11 @@
 //! each data block carries its own CRC verified on first touch. Point
 //! lookups consult the bloom filter, binary-search the index and read
 //! one data block (more only when a key's versions spill across blocks).
+//!
+//! A file ending in the older v1 magic (`PRUN`, single-version entries
+//! without LSNs) opens as [`StorageError::Unsupported`], never as
+//! corruption, so recovery leaves it on disk instead of deleting it.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -52,127 +44,18 @@ use crate::error::{StorageError, StorageResult};
 use crate::memtable::{NsKey, RangeTombstone};
 use crate::snapshot::Lsn;
 
-const MAGIC: u32 = 0x5053_5354; // "PSST"
 const TAG_LIVE: u8 = 0;
 const TAG_TOMBSTONE: u8 = 1;
-
-/// Write `entries` (sorted by caller — a `BTreeMap` iteration qualifies)
-/// as a snapshot file at `path`. Tombstones (`None` values) may be included
-/// and round-trip.
-pub fn write_snapshot<'a, I>(path: &Path, entries: I) -> StorageResult<u64>
-where
-    I: Iterator<Item = (&'a NsKey, &'a Option<Vec<u8>>)>,
-{
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    let mut body = Vec::new();
-    let mut count = 0u64;
-    for ((table, key), value) in entries {
-        match value {
-            Some(v) => {
-                body.push(TAG_LIVE);
-                codec::put_bytes(&mut body, table.as_bytes());
-                codec::put_bytes(&mut body, key);
-                codec::put_bytes(&mut body, v);
-            }
-            None => {
-                body.push(TAG_TOMBSTONE);
-                codec::put_bytes(&mut body, table.as_bytes());
-                codec::put_bytes(&mut body, key);
-            }
-        }
-        count += 1;
-    }
-    w.write_all(&body)?;
-    let mut footer = Vec::with_capacity(16);
-    codec::put_u64(&mut footer, count);
-    codec::put_u32(&mut footer, crc32::checksum(&body));
-    codec::put_u32(&mut footer, MAGIC);
-    w.write_all(&footer)?;
-    w.flush()?;
-    w.get_ref().sync_data()?;
-    Ok(count)
-}
-
-/// Read a snapshot file back into an ordered map.
-///
-/// Verifies magic and body CRC; any mismatch is reported as
-/// [`StorageError::Corrupt`].
-pub fn read_snapshot(path: &Path) -> StorageResult<BTreeMap<NsKey, Option<Vec<u8>>>> {
-    let mut file = File::open(path)?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
-    if buf.len() < 16 {
-        return Err(StorageError::Corrupt {
-            offset: 0,
-            reason: "snapshot shorter than footer".into(),
-        });
-    }
-    let footer_at = buf.len() - 16;
-    let (count, _) = codec::get_u64(&buf[footer_at..])?;
-    let (crc, _) = codec::get_u32(&buf[footer_at + 8..])?;
-    let (magic, _) = codec::get_u32(&buf[footer_at + 12..])?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt {
-            offset: footer_at as u64 + 12,
-            reason: format!("bad snapshot magic {magic:#x}"),
-        });
-    }
-    let body = &buf[..footer_at];
-    if crc32::checksum(body) != crc {
-        return Err(StorageError::Corrupt {
-            offset: 0,
-            reason: "snapshot body CRC mismatch".into(),
-        });
-    }
-    let mut map = BTreeMap::new();
-    let mut pos = 0usize;
-    for _ in 0..count {
-        let tag = *body.get(pos).ok_or(StorageError::Corrupt {
-            offset: pos as u64,
-            reason: "truncated snapshot entry".into(),
-        })?;
-        pos += 1;
-        let (table, n) = codec::get_bytes(&body[pos..])?;
-        pos += n;
-        let (key, n) = codec::get_bytes(&body[pos..])?;
-        pos += n;
-        let value = if tag == TAG_LIVE {
-            let (v, n) = codec::get_bytes(&body[pos..])?;
-            pos += n;
-            Some(v.to_vec())
-        } else {
-            None
-        };
-        let table = String::from_utf8(table.to_vec())
-            .map_err(|_| StorageError::Decode("non-utf8 table in snapshot".into()))?;
-        map.insert((table, key.to_vec()), value);
-    }
-    if pos != body.len() {
-        return Err(StorageError::Corrupt {
-            offset: pos as u64,
-            reason: "trailing bytes after snapshot entries".into(),
-        });
-    }
-    Ok(map)
-}
-
-// ---------------------------------------------------------------------------
-// Tiered run format
-// ---------------------------------------------------------------------------
-
-/// Magic trailer of v1 (single-version) run files ("PRUN"). Read-only.
-pub const RUN_MAGIC: u32 = 0x5052_554E;
-/// Magic trailer of v2 (LSN-versioned) run files ("PRN2").
+/// Magic trailer of v1 (single-version) run files ("PRUN"), which this
+/// build refuses to open.
+const RUN_MAGIC_V1: u32 = 0x5052_554E;
+/// Magic trailer of run files ("PRN2").
 pub const RUN_MAGIC_V2: u32 = 0x5052_4E32;
 /// Target uncompressed size of one data block.
 const BLOCK_TARGET: usize = 4096;
-/// v1 footer size:
-/// index_off + bloom_off + entries + tombstones + level + crc + magic.
-const RUN_FOOTER_LEN_V1: usize = 8 + 8 + 8 + 8 + 4 + 4 + 4;
-/// v2 footer size: index_off + rt_off + bloom_off + entries + tombstones
+/// Footer size: index_off + rt_off + bloom_off + entries + tombstones
 /// + max_lsn + level + crc + magic.
-const RUN_FOOTER_LEN_V2: usize = 8 * 6 + 4 * 3;
+const RUN_FOOTER_LEN: usize = 8 * 6 + 4 * 3;
 /// Bloom sizing: bits per entry and number of probes.
 const BLOOM_BITS_PER_KEY: u64 = 10;
 const BLOOM_PROBES: u32 = 7;
@@ -314,22 +197,15 @@ fn encode_entry(out: &mut Vec<u8>, (table, key): &NsKey, lsn: Lsn, value: &Optio
     }
 }
 
-/// Decode every entry of a (CRC-verified) data block. `versioned = false`
-/// reads the v1 entry layout (no LSN field); those versions decode as
-/// `lsn = 0`, older than any MVCC commit.
-fn decode_block(block: &[u8], versioned: bool) -> StorageResult<Vec<VersionedEntry>> {
+/// Decode every entry of a (CRC-verified) data block.
+fn decode_block(block: &[u8]) -> StorageResult<Vec<VersionedEntry>> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < block.len() {
         let tag = block[pos];
         pos += 1;
-        let lsn = if versioned {
-            let (lsn, n) = codec::get_u64(&block[pos..])?;
-            pos += n;
-            lsn
-        } else {
-            0
-        };
+        let (lsn, n) = codec::get_u64(&block[pos..])?;
+        pos += n;
         let (table, n) = codec::get_bytes(&block[pos..])?;
         pos += n;
         let (key, n) = codec::get_bytes(&block[pos..])?;
@@ -407,7 +283,7 @@ fn decode_range_tombstones(buf: &[u8]) -> StorageResult<(Vec<RangeTombstone>, us
 
 /// Write `entries` (already sorted ascending by `NsKey`, then LSN
 /// *descending* within a key — a [`Memtable::entries`] stream or a merge
-/// of such streams qualifies) plus `ranges` as a v2 tiered run at
+/// of such streams qualifies) plus `ranges` as a tiered run at
 /// `path`, recorded as living at `level`. Streaming: memory use is
 /// bounded by one block plus the index/bloom/range sections, never by
 /// the data set — the bloom filter is sized up front from
@@ -509,7 +385,7 @@ where
     bloom.encode(&mut tail);
     let tail_crc = crc32::checksum(&tail);
     w.write_all(&tail)?;
-    let mut footer = Vec::with_capacity(RUN_FOOTER_LEN_V2);
+    let mut footer = Vec::with_capacity(RUN_FOOTER_LEN);
     codec::put_u64(&mut footer, index_off);
     codec::put_u64(&mut footer, rt_off);
     codec::put_u64(&mut footer, bloom_off);
@@ -522,114 +398,12 @@ where
     w.write_all(&footer)?;
     w.flush()?;
     w.get_ref().sync_data()?;
-    let bytes = offset + (tail.len() + RUN_FOOTER_LEN_V2) as u64;
+    let bytes = offset + (tail.len() + RUN_FOOTER_LEN) as u64;
     Ok(RunSummary {
         entries: entry_count,
         tombstones: tombstone_count,
         range_tombstones: ranges.len() as u64,
         max_lsn,
-        bytes,
-    })
-}
-
-/// Write a **v1** (single-version, pre-MVCC) run file. Production code
-/// never calls this — it exists so tests can forge legacy directories
-/// and prove the footer-version detection keeps them readable.
-#[doc(hidden)]
-pub fn write_run_v1<I>(
-    path: &Path,
-    level: u32,
-    expected_entries: u64,
-    entries: I,
-) -> StorageResult<RunSummary>
-where
-    I: IntoIterator<Item = StorageResult<(NsKey, Option<Vec<u8>>)>>,
-{
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    let mut index: Vec<BlockMeta> = Vec::new();
-    let mut block = Vec::with_capacity(BLOCK_TARGET + 512);
-    let mut block_first: Option<NsKey> = None;
-    let mut offset = 0u64;
-    let mut entry_count = 0u64;
-    let mut tombstone_count = 0u64;
-    let mut bloom = Bloom::with_capacity(expected_entries);
-    for item in entries {
-        let ((table, key), value) = item?;
-        if block_first.is_none() {
-            block_first = Some((table.clone(), key.clone()));
-        }
-        match &value {
-            Some(v) => {
-                block.push(TAG_LIVE);
-                codec::put_bytes(&mut block, table.as_bytes());
-                codec::put_bytes(&mut block, &key);
-                codec::put_bytes(&mut block, v);
-            }
-            None => {
-                block.push(TAG_TOMBSTONE);
-                codec::put_bytes(&mut block, table.as_bytes());
-                codec::put_bytes(&mut block, &key);
-                tombstone_count += 1;
-            }
-        }
-        entry_count += 1;
-        bloom.insert(table.as_bytes(), &key);
-        if block.len() >= BLOCK_TARGET {
-            let meta = BlockMeta {
-                offset,
-                len: block.len() as u32,
-                crc: crc32::checksum(&block),
-                first: block_first.take().expect("non-empty block"),
-            };
-            w.write_all(&block)?;
-            offset += block.len() as u64;
-            index.push(meta);
-            block.clear();
-        }
-    }
-    if !block.is_empty() {
-        let meta = BlockMeta {
-            offset,
-            len: block.len() as u32,
-            crc: crc32::checksum(&block),
-            first: block_first.take().expect("non-empty block"),
-        };
-        w.write_all(&block)?;
-        offset += block.len() as u64;
-        index.push(meta);
-    }
-    let index_off = offset;
-    let mut tail = Vec::new();
-    codec::put_u32(&mut tail, index.len() as u32);
-    for meta in &index {
-        codec::put_u64(&mut tail, meta.offset);
-        codec::put_u32(&mut tail, meta.len);
-        codec::put_u32(&mut tail, meta.crc);
-        codec::put_bytes(&mut tail, meta.first.0.as_bytes());
-        codec::put_bytes(&mut tail, &meta.first.1);
-    }
-    let bloom_off = index_off + tail.len() as u64;
-    bloom.encode(&mut tail);
-    let tail_crc = crc32::checksum(&tail);
-    w.write_all(&tail)?;
-    let mut footer = Vec::with_capacity(RUN_FOOTER_LEN_V1);
-    codec::put_u64(&mut footer, index_off);
-    codec::put_u64(&mut footer, bloom_off);
-    codec::put_u64(&mut footer, entry_count);
-    codec::put_u64(&mut footer, tombstone_count);
-    codec::put_u32(&mut footer, level);
-    codec::put_u32(&mut footer, tail_crc);
-    codec::put_u32(&mut footer, RUN_MAGIC);
-    w.write_all(&footer)?;
-    w.flush()?;
-    w.get_ref().sync_data()?;
-    let bytes = offset + (tail.len() + RUN_FOOTER_LEN_V1) as u64;
-    Ok(RunSummary {
-        entries: entry_count,
-        tombstones: tombstone_count,
-        range_tombstones: 0,
-        max_lsn: 0,
         bytes,
     })
 }
@@ -700,15 +474,13 @@ pub struct Run {
     max_lsn: Lsn,
     level: u32,
     bytes: u64,
-    /// True for v2 (LSN-versioned) files, false for read-only v1.
-    versioned: bool,
 }
 
 impl Run {
-    /// Open a run file, detecting the format version from the trailing
-    /// magic and verifying the index/bloom CRC. Data blocks are verified
-    /// lazily, on first read. v1 files open read-only with `lsn = 0`
-    /// on every entry and no range tombstones.
+    /// Open a run file, checking the trailing magic and verifying the
+    /// index/bloom CRC. Data blocks are verified lazily, on first read. A
+    /// v1 (`PRUN`) file is [`StorageError::Unsupported`]; any other wrong
+    /// magic is corruption.
     pub fn open(path: &Path) -> StorageResult<Run> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -721,59 +493,44 @@ impl Run {
         file.read_exact(&mut magic_buf)?;
         let (magic, _) = codec::get_u32(&magic_buf)?;
         match magic {
-            RUN_MAGIC_V2 => Self::open_with_footer(file, len, true),
-            RUN_MAGIC => Self::open_with_footer(file, len, false),
-            other => Err(StorageError::corrupt(
-                len - 4,
-                format!("bad run magic {other:#x}"),
-            )),
+            RUN_MAGIC_V2 => {}
+            RUN_MAGIC_V1 => {
+                return Err(StorageError::Unsupported {
+                    path: path.to_path_buf(),
+                    reason: "v1 run (magic PRUN, no per-entry LSNs)".into(),
+                })
+            }
+            other => {
+                return Err(StorageError::corrupt(
+                    len - 4,
+                    format!("bad run magic {other:#x}"),
+                ))
+            }
         }
-    }
-
-    fn open_with_footer(mut file: File, len: u64, versioned: bool) -> StorageResult<Run> {
-        use std::io::{Seek, SeekFrom};
-        let footer_len = if versioned {
-            RUN_FOOTER_LEN_V2
-        } else {
-            RUN_FOOTER_LEN_V1
-        };
-        if len < footer_len as u64 {
+        if len < RUN_FOOTER_LEN as u64 {
             return Err(StorageError::corrupt(0, "run shorter than footer"));
         }
-        file.seek(SeekFrom::End(-(footer_len as i64)))?;
-        let mut footer = vec![0u8; footer_len];
+        file.seek(SeekFrom::End(-(RUN_FOOTER_LEN as i64)))?;
+        let mut footer = vec![0u8; RUN_FOOTER_LEN];
         file.read_exact(&mut footer)?;
         let mut pos = 0usize;
-        let (index_off, n) = codec::get_u64(&footer)?;
-        pos += n;
-        let rt_off = if versioned {
+        let mut next_u64 = || -> StorageResult<u64> {
             let (v, n) = codec::get_u64(&footer[pos..])?;
             pos += n;
-            Some(v)
-        } else {
-            None
+            Ok(v)
         };
-        let (bloom_off, n) = codec::get_u64(&footer[pos..])?;
-        pos += n;
-        let (entries, n) = codec::get_u64(&footer[pos..])?;
-        pos += n;
-        let (tombstones, n) = codec::get_u64(&footer[pos..])?;
-        pos += n;
-        let max_lsn = if versioned {
-            let (v, n) = codec::get_u64(&footer[pos..])?;
-            pos += n;
-            v
-        } else {
-            0
-        };
+        let index_off = next_u64()?;
+        let rt_off = next_u64()?;
+        let bloom_off = next_u64()?;
+        let entries = next_u64()?;
+        let tombstones = next_u64()?;
+        let max_lsn = next_u64()?;
         let (level, n) = codec::get_u32(&footer[pos..])?;
-        pos += n;
-        let (tail_crc, _) = codec::get_u32(&footer[pos..])?;
-        let tail_len = len - footer_len as u64;
-        let rt_off_checked = rt_off.unwrap_or(bloom_off);
-        if index_off > rt_off_checked || rt_off_checked > bloom_off || bloom_off > tail_len {
+        let (tail_crc, _) = codec::get_u32(&footer[pos + n..])?;
+        let tail_len = len - RUN_FOOTER_LEN as u64;
+        if index_off > rt_off || rt_off > bloom_off || bloom_off > tail_len {
             return Err(StorageError::corrupt(
-                len - footer_len as u64,
+                tail_len,
                 "run footer offsets out of range",
             ));
         }
@@ -814,20 +571,14 @@ impl Run {
                 ),
             });
         }
-        let ranges = match rt_off {
-            Some(rt_off) => {
-                if pos != (rt_off - index_off) as usize {
-                    return Err(StorageError::corrupt(
-                        index_off,
-                        "run index length mismatch",
-                    ));
-                }
-                let (ranges, consumed) = decode_range_tombstones(&tail[pos..])?;
-                pos += consumed;
-                ranges
-            }
-            None => Vec::new(),
-        };
+        if pos != (rt_off - index_off) as usize {
+            return Err(StorageError::corrupt(
+                index_off,
+                "run index length mismatch",
+            ));
+        }
+        let (ranges, consumed) = decode_range_tombstones(&tail[pos..])?;
+        pos += consumed;
         if pos != (bloom_off - index_off) as usize {
             return Err(StorageError::corrupt(
                 index_off,
@@ -845,7 +596,6 @@ impl Run {
             max_lsn,
             level,
             bytes: len,
-            versioned,
         })
     }
 
@@ -859,21 +609,16 @@ impl Run {
         self.tombstones
     }
 
-    /// Range tombstones carried by the run (always empty for v1 files).
+    /// Range tombstones carried by the run.
     pub fn ranges(&self) -> &[RangeTombstone] {
         &self.ranges
     }
 
-    /// Largest commit LSN in the run (0 for v1 files). Feeds the
+    /// Largest commit LSN in the run (0 when empty). Feeds the
     /// engine's LSN clock recovery: flushes delete the WAL segment that
     /// held these commits, so the clock must be restorable from runs.
     pub fn max_lsn(&self) -> Lsn {
         self.max_lsn
-    }
-
-    /// True for v2 (LSN-versioned) files, false for read-only v1.
-    pub fn versioned(&self) -> bool {
-        self.versioned
     }
 
     /// Level the run was written for, recorded in the footer. Lets
@@ -907,7 +652,7 @@ impl Run {
                 "run data block CRC mismatch",
             ));
         }
-        decode_block(&buf, self.versioned)
+        decode_block(&buf)
     }
 
     /// Index of the first block that could contain `target`'s newest
@@ -1075,71 +820,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-sst-{}-{}", std::process::id(), name));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("snap.sst")
+        dir.join("run.sst")
     }
-
-    fn sample() -> BTreeMap<NsKey, Option<Vec<u8>>> {
-        let mut m = BTreeMap::new();
-        m.insert(("records".into(), b"1".to_vec()), Some(b"frog".to_vec()));
-        m.insert(("records".into(), b"2".to_vec()), Some(b"bird".to_vec()));
-        m.insert(("names".into(), b"x".to_vec()), None);
-        m
-    }
-
-    #[test]
-    fn roundtrip_including_tombstones() {
-        let path = tmpfile("roundtrip");
-        let data = sample();
-        let n = write_snapshot(&path, data.iter()).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(read_snapshot(&path).unwrap(), data);
-    }
-
-    #[test]
-    fn empty_snapshot_roundtrips() {
-        let path = tmpfile("empty");
-        let data = BTreeMap::new();
-        write_snapshot(&path, data.iter()).unwrap();
-        assert!(read_snapshot(&path).unwrap().is_empty());
-    }
-
-    #[test]
-    fn corrupt_body_detected() {
-        let path = tmpfile("corrupt");
-        write_snapshot(&path, sample().iter()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[2] ^= 0x55;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_snapshot(&path),
-            Err(StorageError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_magic_detected() {
-        let path = tmpfile("magic");
-        write_snapshot(&path, sample().iter()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = bytes.len() - 1;
-        bytes[at] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_snapshot(&path),
-            Err(StorageError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_file_detected() {
-        let path = tmpfile("trunc");
-        write_snapshot(&path, sample().iter()).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..5]).unwrap();
-        assert!(read_snapshot(&path).is_err());
-    }
-
-    // -- tiered runs --------------------------------------------------------
 
     const LATEST: Lsn = Lsn::MAX;
 
@@ -1171,7 +853,6 @@ mod tests {
         assert_eq!(run.entries(), summary.entries);
         assert_eq!(run.tombstones(), summary.tombstones);
         assert_eq!(run.max_lsn(), 2000);
-        assert!(run.versioned());
         assert!(run.index.len() > 1, "2000 entries must span several blocks");
 
         assert_eq!(
@@ -1314,42 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_runs_open_read_only_with_zero_lsns() {
-        let path = tmpfile("run-v1");
-        let entries = (0..300u32).map(|i| {
-            let key = format!("k{i:04}").into_bytes();
-            let value = if i % 9 == 4 {
-                None
-            } else {
-                Some(format!("old-{i}").into_bytes())
-            };
-            Ok((("records".to_string(), key), value))
-        });
-        write_run_v1(&path, 2, 300, entries).unwrap();
-        let run = Run::open(&path).unwrap();
-        assert!(!run.versioned(), "footer magic detects v1");
-        assert_eq!(run.level(), 2);
-        assert_eq!(run.max_lsn(), 0);
-        assert!(run.ranges().is_empty());
-        assert_eq!(
-            run.get("records", b"k0000", LATEST).unwrap(),
-            RunLookup::Value(0, b"old-0".to_vec())
-        );
-        assert_eq!(
-            run.get("records", b"k0004", LATEST).unwrap(),
-            RunLookup::Tombstone(0)
-        );
-        // A pin below 0 is impossible; every v1 entry is visible at 0.
-        assert_eq!(
-            run.get("records", b"k0000", 0).unwrap(),
-            RunLookup::Value(0, b"old-0".to_vec())
-        );
-        let all: Vec<_> = run.iter().map(|r| r.unwrap()).collect();
-        assert_eq!(all.len(), 300);
-        assert!(all.iter().all(|(_, lsn, _)| *lsn == 0));
-    }
-
-    #[test]
     fn run_scan_range_respects_bounds_and_tombstones() {
         let path = tmpfile("run-scan");
         write_sample_run(&path, 500);
@@ -1424,7 +1069,7 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
         // Flip a byte in the index/bloom region.
         let mut bad = good.clone();
-        let at = bad.len() - RUN_FOOTER_LEN_V2 - 8;
+        let at = bad.len() - RUN_FOOTER_LEN - 8;
         bad[at] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
@@ -1443,6 +1088,18 @@ mod tests {
             Run::open(&path),
             Err(StorageError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn v1_magic_is_unsupported_not_corrupt() {
+        let path = tmpfile("run-v1");
+        let mut bytes = vec![0u8; 64];
+        codec::put_u32(&mut bytes, RUN_MAGIC_V1);
+        std::fs::write(&path, &bytes).unwrap();
+        match Run::open(&path) {
+            Err(StorageError::Unsupported { path: p, .. }) => assert_eq!(p, path),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! truncated or whose CRC fails marks the logical end of the log (a "torn
 //! tail", the expected result of a crash mid-append); replay stops there.
 //!
-//! Record payloads encode the logical operations of the engine:
+//! Record payloads encode the four logical operations of the engine:
 //! `Put`, `Delete`, `DeleteRange` (one O(1) frame however many rows it
-//! covers), `Commit` (transaction boundary; its txid is the batch's
-//! LSN) and `Checkpoint` (legacy: everything before this point is
-//! captured by snapshot `id`).
+//! covers) and `Commit` (transaction boundary; its txid is the batch's
+//! LSN). A frame that passes its CRC but does not decode — the retired
+//! tag-4 checkpoint frame, or any tag this build does not know — is not
+//! a torn tail: replay fails with [`StorageError::Unsupported`] rather
+//! than drop the acknowledged commits after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -53,17 +55,12 @@ pub enum WalRecord {
         /// Transaction id assigned by the engine — the batch's LSN.
         txid: u64,
     },
-    /// Snapshot `snapshot_id` captures the state up to this point.
-    Checkpoint {
-        /// Id of the snapshot file that captured the state.
-        snapshot_id: u64,
-    },
 }
 
 const TAG_PUT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-const TAG_CHECKPOINT: u8 = 4;
+// Tag 4 was the retired checkpoint frame; it is never reused.
 const TAG_DELETE_RANGE: u8 = 5;
 
 impl WalRecord {
@@ -99,10 +96,6 @@ impl WalRecord {
             WalRecord::Commit { txid } => {
                 out.push(TAG_COMMIT);
                 codec::put_u64(&mut out, *txid);
-            }
-            WalRecord::Checkpoint { snapshot_id } => {
-                out.push(TAG_CHECKPOINT);
-                codec::put_u64(&mut out, *snapshot_id);
             }
         }
         out
@@ -152,10 +145,6 @@ impl WalRecord {
             TAG_COMMIT => {
                 let (txid, _) = codec::get_u64(rest)?;
                 Ok(WalRecord::Commit { txid })
-            }
-            TAG_CHECKPOINT => {
-                let (snapshot_id, _) = codec::get_u64(rest)?;
-                Ok(WalRecord::Checkpoint { snapshot_id })
             }
             other => Err(StorageError::Decode(format!("unknown WAL tag {other}"))),
         }
@@ -261,25 +250,6 @@ impl Wal {
             }
         }
     }
-
-    /// Truncate the log to zero length (after a successful checkpoint has
-    /// captured its contents elsewhere).
-    pub fn reset(&mut self) -> StorageResult<()> {
-        self.writer.flush()?;
-        let file = self.writer.get_ref();
-        file.set_len(0)?;
-        if self.fsync {
-            file.sync_data()?;
-        }
-        // Re-open so the append cursor returns to offset 0.
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        self.writer = BufWriter::new(file);
-        self.len = 0;
-        Ok(())
-    }
 }
 
 /// Outcome of replaying a WAL file.
@@ -287,8 +257,10 @@ impl Wal {
 pub struct Replay {
     /// Records up to (and excluding) the first torn/corrupt frame.
     pub records: Vec<WalRecord>,
-    /// Byte offset of the valid prefix.
-    pub valid_len: u64,
+    /// Byte offset just past the last `Commit` frame: the committed
+    /// prefix. Bytes after it are a torn frame or operations whose commit
+    /// never landed.
+    pub committed_len: u64,
     /// True when a torn tail was detected and discarded.
     pub torn_tail: bool,
 }
@@ -296,7 +268,11 @@ pub struct Replay {
 /// Replay the WAL at `path`, tolerating a torn tail.
 ///
 /// Returns all complete, CRC-valid records in order. A missing file is
-/// treated as an empty log.
+/// treated as an empty log. A non-empty, CRC-valid frame that does not
+/// decode fails the replay with [`StorageError::Unsupported`] naming the
+/// file and the frame's offset; the file is only read, never changed.
+/// (An empty frame — `len = 0`, and the CRC of nothing is 0 — is what a
+/// zero-filled tail looks like, so it counts as torn.)
 pub fn replay(path: &Path) -> StorageResult<Replay> {
     let mut out = Replay::default();
     let mut file = match File::open(path) {
@@ -324,22 +300,25 @@ pub fn replay(path: &Path) -> StorageResult<Replay> {
             }
         };
         let payload = &buf[start..end];
-        if crc32::checksum(payload) != crc {
+        if payload.is_empty() || crc32::checksum(payload) != crc {
             out.torn_tail = true;
             break;
         }
         match WalRecord::decode(payload) {
-            Ok(r) => out.records.push(r),
-            Err(_) => {
-                out.torn_tail = true;
-                break;
+            Ok(r) => {
+                if matches!(r, WalRecord::Commit { .. }) {
+                    out.committed_len = end as u64;
+                }
+                out.records.push(r)
+            }
+            Err(e) => {
+                return Err(StorageError::Unsupported {
+                    path: path.to_path_buf(),
+                    reason: format!("WAL frame at offset {pos} does not decode ({e})"),
+                })
             }
         }
         pos = end;
-        out.valid_len = pos as u64;
-    }
-    if !out.torn_tail {
-        out.valid_len = pos as u64;
     }
     Ok(out)
 }
@@ -372,7 +351,6 @@ mod tests {
                 key: b"k1".to_vec(),
             },
             WalRecord::Commit { txid: 42 },
-            WalRecord::Checkpoint { snapshot_id: 7 },
             WalRecord::DeleteRange {
                 table: "records".into(),
                 start: b"a".to_vec(),
@@ -406,7 +384,7 @@ mod tests {
         let rep = replay(&path).unwrap();
         assert_eq!(rep.records.len(), 2);
         assert!(!rep.torn_tail);
-        assert_eq!(rep.valid_len, wal.len());
+        assert_eq!(rep.committed_len, wal.len());
     }
 
     #[test]
@@ -424,6 +402,7 @@ mod tests {
         let rep = replay(&path).unwrap();
         assert_eq!(rep.records.len(), 2);
         assert!(rep.torn_tail);
+        assert!(rep.committed_len > 0 && rep.committed_len < full.len() as u64);
     }
 
     #[test]
@@ -444,20 +423,57 @@ mod tests {
         assert!(rep.torn_tail);
     }
 
+    /// Frame `payload` exactly as [`Wal::append`] does.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::put_u32(&mut out, payload.len() as u32);
+        codec::put_u32(&mut out, crc32::checksum(payload));
+        out.extend_from_slice(payload);
+        out
+    }
+
     #[test]
-    fn reset_empties_log() {
-        let path = tmpfile("reset");
+    fn undecodable_frame_fails_replay_and_leaves_the_log_alone() {
+        let path = tmpfile("tag4");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, false).unwrap();
         wal.append(&put("t", b"a", b"1")).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
         wal.sync().unwrap();
-        wal.reset().unwrap();
-        assert!(wal.is_empty());
-        assert!(replay(&path).unwrap().records.is_empty());
-        // The log remains usable after reset.
-        wal.append(&put("t", b"c", b"3")).unwrap();
+        let offset = wal.len();
+        // A CRC-valid tag-4 (retired checkpoint) frame, then a committed
+        // put that a torn-tail reading would silently drop.
+        let mut tag4 = vec![4u8];
+        codec::put_u64(&mut tag4, 3);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend(frame(&tag4));
+        bytes.extend(frame(&put("t", b"b", b"2").encode()));
+        bytes.extend(frame(&WalRecord::Commit { txid: 2 }.encode()));
+        std::fs::write(&path, &bytes).unwrap();
+        match replay(&path) {
+            Err(StorageError::Unsupported { path: p, reason }) => {
+                assert_eq!(p, path);
+                assert!(reason.contains(&format!("offset {offset}")), "{reason}");
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "log unchanged");
+    }
+
+    #[test]
+    fn zero_filled_tail_is_torn_not_unsupported() {
+        let path = tmpfile("zeros");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, false).unwrap();
+        wal.append(&put("t", b"a", b"1")).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
         wal.sync().unwrap();
-        assert_eq!(replay(&path).unwrap().records.len(), 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend([0u8; 64]);
+        std::fs::write(&path, &bytes).unwrap();
+        let rep = replay(&path).unwrap();
+        assert_eq!(rep.records.len(), 2);
+        assert!(rep.torn_tail);
     }
 
     #[test]

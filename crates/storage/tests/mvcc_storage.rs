@@ -1,6 +1,6 @@
 //! MVCC integration battery for DESIGN.md §13: snapshot repeatability
 //! under churn, crash-tearing WAL segments that carry RANGE_TOMBSTONE
-//! frames, O(1) range deletes, and v1 run-format compatibility.
+//! frames, and O(1) range deletes.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -9,8 +9,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use preserva_storage::engine::{BatchOp, Engine, EngineOptions};
-use preserva_storage::manifest::{self, RunEntry};
-use preserva_storage::sstable;
 use preserva_storage::CompactionOptions;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -250,54 +248,6 @@ fn delete_range_of_100k_rows_commits_in_o1_wal_frames() {
     );
     assert_eq!(e.count("big").unwrap(), 0);
     assert_eq!(e.get("big", &77_777u32.to_be_bytes()).unwrap(), None);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Old single-version run files (v1 footer) open read-only next to new
-/// v2 runs: their entries read back at LSN 0 and survive a compaction
-/// that rewrites them into the v2 format.
-#[test]
-fn v1_run_files_open_read_only_via_footer_version() {
-    let dir = tmpdir("v1-compat");
-    std::fs::create_dir_all(&dir).unwrap();
-    sstable::write_run_v1(
-        &manifest::run_path(&dir, 1),
-        1,
-        3,
-        vec![
-            Ok((("t".to_string(), b"a".to_vec()), Some(b"old-a".to_vec()))),
-            Ok((("t".to_string(), b"b".to_vec()), Some(b"old-b".to_vec()))),
-            Ok((("t".to_string(), b"dead".to_vec()), None)),
-        ],
-    )
-    .unwrap();
-    manifest::store(&dir, &[RunEntry { id: 1, level: 1 }]).unwrap();
-
-    let e = Engine::open(&dir, foreground_compaction()).unwrap();
-    assert_eq!(e.get("t", b"a").unwrap().as_deref(), Some(&b"old-a"[..]));
-    assert_eq!(e.get("t", b"b").unwrap().as_deref(), Some(&b"old-b"[..]));
-    assert_eq!(e.get("t", b"dead").unwrap(), None);
-
-    // New writes layer above the legacy run; the legacy value stays
-    // reachable through a pre-overwrite snapshot (v1 entries sit at
-    // LSN 0, below every new commit).
-    let snap = e.snapshot();
-    e.put("t", b"a", b"new-a").unwrap();
-    assert_eq!(e.get("t", b"a").unwrap().as_deref(), Some(&b"new-a"[..]));
-    assert_eq!(snap.get("t", b"a").unwrap().as_deref(), Some(&b"old-a"[..]));
-    drop(snap);
-
-    // Compaction rewrites the v1 run into v2 without losing anything.
-    e.checkpoint().unwrap();
-    assert!(e.compact().unwrap());
-    let got: BTreeMap<Vec<u8>, Vec<u8>> = e.scan_all("t").unwrap().into_iter().collect();
-    assert_eq!(got.get(&b"a"[..]).map(Vec::as_slice), Some(&b"new-a"[..]));
-    assert_eq!(got.get(&b"b"[..]).map(Vec::as_slice), Some(&b"old-b"[..]));
-
-    // Reopen: the rewritten catalog recovers cleanly.
-    drop(e);
-    let e = Engine::open(&dir, foreground_compaction()).unwrap();
-    assert_eq!(e.get("t", b"a").unwrap().as_deref(), Some(&b"new-a"[..]));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -305,36 +305,6 @@ mod recovery_edge_cases {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Regression: a legacy directory whose newest snap file is garbage
-    /// (torn checkpoint) must migrate from the older readable snap — and
-    /// every snap file, readable or not, must be cleaned up afterwards.
-    /// The old engine left both on disk.
-    #[test]
-    fn legacy_migration_uses_newest_readable_snap_and_cleans_up() {
-        let dir = super::tmpdir("snapfall2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut map = std::collections::BTreeMap::new();
-        map.insert(("t".to_string(), b"a".to_vec()), Some(b"1".to_vec()));
-        preserva_storage::sstable::write_snapshot(
-            &dir.join("snap-0000000000000001.sst"),
-            map.iter(),
-        )
-        .unwrap();
-        // A bogus "newer" snapshot next to the good one.
-        std::fs::write(dir.join("snap-0000000000000002.sst"), b"garbage").unwrap();
-        let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        // The good snap-1 was migrated into a run.
-        assert_eq!(e.get("t", b"a").unwrap().as_deref(), Some(&b"1"[..]));
-        assert_eq!(e.stats().recovered_from_snapshot, 1);
-        for leftover in ["snap-0000000000000001.sst", "snap-0000000000000002.sst"] {
-            assert!(
-                !dir.join(leftover).exists(),
-                "{leftover} must be removed after migration"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Regression: a checkpoint that crashed after writing its run but
     /// before committing the manifest used to leave the half-flush on
     /// disk forever. Open must remove both orphan runs and temp files.

@@ -19,9 +19,10 @@
 //!    flaky services), producing an [`trace::ExecutionTrace`] that
 //!    [`opm_export`] converts to an OPM graph, mirroring Taverna's OPM
 //!    export;
-//! 4. **a workflow repository** — [`repository::WorkflowRepository`]
-//!    stores versioned specs; [`spec`] serializes workflows to the
-//!    XML-ish format excerpted in the paper's Listing 1.
+//! 4. **a publishable spec format** — [`spec`] serializes workflows to
+//!    the XML-ish format excerpted in the paper's Listing 1 and parses it
+//!    back; the workflow repository itself is a pair of tables in the
+//!    shared store (`preserva_core::Collection::publish_workflow`).
 //!
 //! Services a workflow invokes are registered in a
 //! [`services::ServiceRegistry`]; [`services::FlakyService`] wraps any
@@ -36,7 +37,6 @@ pub mod fault;
 pub mod model;
 pub mod opm_export;
 pub mod pool;
-pub mod repository;
 pub mod services;
 pub mod sink;
 pub mod spec;

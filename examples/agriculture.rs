@@ -14,12 +14,13 @@
 
 use std::collections::BTreeMap;
 
-use preserva::core::architecture::Architecture;
+use preserva::core::adapter::WorkflowAdapter;
 use preserva::core::roles::{EndUser, ProcessDesigner};
+use preserva::core::{Collection, CollectionOptions};
 use preserva::quality::dimension::Dimension;
 use preserva::quality::metric::Metric;
 use preserva::quality::model::QualityModel;
-use preserva::wfms::engine::EngineConfig;
+use preserva::wfms::engine::{Engine, EngineConfig};
 use preserva::wfms::model::{Processor, Workflow};
 use preserva::wfms::services::{port, PortMap, ServiceRegistry};
 use serde_json::{json, Value};
@@ -51,7 +52,9 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("preserva-ex-agri-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut arch = Architecture::open(&dir, registry, EngineConfig::default()).unwrap();
+    let collection = Collection::open(&dir, CollectionOptions::default()).unwrap();
+    let engine =
+        Engine::new(registry, EngineConfig::default()).with_sink(collection.provenance().clone());
 
     // --- the quality-aware workflow, annotated by the designer ---
     let mut workflow = Workflow::new("wf-soil", "Soil sample enrichment")
@@ -75,7 +78,7 @@ fn main() {
         .link_output("Weather_service", "enriched", "dataset")
         .link_output("Validate_pH", "invalid_count", "rejected");
     let designer = ProcessDesigner::new("agronomist", "Feagri/Unicamp");
-    arch.adapter()
+    WorkflowAdapter::new()
         .annotate_processor(
             &mut workflow,
             "Weather_service",
@@ -84,7 +87,7 @@ fn main() {
             "2012-06-01",
         )
         .unwrap();
-    arch.publish_workflow(workflow).unwrap();
+    collection.publish_workflow(&workflow).unwrap();
 
     // --- run over a batch of soil samples (one has a bad pH) ---
     let samples = json!([
@@ -93,8 +96,9 @@ fn main() {
         {"plot": "B1", "ph": 42.0, "organic_matter": 1.9}, // sensor glitch
         {"plot": "B2", "ph": 7.2, "organic_matter": 2.8},
     ]);
-    let trace = arch
-        .run_workflow("wf-soil", &port("samples", samples))
+    let trace = engine
+        .run(&workflow, &port("samples", samples))
+        .map_err(|(e, _)| e)
         .unwrap();
     let dataset = trace.workflow_outputs["dataset"].as_array().unwrap();
     println!(
@@ -128,9 +132,13 @@ fn main() {
     let mut facts = BTreeMap::new();
     facts.insert("samples_total".to_string(), 4.0);
     facts.insert("samples_valid".to_string(), 3.0);
-    let report = arch
-        .assess_run(&user, Some(model), "soil-2012", &trace.run_id, &facts)
-        .unwrap();
+    let report = {
+        let mut quality = collection.quality();
+        quality.register_model(&user, model);
+        quality
+            .assess_run(&user, "soil-2012", &trace.run_id, &workflow, &facts)
+            .unwrap()
+    };
     print!("\n{}", report.render_text());
     assert_eq!(report.score(&Dimension::accuracy()), Some(0.75));
     assert_eq!(report.score(&Dimension::reputation()), Some(0.85));

@@ -6,9 +6,12 @@
 //! cargo run --example linked_data
 //! ```
 
-use preserva::core::architecture::Architecture;
+use preserva::core::adapter::WorkflowAdapter;
 use preserva::core::roles::ProcessDesigner;
-use preserva::wfms::engine::EngineConfig;
+use preserva::core::{Collection, CollectionOptions};
+use preserva::opm::rdf;
+use preserva::wfms::decay;
+use preserva::wfms::engine::{Engine, EngineConfig};
 use preserva::wfms::model::{Processor, Workflow};
 use preserva::wfms::services::{port, PortMap, ServiceRegistry};
 use serde_json::json;
@@ -21,7 +24,9 @@ fn main() {
     registry.register_fn("col_lookup", |i: &PortMap| {
         Ok(port("checked", i["names"].clone()))
     });
-    let arch = Architecture::open(&dir, registry, EngineConfig::default()).unwrap();
+    let collection = Collection::open(&dir, CollectionOptions::default()).unwrap();
+    let engine =
+        Engine::new(registry, EngineConfig::default()).with_sink(collection.provenance().clone());
 
     // Publish the annotated case-study-shaped workflow.
     let mut w = Workflow::new("wf-ld", "Outdated Species Name Detection")
@@ -35,7 +40,7 @@ fn main() {
         ))
         .link_input("names", "Catalog_of_life", "names")
         .link_output("Catalog_of_life", "checked", "report");
-    arch.adapter()
+    WorkflowAdapter::new()
         .annotate_processor(
             &mut w,
             "Catalog_of_life",
@@ -44,13 +49,16 @@ fn main() {
             "2013-11-12",
         )
         .unwrap();
-    arch.publish_workflow(w).unwrap();
+    collection.publish_workflow(&w).unwrap();
 
-    // Run and export the provenance as N-Triples.
-    let trace = arch
-        .run_workflow("wf-ld", &port("names", json!(["Elachistocleis ovalis"])))
+    // Run the stored spec and export the provenance as N-Triples.
+    let stored = collection.workflow("wf-ld").unwrap().unwrap();
+    let trace = engine
+        .run(&stored, &port("names", json!(["Elachistocleis ovalis"])))
+        .map_err(|(e, _)| e)
         .unwrap();
-    let ntriples = arch.export_provenance_rdf(&trace.run_id).unwrap();
+    let graph = collection.provenance().load_graph(&trace.run_id).unwrap();
+    let ntriples = rdf::to_ntriples(&graph);
     println!(
         "--- provenance as Linked Data ({} triples) ---",
         ntriples.lines().count()
@@ -61,14 +69,14 @@ fn main() {
     println!("…");
 
     // Workflow decay: healthy today, decayed once the service disappears.
-    let health_2014 = arch.check_workflow_health("wf-ld", 2014, 5).unwrap();
+    let health_2014 = decay::check(&stored, engine.registry(), 2014, 5);
     println!(
         "\nhealth in 2014 (service present): runnable={}, findings={}",
         health_2014.is_runnable(),
         health_2014.findings.len()
     );
     // Stale by 2025 — the 2013 annotation is long past its horizon.
-    let health_2025 = arch.check_workflow_health("wf-ld", 2025, 5).unwrap();
+    let health_2025 = decay::check(&stored, engine.registry(), 2025, 5);
     println!(
         "health in 2025 (stale annotations): runnable={}, findings:",
         health_2025.is_runnable()

@@ -7,10 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use preserva::core::architecture::Architecture;
+use preserva::core::adapter::WorkflowAdapter;
 use preserva::core::roles::{EndUser, ProcessDesigner};
+use preserva::core::{Collection, CollectionOptions};
 use preserva::quality::dimension::Dimension;
-use preserva::wfms::engine::EngineConfig;
+use preserva::wfms::engine::{Engine, EngineConfig};
 use preserva::wfms::model::{Processor, Workflow};
 use preserva::wfms::services::{port, PortMap, ServiceRegistry};
 use serde_json::json;
@@ -31,10 +32,13 @@ fn main() {
         Ok(out)
     });
 
-    // 2. Open the architecture (all repositories share one durable store).
+    // 2. Open the collection (all repositories share one durable store)
+    //    and a workflow engine that captures every run's provenance into it.
     let dir = std::env::temp_dir().join(format!("preserva-quickstart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut arch = Architecture::open(&dir, registry, EngineConfig::default()).unwrap();
+    let collection = Collection::open(&dir, CollectionOptions::default()).unwrap();
+    let engine =
+        Engine::new(registry, EngineConfig::default()).with_sink(collection.provenance().clone());
 
     // 3. A Process Designer publishes a quality-annotated workflow.
     let mut workflow = Workflow::new("wf-quick", "quick name check")
@@ -49,7 +53,7 @@ fn main() {
         .link_input("names", "checker", "names")
         .link_output("checker", "outdated", "outdated");
     let designer = ProcessDesigner::new("expert", "IC/Unicamp");
-    arch.adapter()
+    WorkflowAdapter::new()
         .annotate_processor(
             &mut workflow,
             "checker",
@@ -58,14 +62,14 @@ fn main() {
             "2013-11-12",
         )
         .unwrap();
-    arch.publish_workflow(workflow).unwrap();
+    collection.publish_workflow(&workflow).unwrap();
 
     // 4. Run it; provenance is captured automatically.
     let input = port(
         "names",
         json!(["Hyla faber", "Elachistocleis ovalis", "Scinax ruber"]),
     );
-    let trace = arch.run_workflow("wf-quick", &input).unwrap();
+    let trace = engine.run(&workflow, &input).map_err(|(e, _)| e).unwrap();
     println!("run {} finished in {:.2?}", trace.run_id, trace.elapsed);
     println!("outdated names: {}", trace.workflow_outputs["outdated"]);
 
@@ -75,8 +79,9 @@ fn main() {
     let mut facts = BTreeMap::new();
     facts.insert("names_checked".to_string(), 3.0);
     facts.insert("names_correct".to_string(), 2.0);
-    let report = arch
-        .assess_run(&user, None, "demo-names", &trace.run_id, &facts)
+    let report = collection
+        .quality()
+        .assess_run(&user, "demo-names", &trace.run_id, &workflow, &facts)
         .unwrap();
     print!("{}", report.render_text());
     assert!(report.score(&Dimension::accuracy()).unwrap() > 0.6);

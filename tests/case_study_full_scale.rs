@@ -94,18 +94,17 @@ fn paper_scale_through_architecture() {
     use preserva::core::roles::EndUser;
     use preserva::quality::dimension::Dimension;
     use preserva::wfms::services::port;
-    use preserva_bench::case_study::{records_to_json, setup_case_study, WORKFLOW_ID};
+    use preserva_bench::case_study::{records_to_json, setup_case_study};
     use std::collections::BTreeMap;
 
     let dir = std::env::temp_dir().join(format!("preserva-fullscale-arch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cs = setup_case_study(&dir, &GeneratorConfig::default(), 0.9, 8);
+    let cs = setup_case_study(&dir, &GeneratorConfig::default(), 0.9, 8);
     let trace = cs
-        .architecture
-        .run_workflow(
-            WORKFLOW_ID,
-            &port("sound_metadata", records_to_json(&cs.collection.records)),
-        )
+        .run(&port(
+            "sound_metadata",
+            records_to_json(&cs.collection.records),
+        ))
         .unwrap();
     let s = &trace.workflow_outputs["summary"];
     assert_eq!(s["records_processed"].as_u64(), Some(11_898));
@@ -118,8 +117,7 @@ fn paper_scale_through_architecture() {
     facts.insert("names_checked".into(), s["checked"].as_f64().unwrap());
     facts.insert("names_correct".into(), s["current"].as_f64().unwrap());
     let report = cs
-        .architecture
-        .assess_run(&user, None, "fnjv-full", &trace.run_id, &facts)
+        .assess(&user, "fnjv-full", &trace.run_id, &facts)
         .unwrap();
     let acc = report.score(&Dimension::accuracy()).unwrap();
     assert!((acc - 0.9305).abs() < 0.005, "accuracy {acc}");

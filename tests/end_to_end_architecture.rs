@@ -4,8 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use preserva::core::architecture::Architecture;
 use preserva::core::roles::EndUser;
+use preserva::core::{Collection, CollectionOptions};
 use preserva::curation::log::CurationLog;
 use preserva::curation::pipeline::CurationPipeline;
 use preserva::curation::review::ReviewQueue;
@@ -14,7 +14,7 @@ use preserva::metadata::fnjv as fnjv_schema;
 use preserva::quality::dimension::Dimension;
 use preserva::quality::goal::QualityGoal;
 use preserva::wfms::services::port;
-use preserva_bench::case_study::{records_to_json, setup_case_study, WORKFLOW_ID};
+use preserva_bench::case_study::{records_to_json, setup_case_study};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("preserva-e2e-{}-{}", std::process::id(), name));
@@ -25,7 +25,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 #[test]
 fn curate_run_assess_and_goal() {
     let dir = tmp("flow");
-    let mut cs = setup_case_study(&dir, &GeneratorConfig::small(31), 0.9, 8);
+    let cs = setup_case_study(&dir, &GeneratorConfig::small(31), 0.9, 8);
 
     // Stage-1 curation before the name check.
     let pipeline = CurationPipeline::stage1(cs.collection.gazetteer.clone(), fnjv_schema::schema());
@@ -35,13 +35,9 @@ fn curate_run_assess_and_goal() {
     assert!(summary.field_changes > 0);
 
     // Persist data and run the case-study workflow over the curated set.
-    cs.architecture.save_records(&curated).unwrap();
+    cs.archive.catalog().insert_all(&curated).unwrap();
     let trace = cs
-        .architecture
-        .run_workflow(
-            WORKFLOW_ID,
-            &port("sound_metadata", records_to_json(&curated)),
-        )
+        .run(&port("sound_metadata", records_to_json(&curated)))
         .unwrap();
     let s = &trace.workflow_outputs["summary"];
     assert_eq!(s["distinct_names"].as_u64(), Some(120));
@@ -53,8 +49,7 @@ fn curate_run_assess_and_goal() {
     facts.insert("names_checked".into(), s["checked"].as_f64().unwrap());
     facts.insert("names_correct".into(), s["current"].as_f64().unwrap());
     let report = cs
-        .architecture
-        .assess_run(&user, None, "fnjv-small", &trace.run_id, &facts)
+        .assess(&user, "fnjv-small", &trace.run_id, &facts)
         .unwrap();
     let goal = QualityGoal::new("preservation")
         .require(Dimension::accuracy(), 3.0, 0.9)
@@ -73,32 +68,32 @@ fn repositories_survive_restart() {
     let record_count;
     {
         let cs = setup_case_study(&dir, &GeneratorConfig::small(55), 1.0, 3);
-        cs.architecture
-            .save_records(&cs.collection.records)
+        cs.archive
+            .catalog()
+            .insert_all(&cs.collection.records)
             .unwrap();
         record_count = cs.collection.records.len();
         let trace = cs
-            .architecture
-            .run_workflow(
-                WORKFLOW_ID,
-                &port("sound_metadata", records_to_json(&cs.collection.records)),
-            )
+            .run(&port(
+                "sound_metadata",
+                records_to_json(&cs.collection.records),
+            ))
             .unwrap();
         run_id = trace.run_id;
-    } // drop the whole architecture (close)
+        cs.archive.close().unwrap();
+    }
 
-    // Reopen the same directory with a fresh architecture: the persisted
-    // data, provenance and trace must be back.
-    let arch = Architecture::open(
-        &dir,
-        preserva::wfms::services::ServiceRegistry::new(),
-        preserva::wfms::engine::EngineConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(arch.load_records().unwrap().len(), record_count);
-    let graph = arch.provenance().load_graph(&run_id).unwrap();
+    // Reopen the same directory: the persisted data, workflow spec,
+    // provenance and trace must be back.
+    let archive = Collection::open(&dir, CollectionOptions::default()).unwrap();
+    assert_eq!(archive.catalog().all().unwrap().len(), record_count);
+    assert!(archive
+        .workflow(preserva_bench::case_study::WORKFLOW_ID)
+        .unwrap()
+        .is_some());
+    let graph = archive.provenance().load_graph(&run_id).unwrap();
     assert!(graph.processes.len() >= 3);
-    let trace = arch.provenance().load_trace(&run_id).unwrap();
+    let trace = archive.provenance().load_trace(&run_id).unwrap();
     assert!(trace.succeeded());
 
     std::fs::remove_dir_all(&dir).ok();
@@ -109,17 +104,12 @@ fn provenance_lineage_spans_workflow() {
     let dir = tmp("lineage");
     let cs = setup_case_study(&dir, &GeneratorConfig::small(8), 1.0, 3);
     let trace = cs
-        .architecture
-        .run_workflow(
-            WORKFLOW_ID,
-            &port("sound_metadata", records_to_json(&cs.collection.records)),
-        )
+        .run(&port(
+            "sound_metadata",
+            records_to_json(&cs.collection.records),
+        ))
         .unwrap();
-    let graph = cs
-        .architecture
-        .provenance()
-        .load_graph(&trace.run_id)
-        .unwrap();
+    let graph = cs.archive.provenance().load_graph(&trace.run_id).unwrap();
 
     // The summary artifact's lineage must reach back to the workflow input.
     let summary_artifact = graph

@@ -1,17 +1,15 @@
-//! Cross-crate tests: indexed retrieval through the architecture's data
+//! Cross-crate tests: indexed retrieval through the collection's data
 //! repository, and storage-engine behaviour under concurrent writers.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use preserva::core::architecture::Architecture;
+use preserva::core::{Collection, CollectionOptions};
 use preserva::fnjv::config::GeneratorConfig;
 use preserva::fnjv::generator;
 use preserva::metadata::query::{Filter, Query};
 use preserva::storage::engine::{Engine, EngineOptions};
 use preserva::storage::CompactionOptions;
-use preserva::wfms::engine::EngineConfig;
-use preserva::wfms::services::ServiceRegistry;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("preserva-rtc-{}-{}", std::process::id(), name));
@@ -22,14 +20,14 @@ fn tmp(name: &str) -> std::path::PathBuf {
 #[test]
 fn architecture_records_are_queryable() {
     let dir = tmp("queryable");
-    let arch = Architecture::open(&dir, ServiceRegistry::new(), EngineConfig::default()).unwrap();
+    let archive = Collection::open(&dir, CollectionOptions::default()).unwrap();
     let collection = generator::generate(&GeneratorConfig::small(21));
-    arch.save_records(&collection.records).unwrap();
+    archive.catalog().insert_all(&collection.records).unwrap();
 
     // Index lookup through the catalog finds every record of a species,
     // including dirty spellings (compare against a linear scan).
     let species = collection.species_names[3].canonical();
-    let via_catalog = arch.catalog().by_species(&species).unwrap();
+    let via_catalog = archive.catalog().by_species(&species).unwrap();
     let expected = Query::new(Filter::species(&species)).count(&collection.records);
     assert_eq!(via_catalog.len(), expected);
     assert!(expected > 0);
@@ -40,7 +38,7 @@ fn architecture_records_are_queryable() {
         value: "São Paulo".into(),
     });
     assert_eq!(
-        arch.catalog().count(&q).unwrap(),
+        archive.catalog().count(&q).unwrap(),
         q.count(&collection.records)
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -53,16 +51,21 @@ fn catalog_indexes_survive_reopen() {
     let species = collection.species_names[0].canonical();
     let expected;
     {
-        let arch =
-            Architecture::open(&dir, ServiceRegistry::new(), EngineConfig::default()).unwrap();
-        arch.save_records(&collection.records).unwrap();
-        expected = arch.catalog().by_species(&species).unwrap().len();
+        let archive = Collection::open(&dir, CollectionOptions::default()).unwrap();
+        archive.catalog().insert_all(&collection.records).unwrap();
+        expected = archive.catalog().by_species(&species).unwrap().len();
         assert!(expected > 0);
     }
     // Reopen: indexes are re-registered and backfilled from stored rows.
-    let arch = Architecture::open(&dir, ServiceRegistry::new(), EngineConfig::default()).unwrap();
-    assert_eq!(arch.catalog().by_species(&species).unwrap().len(), expected);
-    assert_eq!(arch.load_records().unwrap().len(), collection.records.len());
+    let archive = Collection::open(&dir, CollectionOptions::default()).unwrap();
+    assert_eq!(
+        archive.catalog().by_species(&species).unwrap().len(),
+        expected
+    );
+    assert_eq!(
+        archive.catalog().all().unwrap().len(),
+        collection.records.len()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -264,16 +264,16 @@ fn stale_manifest_tmp_is_swept() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression for the legacy engine's leak: unreadable stray files of
-/// every kind — a garbage run some dead process invented, a half flush,
-/// a torn legacy snapshot — must all be gone after one open.
+/// Unreadable stray files of every kind — a garbage run some dead
+/// process invented, a half flush — must all be gone after one open.
+/// (A `snap-*.sst` is not a stray but an unsupported format: see
+/// `legacy_formats_fail_open_and_stay_on_disk` in the engine's tests.)
 #[test]
 fn stray_files_of_every_kind_are_cleaned_up() {
     let dir = tmpdir("strays");
     let expected = build_fixture(&dir);
     std::fs::write(manifest::run_path(&dir, 999), b"not a run at all").unwrap();
     std::fs::write(dir.join("run-0000000000000500.tmp"), b"half a flush").unwrap();
-    std::fs::write(dir.join("snap-0000000000000001.sst"), b"torn legacy snap").unwrap();
     assert_state(&dir, &expected, "stray files");
     assert!(
         !manifest::run_path(&dir, 999).exists(),
@@ -282,10 +282,6 @@ fn stray_files_of_every_kind_are_cleaned_up() {
     assert!(
         !dir.join("run-0000000000000500.tmp").exists(),
         "temp removed"
-    );
-    assert!(
-        !dir.join("snap-0000000000000001.sst").exists(),
-        "legacy snap removed"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
