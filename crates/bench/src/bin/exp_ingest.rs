@@ -4,10 +4,8 @@
 //! change journal) and at the raw storage layer.
 //!
 //! Catalog layer, per collection size: one session commit per record
-//! (the seed shape) vs one bulk sorted run (`insert_all_bulk`), each
-//! on one engine and hash-partitioned across 4 engine shards loaded in
-//! parallel. Storage layer, raw rows: commit-per-put vs DEFERRED
-//! `BulkLoader` batches (fsync every 16) vs the direct run builder.
+//! (the seed shape) vs one bulk sorted run (`insert_all_bulk`). Storage
+//! layer, raw rows: commit-per-put vs the direct run builder.
 //!
 //! Run with `cargo run --release -p preserva-bench --bin exp_ingest`
 //! and redirect stdout to `BENCH_ingest.json` to record a datapoint.
@@ -16,20 +14,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use preserva_core::retrieval::RecordCatalog;
-use preserva_core::sharding::ShardedCatalog;
 use preserva_metadata::record::Record;
 use preserva_metadata::value::Value;
-use preserva_storage::bulk::{BulkLoader, BulkOptions};
-use preserva_storage::engine::{BatchOp, Engine, EngineOptions};
+use preserva_storage::engine::{Engine, EngineOptions};
 use preserva_storage::table::TableStore;
 use preserva_storage::CompactionOptions;
-use preserva_wfms::pool::scoped_run;
 
 const SIZES: &[usize] = &[100_000, 1_000_000];
-const SHARDS: usize = 4;
 const SPECIES: usize = 64;
 const RAW_ROWS: usize = 1_000_000;
-const DEFERRED_BATCH: usize = 4096;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir =
@@ -39,9 +32,8 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Durable commits (`fsync: true`) — the regime archive ingest runs in
-/// and the one the bulk paths exist to amortise: per-record commit pays
-/// one fsync per row, DEFERRED batches pay one per sync interval, the
-/// run builder pays a handful per load. Compaction is foreground-only
+/// and the one the bulk path exists to amortise: per-record commit pays
+/// one fsync per row, the run builder a handful per load. Compaction is foreground-only
 /// with an unreachable trigger so every mode times its own writes and
 /// nothing else.
 fn options() -> EngineOptions {
@@ -108,59 +100,18 @@ fn main() {
         };
         std::fs::remove_dir_all(&dir).ok();
 
-        let dir = tmpdir(&format!("sharded-bulk-{n}"));
-        let sharded_bulk = {
-            let cat = ShardedCatalog::open(&dir, SHARDS, options()).unwrap();
-            rate(n, || {
-                let outcome = cat.ingest(&records, true).unwrap();
-                assert_eq!(outcome.records, n as u64);
-            })
-        };
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Sharded per-record commits: the durable path is fsync-bound,
-        // so commits on N independent WALs overlap in the IO layer and
-        // scale even where the CPU-bound run build cannot (this host
-        // has a single core — `bulk_run_4_shards` measures partition +
-        // N sequential builds there).
-        let dir = tmpdir(&format!("sharded-record-{n}"));
-        let sharded_per_record = {
-            let cat = ShardedCatalog::open(&dir, SHARDS, options()).unwrap();
-            let mut parts: Vec<Vec<&preserva_metadata::record::Record>> =
-                (0..SHARDS).map(|_| Vec::new()).collect();
-            for r in &records {
-                parts[cat.shard_of(&r.id)].push(r);
-            }
-            let jobs: Vec<(usize, Vec<&preserva_metadata::record::Record>)> =
-                parts.into_iter().enumerate().collect();
-            rate(n, || {
-                let (results, _) = scoped_run(SHARDS, &jobs, |(i, recs)| {
-                    for r in recs {
-                        cat.catalog_of(*i).insert(r).unwrap();
-                    }
-                    recs.len()
-                });
-                assert_eq!(results.iter().sum::<usize>(), n);
-            })
-        };
-        std::fs::remove_dir_all(&dir).ok();
-
         catalog_layer.push(serde_json::json!({
             "records": n,
             "records_per_second": {
                 "session_per_record": per_record,
-                "session_per_record_4_shards": sharded_per_record,
-                "bulk_run_1_shard": bulk,
-                "bulk_run_4_shards": sharded_bulk,
+                "bulk_run": bulk,
             },
             "bulk_speedup_over_per_record": bulk / per_record,
-            "shard_speedup_durable_per_record": sharded_per_record / per_record,
-            "shard_speedup_bulk": sharded_bulk / bulk,
         }));
     }
 
-    // Raw storage layer: same key/value payloads through the three
-    // commit disciplines (no indexes, no journal — the engine alone).
+    // Raw storage layer: same key/value payloads through the two write
+    // paths (no indexes, no journal — the engine alone).
     let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..RAW_ROWS as u64)
         .map(|i| (i.to_be_bytes().to_vec(), vec![0xABu8; 64]))
         .collect();
@@ -172,28 +123,6 @@ fn main() {
             for (k, v) in &rows {
                 e.put("rows", k, v).unwrap();
             }
-        })
-    };
-    std::fs::remove_dir_all(&dir).ok();
-
-    let dir = tmpdir("raw-deferred");
-    let raw_deferred = {
-        let e = Engine::open(&dir, options()).unwrap();
-        rate(RAW_ROWS, || {
-            let mut loader = BulkLoader::new(&e, BulkOptions::default());
-            for chunk in rows.chunks(DEFERRED_BATCH) {
-                let ops = chunk
-                    .iter()
-                    .map(|(k, v)| BatchOp::Put {
-                        table: "rows".to_string(),
-                        key: k.clone(),
-                        value: v.clone(),
-                    })
-                    .collect();
-                loader.commit_batch(ops).unwrap();
-            }
-            let summary = loader.finish().unwrap();
-            assert_eq!(summary.records, RAW_ROWS as u64);
         })
     };
     std::fs::remove_dir_all(&dir).ok();
@@ -213,17 +142,13 @@ fn main() {
 
     let out = serde_json::json!({
         "bench": "ingest",
-        "shards": SHARDS,
         "host_cores": std::thread::available_parallelism().map_or(0, |p| p.get()),
         "catalog_layer": catalog_layer,
         "storage_layer_raw_rows": {
             "rows": RAW_ROWS,
             "value_bytes": 64,
-            "deferred_batch_rows": DEFERRED_BATCH,
-            "fsync_every_batches": BulkOptions::default().fsync_every_batches,
             "records_per_second": {
                 "commit_per_put": raw_commit_per_put,
-                "bulk_loader_deferred": raw_deferred,
                 "direct_run_build": raw_run_build,
             },
         },

@@ -37,8 +37,6 @@ commands:
                [--bulk true]   (bulk-load fast path: rows, indexes and
                journal written as one sorted run, bypassing the memtable;
                requires a fresh directory)
-               [--shards N]    (hash-partition across N engine shards,
-               ingested in parallel; reads route by id hash)
   stats        collection statistics (cached until the change journal moves)
                plus live engine counters and runs-per-level of the tiered
                store; collection panels read under one pinned snapshot
@@ -185,7 +183,6 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
     let seed = args.get_parsed("seed", 42u64, "integer")?;
     let backbone_year = args.get_parsed("backbone-year", 0i32, "integer")?;
     let bulk = args.get("bulk").map(|v| v == "true").unwrap_or(false);
-    let shards = args.get_parsed("shards", 1usize, "integer")?;
     let config = GeneratorConfig {
         records,
         distinct_species: species,
@@ -193,9 +190,6 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
         seed,
         ..GeneratorConfig::default()
     };
-    if shards > 1 {
-        return ingest_sharded(&config, dir, shards, bulk);
-    }
     if bulk {
         return ingest_bulk(&config, dir, backbone_year);
     }
@@ -329,42 +323,6 @@ fn ingest_bulk(config: &GeneratorConfig, dir: &Path, backbone_year: i32) -> CliR
         metrics
             .counter("preserva_storage_bulk_batches_total", "")
             .get()
-    );
-    Ok(())
-}
-
-/// Hash-partitioned ingest: N independent engine shards under the data
-/// directory (`shard-000` …), loaded in parallel on the wfms worker
-/// pool. Reads route by id hash; cross-shard queries fan out and merge.
-fn ingest_sharded(config: &GeneratorConfig, dir: &Path, shards: usize, bulk: bool) -> CliResult {
-    use preserva_core::sharding::ShardedCatalog;
-
-    // Shards are engines, not collections, but they still open with the
-    // CLI's one blessed set of engine options.
-    let shard_options = cli_options().engine_options(preserva_obs::Registry::global());
-    let catalog = ShardedCatalog::open(dir, shards, shard_options)?;
-    if !catalog.is_empty()? {
-        return Err("sharded ingest requires a fresh directory (records already present)".into());
-    }
-    let collection = generator::generate(config);
-    let outcome = catalog.ingest(&collection.records, bulk)?;
-    let stats = catalog.merged_stats();
-    println!(
-        "sharded-ingested {} records across {} of {} shards ({}) into {}",
-        outcome.records,
-        outcome.shards_used,
-        catalog.shard_count(),
-        if bulk { "bulk runs" } else { "session commits" },
-        dir.display(),
-    );
-    println!(
-        "  journal heads: {:?} (merged events {})",
-        catalog.journal_heads(),
-        outcome.journal_events(),
-    );
-    println!(
-        "  merged engine stats: puts {} / commits {}",
-        stats.puts, stats.commits
     );
     Ok(())
 }
@@ -1594,28 +1552,6 @@ mod tests {
         run(&args(&format!("stats --dir {d}"))).unwrap();
         // The fresh-directory contract is enforced, not assumed.
         let err = run(&args(&format!("ingest --dir {d} --bulk true"))).unwrap_err();
-        assert!(err.to_string().contains("fresh directory"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_ingest_partitions_and_reopens() {
-        use preserva_core::sharding::ShardedCatalog;
-        use preserva_storage::engine::EngineOptions;
-        let dir = tmp("sharded");
-        let d = dir.to_string_lossy();
-        run(&args(&format!(
-            "ingest --dir {d} --records 90 --species 10 --outdated 0 --bulk true --shards 3"
-        )))
-        .unwrap();
-        for i in 0..3 {
-            assert!(dir.join(format!("shard-{i:03}")).is_dir(), "shard {i} dir");
-        }
-        let cat = ShardedCatalog::open(&dir, 3, EngineOptions::default()).unwrap();
-        assert_eq!(cat.len().unwrap(), 90);
-        assert_eq!(cat.journal_heads().iter().sum::<u64>(), 90);
-        // A second sharded ingest into the same directory is refused.
-        let err = run(&args(&format!("ingest --dir {d} --shards 3"))).unwrap_err();
         assert!(err.to_string().contains("fresh directory"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -98,7 +98,7 @@ impl Default for CollectionOptions {
 impl CollectionOptions {
     /// The engine-level slice of these options. Metrics are supplied by
     /// [`Collection::open`] so engine and managers share one registry.
-    pub fn engine_options(&self, metrics: Arc<Registry>) -> EngineOptions {
+    fn engine_options(&self, metrics: Arc<Registry>) -> EngineOptions {
         EngineOptions {
             fsync: self.fsync,
             checkpoint_bytes: self.checkpoint_bytes,

@@ -44,11 +44,9 @@ pub mod reassess;
 pub mod repository;
 pub mod retrieval;
 pub mod roles;
-pub mod sharding;
 
 pub use collection::{Collection, CollectionError, CollectionOptions, MaintenanceReport};
 pub use preservation::PreservationModel;
 pub use reassess::{ReassessOutcome, Reassessor};
 pub use repository::{CodecError, Repository, RepositoryError};
 pub use roles::{EndUser, ProcessDesigner};
-pub use sharding::{ShardedCatalog, ShardedIngest};

@@ -57,7 +57,8 @@ pub struct Extracted {
     pub bindings: Bindings,
 }
 
-/// FNV-1a over bytes; the same function the storage sharding router uses.
+/// FNV-1a over bytes: stable across processes and platforms, so a
+/// template hash names the same shape in every run that stores it.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

@@ -20,7 +20,11 @@
 //! frozen memtable into a fresh level-1 run (O(memtable), never O(total
 //! data)), commits it to the manifest, and deletes the frozen segment.
 //! Compaction merges runs level by level in the background, folding
-//! tombstones once a merge reaches the bottom of the tree.
+//! tombstones once a merge reaches the bottom of the tree. Presorted
+//! bulk input skips the WAL and memtable and becomes a level-1 run
+//! directly ([`Engine::ingest_run`]); a flush, a bulk run and a
+//! compaction output all enter the tree through one crash-ordered
+//! install routine (`Core::install_run`).
 //!
 //! ## Read path
 //!
@@ -102,7 +106,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::manifest::{self, RunEntry};
 use crate::memtable::{Memtable, NsKey, RangeTombstone};
 use crate::snapshot::{Lsn, SnapshotRegistry};
-use crate::sstable::{self, Run, RunLookup};
+use crate::sstable::{self, Run, RunLookup, RunSummary, VersionedEntry};
 use crate::wal::{self, Wal, WalRecord};
 
 /// Tuning knobs for [`Engine::open`].
@@ -255,11 +259,11 @@ impl StorageMetrics {
             ),
             ingest_records: reg.counter(
                 "preserva_storage_ingest_records_total",
-                "Rows ingested through the bulk path (deferred batches + direct runs).",
+                "Rows ingested through the bulk path (direct sorted runs).",
             ),
             bulk_batches: reg.counter(
                 "preserva_storage_bulk_batches_total",
-                "Bulk batches committed (deferred WAL batches and direct run builds).",
+                "Bulk batches committed (one direct sorted run each).",
             ),
         }
     }
@@ -797,15 +801,12 @@ impl Core {
         }
     }
 
+    /// Commit a batch: WAL frames plus a `Commit` frame, synced, then
+    /// applied to the memtable and published. A checkpoint the commit
+    /// triggers is maintenance, not part of the write: once published the
+    /// commit returns `Ok`, a failed checkpoint goes to the trace ring,
+    /// and the next commit over the threshold retries it.
     fn apply_batch(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
-        self.apply_batch_inner(ops, true)
-    }
-
-    /// Commit a batch. With `durable = false` the WAL frames stay in the
-    /// write buffer (DEFERRED mode): a crash may lose the most recent
-    /// unsynced batches, but recovery still lands exactly on a batch
-    /// boundary because replay only applies Commit-covered operations.
-    fn apply_batch_inner(&self, ops: Vec<BatchOp>, durable: bool) -> StorageResult<Lsn> {
         if ops.is_empty() {
             return Ok(self.committed_lsn.load(Ordering::SeqCst));
         }
@@ -838,11 +839,9 @@ impl Core {
                 wal.append(&rec)?;
             }
             wal.append(&WalRecord::Commit { txid: lsn })?;
-            if durable {
-                wal.sync()?;
-            }
+            wal.sync()?;
             self.metrics.wal_appends.add(ops.len() as u64 + 1);
-            if durable && self.options.fsync {
+            if self.options.fsync {
                 self.metrics.wal_fsyncs.inc();
             }
             let mut mem = self.mem.write().expect("engine poisoned");
@@ -873,20 +872,14 @@ impl Core {
             .commit_seconds
             .observe_duration(started.elapsed());
         if needs_checkpoint {
-            self.checkpoint()?;
+            if let Err(e) = self.checkpoint() {
+                self.obs.trace(
+                    "storage",
+                    format!("checkpoint after commit {lsn} failed: {e}"),
+                );
+            }
         }
         Ok(lsn)
-    }
-
-    /// Force every buffered WAL frame to the OS (and to disk when the
-    /// fsync option is on). The durability barrier of DEFERRED mode.
-    fn sync_wal(&self) -> StorageResult<()> {
-        let mut wal = self.wal.lock().expect("engine poisoned");
-        wal.sync()?;
-        if self.options.fsync {
-            self.metrics.wal_fsyncs.inc();
-        }
-        Ok(())
     }
 
     /// Build a level-1 run directly from presorted rows, bypassing the
@@ -902,10 +895,7 @@ impl Core {
     /// (they never take the WAL lock); concurrent writers queue behind
     /// the build, which is the documented trade of the bulk path.
     ///
-    /// Crash safety: the run is written to a `.tmp`, renamed, and only
-    /// then committed to the MANIFEST — a crash at any point either
-    /// leaves a swept temp file or an uncatalogued orphan (both removed
-    /// at open), or the fully committed run. All-or-nothing per batch.
+    /// Crash safety is [`Core::install_run`]'s: all-or-nothing per batch.
     fn ingest_run(&self, rows: Vec<(String, Vec<u8>, Vec<u8>)>) -> StorageResult<Lsn> {
         if rows.is_empty() {
             return Ok(self.committed_lsn.load(Ordering::SeqCst));
@@ -928,38 +918,10 @@ impl Core {
         let n = rows.len() as u64;
         let wal = self.wal.lock().expect("engine poisoned");
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
-        let id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
-        let tmp = run_tmp_path(&self.dir, id);
         let entries = rows
             .into_iter()
             .map(|(table, key, value)| Ok(((table, key), lsn, Some(value))));
-        let summary = match sstable::write_run(&tmp, 1, n, entries, &[]) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        let path = manifest::run_path(&self.dir, id);
-        std::fs::rename(&tmp, &path)?;
-        manifest::sync_dir(&self.dir)?;
-        let handle = Arc::new(RunHandle {
-            id,
-            level: 1,
-            run: Run::open(&path)?,
-        });
-        {
-            let _structural = self.structural.lock().expect("engine poisoned");
-            let mut catalog = Self::catalog_of(&self.view());
-            catalog.push(RunEntry { id, level: 1 });
-            manifest::store(&self.dir, &catalog)?;
-            let mut runs = self.runs.write().expect("engine poisoned");
-            let mut v: Vec<Arc<RunHandle>> = (**runs).clone();
-            v.push(handle);
-            v.sort_by_key(|h| (h.level, std::cmp::Reverse(h.id)));
-            *runs = Arc::new(v);
-            self.update_run_gauges(&runs);
-        }
+        let (id, summary) = self.install_run(1, n, entries, &[], &[])?;
         // Publish while still holding the WAL lock: a snapshot pinned the
         // instant after this returns must see the whole batch.
         self.committed_lsn.store(lsn, Ordering::SeqCst);
@@ -979,7 +941,7 @@ impl Core {
                 summary.bytes
             ),
         );
-        self.schedule_compaction()?;
+        self.schedule_compaction();
         Ok(lsn)
     }
 
@@ -992,8 +954,8 @@ impl Core {
     /// writers see no latency cliff. Returns the new run's id, or 0 when
     /// there was nothing to flush.
     ///
-    /// Crash ordering: run file durable → manifest durable → frozen WAL
-    /// segment deleted. A crash before the manifest leaves an orphan run
+    /// Crash ordering: [`Core::install_run`], then the frozen WAL segment
+    /// is deleted. A crash before the manifest leaves an orphan run
     /// (cleaned up on open) with all its data still in `wal.frozen`; a
     /// crash before the segment delete replays the segment over the run,
     /// which is idempotent.
@@ -1033,48 +995,20 @@ impl Core {
             .clone()
             .expect("flush_frozen called with nothing frozen");
         let flushed = snapshot.len() as u64;
-        let id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
-        let tmp = run_tmp_path(&self.dir, id);
         // Every version and range tombstone is carried into the run —
         // flushing must not change what any pinned snapshot sees; only
         // compaction may fold, and only below the horizon.
-        let summary = match sstable::write_run(
-            &tmp,
+        let (id, summary) = self.install_run(
             1,
             flushed,
             snapshot.entries().into_iter().map(Ok),
             snapshot.ranges(),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        let path = manifest::run_path(&self.dir, id);
-        std::fs::rename(&tmp, &path)?;
-        manifest::sync_dir(&self.dir)?;
-        let handle = Arc::new(RunHandle {
-            id,
-            level: 1,
-            run: Run::open(&path)?,
-        });
-        {
-            let _structural = self.structural.lock().expect("engine poisoned");
-            let mut catalog = Self::catalog_of(&self.view());
-            catalog.push(RunEntry { id, level: 1 });
-            manifest::store(&self.dir, &catalog)?;
-            // Publish the run and retire the frozen memtable under both
-            // write locks: readers see the data in exactly one place.
-            let mut frozen = self.frozen.write().expect("engine poisoned");
-            let mut runs = self.runs.write().expect("engine poisoned");
-            let mut v: Vec<Arc<RunHandle>> = (**runs).clone();
-            v.push(handle);
-            v.sort_by_key(|h| (h.level, std::cmp::Reverse(h.id)));
-            *runs = Arc::new(v);
-            *frozen = None;
-            self.update_run_gauges(&runs);
-        }
+            &[],
+        )?;
+        // Retire the frozen memtable only once the run is in the view:
+        // readers consult `frozen` before the view, so in between they
+        // see its rows twice, never zero times.
+        *self.frozen.write().expect("engine poisoned") = None;
         // The run is committed; the frozen segment is now garbage. If the
         // delete fails, recovery replays it over the run — idempotent —
         // and the next rotation replaces it.
@@ -1090,42 +1024,110 @@ impl Core {
                 summary.bytes, summary.tombstones
             ),
         );
-        self.schedule_compaction()?;
+        self.schedule_compaction();
         Ok(id)
+    }
+
+    /// Install a new run at `level` and retire the runs in `retired`: the
+    /// one crash-ordered sequence behind every flush, bulk ingest and
+    /// compaction. Returns the new run's id and what was written.
+    ///
+    /// 1. Write `run-<id>.tmp` (removed again on error).
+    /// 2. Rename it to `run-<id>.sst` and sync the directory, so the file
+    ///    is durable before anything names it. An output with neither
+    ///    entries nor range tombstones (a merge that folded everything
+    ///    away) is deleted instead and only the retirement commits.
+    /// 3. Under `structural`, rebuild the view from the *current* one —
+    ///    runs installed since the caller planned stay; only `retired`
+    ///    leave — plus the new run, in `(level asc, id desc)` order.
+    /// 4. Store the MANIFEST: the commit point. A crash before it leaves
+    ///    a swept temp file or an uncatalogued orphan, removed at open.
+    /// 5. Swap the view and refresh the gauges.
+    ///
+    /// Retired run files and anything else the new run supersedes are
+    /// the caller's to delete, after this returns.
+    fn install_run<I>(
+        &self,
+        level: u32,
+        expected_entries: u64,
+        entries: I,
+        ranges: &[RangeTombstone],
+        retired: &[u64],
+    ) -> StorageResult<(u64, RunSummary)>
+    where
+        I: IntoIterator<Item = StorageResult<VersionedEntry>>,
+    {
+        let id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
+        let tmp = run_tmp_path(&self.dir, id);
+        let summary = sstable::write_run(&tmp, level, expected_entries, entries, ranges)
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+            })?;
+        let installed = if summary.entries == 0 && summary.range_tombstones == 0 {
+            std::fs::remove_file(&tmp)?;
+            None
+        } else {
+            let path = manifest::run_path(&self.dir, id);
+            std::fs::rename(&tmp, &path)?;
+            manifest::sync_dir(&self.dir)?;
+            Some(Arc::new(RunHandle {
+                id,
+                level,
+                run: Run::open(&path)?,
+            }))
+        };
+        let _structural = self.structural.lock().expect("engine poisoned");
+        let mut view: Vec<Arc<RunHandle>> = self
+            .view()
+            .iter()
+            .filter(|h| !retired.contains(&h.id))
+            .cloned()
+            .chain(installed)
+            .collect();
+        view.sort_by_key(|h| (h.level, std::cmp::Reverse(h.id)));
+        manifest::store(&self.dir, &Self::catalog_of(&view))?;
+        let mut runs = self.runs.write().expect("engine poisoned");
+        *runs = Arc::new(view);
+        self.update_run_gauges(&runs);
+        Ok((id, summary))
     }
 
     /// Kick the compactor: wake the background worker, or drain pending
     /// merges synchronously when running deterministic (background off).
-    fn schedule_compaction(&self) -> StorageResult<()> {
+    fn schedule_compaction(&self) {
         if compaction::plan(
             &Self::catalog_of(&self.view()),
             self.options.compaction.max_runs_per_level,
         )
         .is_none()
         {
-            return Ok(());
+            return;
         }
         if self.options.compaction.background {
             let (lock, cvar) = &self.signal;
             let mut pending = lock.lock().expect("engine poisoned");
             *pending = true;
             cvar.notify_one();
-            Ok(())
         } else {
-            self.drain_compactions()
+            self.drain_compactions();
         }
     }
 
-    /// Run planned merges until every level is within bounds.
-    fn drain_compactions(&self) -> StorageResult<()> {
+    /// Run planned merges until every level is within bounds. A failed
+    /// merge leaves its inputs committed, so the store stays correct: the
+    /// error goes to the trace ring and the next trigger (a flush, a bulk
+    /// run, an open) retries it.
+    fn drain_compactions(&self) {
         let _guard = self.compact_lock.lock().expect("engine poisoned");
         while let Some(task) = compaction::plan(
             &Self::catalog_of(&self.view()),
             self.options.compaction.max_runs_per_level,
         ) {
-            self.execute_compaction(task)?;
+            if let Err(e) = self.execute_compaction(task) {
+                self.obs.trace("storage", format!("compaction failed: {e}"));
+                return;
+            }
         }
-        Ok(())
     }
 
     /// Forced full compaction: merge every run into a single bottom-level
@@ -1146,8 +1148,8 @@ impl Core {
 
     /// Execute one merge. Caller holds `compact_lock`.
     ///
-    /// Crash ordering mirrors the flush: output durable → manifest durable
-    /// → inputs deleted. Readers holding the old view keep their open file
+    /// Crash ordering: [`Core::install_run`], then the inputs are
+    /// deleted. Readers holding the old view keep their open file
     /// handles, so deleting inputs under them is safe.
     fn execute_compaction(&self, task: compaction::Task) -> StorageResult<()> {
         let started = Instant::now();
@@ -1161,8 +1163,6 @@ impl Core {
         }
         let input_bytes: u64 = inputs.iter().map(|h| h.run.bytes()).sum();
         let input_entries: u64 = inputs.iter().map(|h| h.run.entries()).sum();
-        let out_id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
-        let tmp = run_tmp_path(&self.dir, out_id);
         // The fold horizon: nothing visible to a pinned snapshot may be
         // folded. With no pins the committed LSN (sampled once, here) is
         // the horizon — a snapshot pinned after this point can only pin
@@ -1185,59 +1185,20 @@ impl Core {
         );
         // `input_entries` over-counts the output (shadowed versions and
         // folded tombstones drop out) — fine for a bloom sizing bound.
-        let summary = match sstable::write_run(
-            &tmp,
+        let (out_id, summary) = self.install_run(
             task.output_level,
             input_entries,
             &mut merge,
             &out_ranges,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
+            &task.inputs,
+        )?;
+        for h in &inputs {
+            let _ = std::fs::remove_file(manifest::run_path(&self.dir, h.id));
+        }
         self.metrics.versions_folded.add(merge.versions_folded());
         self.metrics
             .range_tombstones_applied
             .add(merge.range_tombstones_applied());
-        // A merge can fold everything away; commit an output-less swap.
-        let output = if summary.entries == 0 && summary.range_tombstones == 0 {
-            std::fs::remove_file(&tmp)?;
-            None
-        } else {
-            let path = manifest::run_path(&self.dir, out_id);
-            std::fs::rename(&tmp, &path)?;
-            manifest::sync_dir(&self.dir)?;
-            Some(Arc::new(RunHandle {
-                id: out_id,
-                level: task.output_level,
-                run: Run::open(&path)?,
-            }))
-        };
-        {
-            let _structural = self.structural.lock().expect("engine poisoned");
-            // Rebuild from the *current* view: a flush may have added runs
-            // since planning; only the inputs are removed.
-            let mut v: Vec<Arc<RunHandle>> = self
-                .view()
-                .iter()
-                .filter(|h| !task.inputs.contains(&h.id))
-                .cloned()
-                .collect();
-            if let Some(h) = &output {
-                v.push(h.clone());
-            }
-            v.sort_by_key(|h| (h.level, std::cmp::Reverse(h.id)));
-            manifest::store(&self.dir, &Self::catalog_of(&v))?;
-            let mut runs = self.runs.write().expect("engine poisoned");
-            *runs = Arc::new(v);
-            self.update_run_gauges(&runs);
-        }
-        for h in &inputs {
-            let _ = std::fs::remove_file(manifest::run_path(&self.dir, h.id));
-        }
         self.metrics.compactions.inc();
         self.metrics.compaction_bytes.observe(input_bytes as f64);
         self.metrics
@@ -1269,12 +1230,7 @@ impl Core {
                 }
                 *pending = false;
             }
-            if let Err(e) = self.drain_compactions() {
-                // The store stays correct on a failed merge (inputs remain
-                // committed); surface the failure through the trace ring.
-                self.obs
-                    .trace("storage", format!("background compaction failed: {e}"));
-            }
+            self.drain_compactions();
         }
     }
 }
@@ -1561,7 +1517,7 @@ impl Engine {
         let engine = Engine { core, worker };
         // A directory recovered with an over-full level starts compacting
         // immediately rather than waiting for the next flush.
-        engine.core.schedule_compaction()?;
+        engine.core.schedule_compaction();
         Ok(engine)
     }
 
@@ -1657,37 +1613,11 @@ impl Engine {
 
     /// Apply a batch of operations atomically: either every operation is
     /// visible after a crash, or none is. Returns the batch's commit LSN
-    /// (the current head LSN for an empty batch).
+    /// (the current head LSN for an empty batch). A checkpoint the batch
+    /// triggers is not part of the commit: its failure goes to the trace
+    /// ring, never to the caller of a batch that has landed.
     pub fn apply_batch(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
         self.core.apply_batch(ops)
-    }
-
-    /// Apply a batch with DEFERRED durability: identical visibility and
-    /// atomicity to [`Engine::apply_batch`], but the WAL frames stay in
-    /// the write buffer until the next [`Engine::sync_wal`] (or a
-    /// durable commit). A crash may lose the most recent unsynced
-    /// batches; recovery always lands exactly on a batch boundary —
-    /// journal rows committed in the same batch survive or vanish with
-    /// their data. The workhorse of [`bulk::BulkLoader`](crate::bulk).
-    pub fn apply_batch_deferred(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
-        if ops.is_empty() {
-            return Ok(self.committed_lsn());
-        }
-        let records = ops
-            .iter()
-            .filter(|op| matches!(op, BatchOp::Put { .. }))
-            .count() as u64;
-        let lsn = self.core.apply_batch_inner(ops, false)?;
-        self.core.metrics.ingest_records.add(records);
-        self.core.metrics.bulk_batches.inc();
-        Ok(lsn)
-    }
-
-    /// Flush every buffered WAL frame to the OS (and to disk when the
-    /// engine runs with `fsync` on): the durability barrier that closes
-    /// a deferred batch window.
-    pub fn sync_wal(&self) -> StorageResult<()> {
-        self.core.sync_wal()
     }
 
     /// Bulk-ingest presorted rows straight into a level-1 run, bypassing
@@ -1697,7 +1627,8 @@ impl Engine {
     /// row shadows an existing version correctly, but nothing retracts
     /// derived rows (e.g. index entries) the old version left behind —
     /// use sessions for updates. Returns the batch's commit LSN (the
-    /// head LSN for an empty batch).
+    /// head LSN for an empty batch); like a checkpoint after a commit, a
+    /// compaction the run triggers reports failure to the trace ring.
     pub fn ingest_run(&self, rows: Vec<(String, Vec<u8>, Vec<u8>)>) -> StorageResult<Lsn> {
         self.core.ingest_run(rows)
     }
@@ -2561,6 +2492,30 @@ mod tests {
             .metrics_registry()
             .counter("preserva_storage_wal_fsyncs_total", "");
         assert_eq!(fsyncs.get(), 2);
+    }
+
+    #[test]
+    fn bulk_metrics_families_advance() {
+        let dir = tmpdir("bulkmetrics");
+        let e = Engine::open(&dir, EngineOptions::default()).unwrap();
+        e.put("t", b"a", b"1").unwrap();
+        e.ingest_run(vec![
+            ("t".into(), b"b".to_vec(), b"2".to_vec()),
+            ("t".into(), b"c".to_vec(), b"3".to_vec()),
+        ])
+        .unwrap();
+        let reg = e.metrics_registry();
+        assert_eq!(
+            reg.counter("preserva_storage_ingest_records_total", "")
+                .get(),
+            2,
+            "only the direct run counts as bulk ingest"
+        );
+        assert_eq!(
+            reg.counter("preserva_storage_bulk_batches_total", "").get(),
+            1
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

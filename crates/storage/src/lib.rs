@@ -24,10 +24,12 @@
 //!   [`StorageError::Unsupported`] and stays on disk);
 //! * [`table::TableStore`] layers named tables and secondary indexes on
 //!   top of the flat key space;
-//! * [`bulk::BulkLoader`] and [`engine::Engine::ingest_run`] are the
-//!   archive-scale write paths: DEFERRED-durability batches (periodic
-//!   fsync, recovery lands on a batch boundary) and presorted input
-//!   written straight into a sorted run, bypassing the memtable;
+//! * the engine has exactly two write paths: the WAL commit
+//!   ([`engine::Engine::apply_batch`], synced before it returns) and, for
+//!   archive-scale bulk loads, presorted input written straight into a
+//!   sorted run ([`engine::Engine::ingest_run`]), bypassing the WAL and
+//!   memtable; flushes, bulk runs and compactions all install their
+//!   output through one crash-ordered routine;
 //! * [`view::ViewDriver`] keeps journal-derived views (search, provenance
 //!   index, reassessment) current from a durable cursor.
 //!
@@ -49,7 +51,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-pub mod bulk;
 pub mod codec;
 pub mod compaction;
 pub mod crc32;
@@ -64,7 +65,6 @@ pub mod table;
 pub mod view;
 pub mod wal;
 
-pub use bulk::{BulkLoader, BulkOptions, BulkSummary};
 pub use compaction::CompactionOptions;
 pub use engine::{Engine, EngineOptions, EngineStats, Snapshot};
 pub use error::{StorageError, StorageResult};

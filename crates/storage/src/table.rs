@@ -175,13 +175,15 @@ pub struct TableStore {
     /// the engine write succeeds — so the head never names an entry a
     /// reader can't see, and never regresses.
     landed_head: AtomicU64,
-    /// Serializes journal sequence assignment with the engine write
-    /// that lands the entries. Without it, two committers could land
-    /// out of order: a tailer reading the later range would advance
-    /// its cursor past the still-inflight earlier range (dropping it
-    /// forever), and the persisted head mirror could regress, letting
-    /// a reopen reuse live sequence numbers. A commit that fails after
-    /// taking the lock burns no sequence numbers at all.
+    /// Serializes journal sequence assignment, and the old-value reads
+    /// of indexed rows, with the engine write that lands them. Without
+    /// it, two committers could land out of order: a tailer reading the
+    /// later range would advance its cursor past the still-inflight
+    /// earlier range (dropping it forever), the persisted head mirror
+    /// could regress, letting a reopen reuse live sequence numbers, and
+    /// two rewrites of one indexed key would both retract the same old
+    /// index entry. A commit that fails after taking the lock burns no
+    /// sequence numbers at all.
     commit_lock: Mutex<()>,
     /// Journal head watch: every commit path that appends entries
     /// notifies here after the batch lands, so change-feed tailers
@@ -848,6 +850,22 @@ impl WriteSession<'_> {
         );
 
         let indexes = store.indexes.read();
+        // Old-value reads, seq assignment and the batch that lands them
+        // are one critical section whenever the commit writes an indexed
+        // table or carries events: two sessions rewriting one key would
+        // otherwise both retract the same old index entry and both add
+        // their own; journal ranges land in seq order (a tailer can never
+        // skip an in-flight earlier range), the persisted head mirror is
+        // monotonic, and an apply error burns no seqs.
+        let indexed = staged
+            .iter()
+            .any(|(table, ..)| indexes.get(table).is_some_and(|defs| !defs.is_empty()));
+        let guard = (indexed || !events.is_empty()).then(|| {
+            store
+                .commit_lock
+                .lock()
+                .expect("journal commit lock poisoned")
+        });
         let mut batch = Vec::with_capacity(staged.len() + events.len());
         // Value each key held before the op being generated, so repeated
         // writes to one key within the session produce correct index ops.
@@ -905,14 +923,6 @@ impl WriteSession<'_> {
                 lsn,
             });
         }
-        // Sequence assignment and the batch that lands the entries are
-        // one critical section: ranges land in seq order (a tailer can
-        // never skip an in-flight earlier range), the persisted head
-        // mirror is monotonic, and an apply error burns no seqs.
-        let guard = store
-            .commit_lock
-            .lock()
-            .expect("journal commit lock poisoned");
         let n = events.len() as u64;
         let first = store.landed_head.load(Ordering::SeqCst) + 1;
         let last = first + n - 1;
@@ -1386,6 +1396,112 @@ mod tests {
         assert_eq!(at2.get("t", b"a").unwrap(), None);
         assert_eq!(at2.get("t", b"c").unwrap(), Some(b"3".to_vec()));
         assert_eq!(at2.read_journal(0, 100).unwrap().len(), 4);
+    }
+
+    /// A write whose triggered checkpoint fails has still landed: it
+    /// returns `Ok` with its journal seqs, the failure goes to the trace
+    /// ring, and the next trigger retries the checkpoint.
+    #[test]
+    fn failed_checkpoint_after_a_landed_write_keeps_its_journal_seqs() {
+        let dir = store_dir("ckpt-fails");
+        let options = EngineOptions {
+            checkpoint_bytes: 1,
+            ..EngineOptions::default()
+        };
+        let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap()));
+        s.mark_journaled("t").unwrap();
+        // A directory where the flush rotates the live WAL to makes every
+        // checkpoint fail after its commit has landed.
+        let blocker = dir.join("wal.frozen");
+        std::fs::create_dir(&blocker).unwrap();
+        s.put("t", b"a", b"1").unwrap();
+        assert_eq!(s.get("t", b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(s.journal_head(), 1);
+        assert!(s
+            .engine()
+            .metrics_registry()
+            .trace_events()
+            .iter()
+            .any(|e| e.message.contains("checkpoint") && e.message.contains("failed")));
+        std::fs::remove_dir(&blocker).unwrap();
+        let mut session = s.session();
+        session.put("t", b"b", b"2").unwrap();
+        let receipt = session.commit().unwrap();
+        assert_eq!((receipt.first_seq, receipt.last_seq), (2, 2));
+        let keys: Vec<Vec<u8>> = s
+            .read_journal(0, 10)
+            .unwrap()
+            .into_iter()
+            .map(|e| e.key)
+            .collect();
+        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!(s.engine().stats().checkpoints, 1, "the retry flushed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The bulk twin: a load whose triggered compaction fails has landed
+    /// and keeps its journal seqs; the next load's trigger retries.
+    #[test]
+    fn failed_compaction_after_a_bulk_load_keeps_its_journal_seqs() {
+        let dir = store_dir("merge-fails");
+        let options = EngineOptions {
+            compaction: crate::CompactionOptions {
+                background: false,
+                max_runs_per_level: 1,
+            },
+            ..EngineOptions::default()
+        };
+        let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap()));
+        s.mark_journaled("t").unwrap();
+        s.bulk_load("t", vec![(b"a".to_vec(), b"1".to_vec())])
+            .unwrap();
+        // Runs 1 and 2 overfill level 1; their merge writes run 3, whose
+        // temp path is taken by a directory.
+        let blocker = dir.join(format!("run-{:016}.tmp", 3));
+        std::fs::create_dir(&blocker).unwrap();
+        let receipt = s
+            .bulk_load("t", vec![(b"b".to_vec(), b"2".to_vec())])
+            .unwrap();
+        assert_eq!((receipt.first_seq, receipt.last_seq), (2, 2));
+        assert_eq!(s.journal_head(), 2);
+        assert_eq!(s.engine().stats().compactions, 0);
+        std::fs::remove_dir(&blocker).unwrap();
+        let receipt = s
+            .bulk_load("t", vec![(b"c".to_vec(), b"3".to_vec())])
+            .unwrap();
+        assert_eq!((receipt.first_seq, receipt.last_seq), (3, 3));
+        assert_eq!(s.read_journal(0, 10).unwrap().len(), 3);
+        assert_eq!(s.count("t").unwrap(), 3);
+        assert_eq!(s.engine().stats().compactions, 1, "the retry merged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Concurrent rewrites of one indexed key leave exactly one index
+    /// entry, equal to the row's value: each commit's old-value read and
+    /// its batch land under one lock.
+    #[test]
+    fn concurrent_rewrites_of_one_key_leave_one_index_entry() {
+        let s = store("idx-race");
+        // Every write carries a fresh value, so a stale entry is never
+        // retracted by a later write that happens to restore its value.
+        s.create_index("t", IndexDef::new("whole", |row: &[u8]| Some(row.to_vec())))
+            .unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..2_000u32 {
+                        s.put("t", b"pk", format!("{t}-{i}").as_bytes()).unwrap();
+                    }
+                });
+            }
+        });
+        let row = s.get("t", b"pk").unwrap().unwrap();
+        let entries = s.engine().scan_all(&index_table("t", "whole")).unwrap();
+        assert_eq!(entries.len(), 1, "stale index entries for one row");
+        assert_eq!(entries[0], (index_key(&row, b"pk"), b"pk".to_vec()));
     }
 
     #[test]

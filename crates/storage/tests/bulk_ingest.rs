@@ -1,7 +1,6 @@
-//! Bulk-ingest battery: the direct-run fast path, DEFERRED batch
-//! durability, journal cursor edge semantics, and the batch-boundary
-//! crash contract (a torn bulk batch recovers all-or-nothing, journal
-//! and data agreeing).
+//! Bulk-ingest battery: the direct-run fast path, journal cursor edge
+//! semantics, and the batch-boundary crash contract (a torn WAL batch
+//! recovers all-or-nothing, journal and data agreeing).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -12,8 +11,7 @@ use preserva_storage::codec::put_u64;
 use preserva_storage::engine::BatchOp;
 use preserva_storage::table::IndexDef;
 use preserva_storage::{
-    BulkLoader, BulkOptions, CompactionOptions, Engine, EngineOptions, JournalEntry, TableStore,
-    ROW_UPSERTED,
+    CompactionOptions, Engine, EngineOptions, JournalEntry, TableStore, ROW_UPSERTED,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -356,26 +354,20 @@ proptest! {
     }
 }
 
-// ------------------------------------------------- torn bulk batch recovery
+// ------------------------------------------------- torn WAL batch recovery
 
-/// DEFERRED-mode crash contract: tear the WAL at every byte offset and
-/// reopen. Whatever survives must be an exact batch boundary — for every
+/// WAL crash contract: tear the log at every byte offset and reopen.
+/// Whatever survives must be an exact batch boundary — for every
 /// recovered data row its journal event is present and vice versa, and
 /// the recovered journal head matches the last surviving batch.
 #[test]
-fn torn_bulk_batch_recovers_to_a_batch_boundary() {
+fn torn_wal_batch_recovers_to_a_batch_boundary() {
     let dir = tmpdir("torn");
     let batches = 8u64;
     {
         let engine = Engine::open(&dir, foreground()).unwrap();
-        let mut loader = BulkLoader::new(
-            &engine,
-            BulkOptions {
-                fsync_every_batches: 0,
-            },
-        );
-        // Each deferred batch carries its data row, its journal event and
-        // the head pointer — exactly what the table layer commits.
+        // Each batch carries its data row, its journal event and the
+        // head pointer — exactly what the table layer commits.
         for seq in 1..=batches {
             let e = JournalEntry {
                 seq,
@@ -386,8 +378,8 @@ fn torn_bulk_batch_recovers_to_a_batch_boundary() {
             };
             let mut head = Vec::new();
             put_u64(&mut head, seq);
-            loader
-                .commit_batch(vec![
+            engine
+                .apply_batch(vec![
                     put("t", format!("r{seq}").as_bytes(), b"payload"),
                     BatchOp::Put {
                         table: "__journal".to_string(),
@@ -402,7 +394,6 @@ fn torn_bulk_batch_recovers_to_a_batch_boundary() {
                 ])
                 .unwrap();
         }
-        loader.finish().unwrap();
         assert_eq!(engine.count("t").unwrap(), batches as usize);
     }
     let wal = std::fs::read(dir.join("wal.log")).unwrap();

@@ -120,14 +120,12 @@ fn torn_batch_recovers_to_whole_batch_boundary_at_every_byte() {
             r.unwrap();
         }
         assert_eq!(idx.refresh().unwrap().runs_indexed, 2);
-        store.engine().sync_wal().unwrap();
         baseline_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
 
         for r in pm.capture_batch(&batch_b).unwrap() {
             r.unwrap();
         }
         assert_eq!(idx.refresh().unwrap().runs_indexed, 3);
-        store.engine().sync_wal().unwrap();
     }
     let files = snapshot_dir(&dir);
     let full_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
@@ -203,12 +201,10 @@ fn recapture_after_torn_batch_restores_the_full_set() {
         for r in pm.capture_batch(&batch_a).unwrap() {
             r.unwrap();
         }
-        store.engine().sync_wal().unwrap();
         baseline_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
         for r in pm.capture_batch(&batch_b).unwrap() {
             r.unwrap();
         }
-        store.engine().sync_wal().unwrap();
     }
     let files = snapshot_dir(&dir);
     let full_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
