@@ -643,11 +643,14 @@ fn query(args: &Args, dir: &Path) -> CliResult {
         return Err("give at least one of --species / --state / --year".into());
     }
     let limit = args.get_parsed("limit", 10usize, "integer")?;
-    let q = Query::new(Filter::And(conjuncts));
-    let total = catalog.count(&q)?;
-    let hits = catalog.query(&q.limit(limit))?;
-    println!("{total} matching records; showing {}:", hits.len());
-    for r in hits {
+    let q = Query::new(Filter::And(conjuncts)).limit(limit);
+    let page = catalog.query_at(&coll.store().snapshot(), &q)?;
+    println!(
+        "{} matching records; showing {}:",
+        page.total,
+        page.records.len()
+    );
+    for r in page.records {
         println!(
             "  {}  {}  {} {}  {}",
             r.id,

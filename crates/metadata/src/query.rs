@@ -91,7 +91,11 @@ pub enum Filter {
     Not(Box<Filter>),
 }
 
-fn norm(s: &str) -> String {
+/// The text normal form [`Filter::TextEq`] compares under: whitespace
+/// runs collapsed to one space, ends trimmed, lowercased. Index keys
+/// built over text fields use it too, so an index probe and the filter
+/// it accelerates agree on which texts are equal.
+pub fn norm(s: &str) -> String {
     s.split_whitespace()
         .collect::<Vec<_>>()
         .join(" ")

@@ -6,12 +6,13 @@
 //! response is written, so a crashed client can't floor the compaction
 //! horizon.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use preserva_core::collection::Collection;
 use preserva_core::repository::decode_row;
+use preserva_core::retrieval::Listing;
 use preserva_metadata::record::Record;
-use preserva_metadata::value::Value;
 
 use crate::http::{Request, Response};
 use crate::state::ServerState;
@@ -82,54 +83,46 @@ fn get_record(coll: &Arc<Collection>, id: &str) -> Response {
     }
 }
 
+/// Query parameter `name` parsed as `T`: `None` when absent, a 400
+/// naming the parameter when malformed, so a typo never widens a
+/// request.
+fn param<T: std::str::FromStr>(
+    q: &BTreeMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, Response> {
+    q.get(name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| Response::error(400, &format!("bad {name}: {v:?}")))
+        })
+        .transpose()
+}
+
+/// Exact-match listing, planned through the catalog's indexes at the
+/// request's pinned snapshot: only the rows its probes name are decoded.
 fn scan_records(coll: &Arc<Collection>, req: &Request) -> Response {
     let q = req.query();
-    let limit: usize = q
-        .get("limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50)
-        .min(1000);
-    let year: Option<i32> = q.get("year").and_then(|v| v.parse().ok());
+    let (limit, year) = match (param::<usize>(&q, "limit"), param::<i32>(&q, "year")) {
+        (Ok(limit), Ok(year)) => (limit.unwrap_or(50).min(1000), year),
+        (Err(bad), _) | (_, Err(bad)) => return bad,
+    };
+    let listing = Listing {
+        species: q.get("species").cloned(),
+        state: q.get("state").cloned(),
+        year,
+    };
     let snap = coll.store().snapshot();
-    let all = match coll.catalog().all_at(&snap) {
-        Ok(r) => r,
-        Err(e) => return Response::error(500, &e.to_string()),
-    };
-    let matches = |r: &Record| {
-        if let Some(s) = q.get("species") {
-            if r.get_text("species") != Some(s.as_str()) {
-                return false;
-            }
-        }
-        if let Some(s) = q.get("state") {
-            if r.get_text("state") != Some(s.as_str()) {
-                return false;
-            }
-        }
-        if let Some(y) = year {
-            match r.get("collect_date") {
-                Some(Value::Date(d)) if d.year == y => {}
-                _ => return false,
-            }
-        }
-        true
-    };
-    let mut total = 0usize;
-    let mut hits = Vec::new();
-    for r in all.iter().filter(|r| matches(r)) {
-        total += 1;
-        if hits.len() < limit {
-            hits.push(r);
-        }
+    match coll.catalog().list_at(&snap, &listing, limit) {
+        Ok(page) => Response::json(
+            200,
+            serde_json::json!({
+                "total": page.total,
+                "records": page.records,
+                "as_of_lsn": snap.lsn(),
+            }),
+        ),
+        Err(e) => Response::error(500, &e.to_string()),
     }
-    Response::json(
-        200,
-        serde_json::json!({
-            "total": total,
-            "records": hits,
-            "as_of_lsn": snap.lsn(),
-        }),
-    )
 }
 
 fn put_record(coll: &Arc<Collection>, req: &Request) -> Response {
@@ -154,8 +147,8 @@ fn put_record(coll: &Arc<Collection>, req: &Request) -> Response {
 fn stats(coll: &Arc<Collection>) -> Response {
     let snap = coll.store().snapshot();
     let as_of_lsn = snap.lsn();
-    let records = match coll.catalog().all_at(&snap) {
-        Ok(r) => r.len(),
+    let records = match coll.catalog().len_at(&snap) {
+        Ok(n) => n,
         Err(e) => return Response::error(500, &e.to_string()),
     };
     // Release our own pin before reading the gauge, so a healthy idle
@@ -189,7 +182,10 @@ fn prov_runs(coll: &Arc<Collection>, req: &Request) -> Response {
     if let Err(e) = index.refresh() {
         return Response::error(500, &e.to_string());
     }
-    let after: u64 = q.get("after").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let after = match param::<u64>(&q, "after") {
+        Ok(after) => after.unwrap_or(0),
+        Err(bad) => return bad,
+    };
     let touched = q.get("touched").map(|v| v == "true").unwrap_or(false);
     let result = match (q.get("workflow"), q.get("artifact")) {
         (Some(wf), Some(art)) => index.runs_of_workflow_touching(wf, art),
@@ -229,7 +225,10 @@ fn search(coll: &Arc<Collection>, req: &Request) -> Response {
         Response::json(200, v)
     };
     if let Some(fuzzy_q) = q.get("fuzzy") {
-        let distance: usize = q.get("distance").and_then(|v| v.parse().ok()).unwrap_or(2);
+        let distance = match param::<usize>(&q, "distance") {
+            Ok(distance) => distance.unwrap_or(2),
+            Err(bad) => return bad,
+        };
         return match reader.fuzzy(&snap, fuzzy_q, distance) {
             Ok(hit) => meta(serde_json::json!({
                 "query": fuzzy_q,
@@ -247,11 +246,10 @@ fn search(coll: &Arc<Collection>, req: &Request) -> Response {
         Some(t) => t,
         None => return Response::error(400, "missing query: pass q= or fuzzy="),
     };
-    let limit: usize = q
-        .get("limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50)
-        .min(1000);
+    let limit = match param::<usize>(&q, "limit") {
+        Ok(limit) => limit.unwrap_or(50).min(1000),
+        Err(bad) => return bad,
+    };
     match reader.query(&snap, q.get("field").map(String::as_str), terms, limit) {
         Ok(hits) => meta(serde_json::json!({
             "query": terms,

@@ -623,3 +623,138 @@ fn shutdown_closes_collections_cleanly_and_data_survives_restart() {
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Percent-encode a query value: every byte but ASCII alphanumerics.
+fn enc(s: &str) -> String {
+    s.bytes()
+        .map(|b| match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' => (b as char).to_string(),
+            _ => format!("%{b:02X}"),
+        })
+        .collect()
+}
+
+fn ids_of(listing: &serde_json::Value) -> Vec<String> {
+    listing["records"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|r| r["id"].as_str().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn listings_and_stats_match_a_linear_count() {
+    use preserva_fnjv::config::GeneratorConfig;
+    use preserva_fnjv::generator;
+    use preserva_metadata::value::Value;
+
+    let (server, root) = start("listings");
+    let addr = server.addr();
+    let mut records = generator::generate(&GeneratorConfig::small(7)).records;
+    records.truncate(120);
+    for r in &records {
+        let body = serde_json::to_string(r).unwrap();
+        let put = call(
+            addr,
+            "PUT",
+            "/v1/herp/records",
+            Some("key-herp"),
+            Some(&body),
+        );
+        assert_eq!(put.status, 201, "body: {}", put.body);
+    }
+    records.sort_by(|a, b| a.id.cmp(&b.id));
+    let get = |target: &str| {
+        let reply = call(addr, "GET", target, Some("key-herp"), None);
+        assert_eq!(reply.status, 200, "{target}: {}", reply.body);
+        reply.json()
+    };
+
+    // State + year: exact state text and a typed date in that year.
+    let (state, year) = records
+        .iter()
+        .find_map(|r| match (r.get_text("state"), r.get("collect_date")) {
+            (Some(s), Some(Value::Date(d))) => Some((s.to_string(), d.year)),
+            _ => None,
+        })
+        .unwrap();
+    let expected: Vec<String> = records
+        .iter()
+        .filter(|r| {
+            r.get_text("state") == Some(state.as_str())
+                && matches!(r.get("collect_date"), Some(Value::Date(d)) if d.year == year)
+        })
+        .map(|r| r.id.clone())
+        .collect();
+    let listing = get(&format!(
+        "/v1/herp/records?state={}&year={year}&limit=2",
+        enc(&state)
+    ));
+    assert_eq!(listing["total"], expected.len());
+    assert_eq!(ids_of(&listing), expected[..expected.len().min(2)]);
+
+    // Species, byte for byte (dirty spellings are different texts).
+    let species = records[0].get_text("species").unwrap().to_string();
+    let expected: Vec<String> = records
+        .iter()
+        .filter(|r| r.get_text("species") == Some(species.as_str()))
+        .map(|r| r.id.clone())
+        .collect();
+    let listing = get(&format!("/v1/herp/records?species={}", enc(&species)));
+    assert_eq!(listing["total"], expected.len());
+    assert_eq!(ids_of(&listing), expected);
+
+    // Unfiltered: every record counted, the first page in id order.
+    let listing = get("/v1/herp/records?limit=7");
+    assert_eq!(listing["total"], records.len());
+    let first: Vec<String> = records.iter().take(7).map(|r| r.id.clone()).collect();
+    assert_eq!(ids_of(&listing), first);
+
+    assert_eq!(get("/v1/herp/stats")["records"], records.len());
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn malformed_parameters_are_rejected() {
+    let (server, root) = start("bad-params");
+    let addr = server.addr();
+    let put = call(
+        addr,
+        "PUT",
+        "/v1/herp/records",
+        Some("key-herp"),
+        Some(&record_json("r1", "Hyla faber")),
+    );
+    assert_eq!(put.status, 201);
+    for (target, param) in [
+        ("/v1/herp/records?state=SP&year=19x2", "year"),
+        ("/v1/herp/records?year=", "year"),
+        ("/v1/herp/records?limit=abc", "limit"),
+        ("/v1/herp/records?limit=-1", "limit"),
+        ("/v1/herp/search?q=hyla&limit=x", "limit"),
+        ("/v1/herp/search?fuzzy=Hyla+fabre&distance=two", "distance"),
+        ("/v1/herp/prov/runs?artifact=a&after=soon", "after"),
+    ] {
+        let reply = call(addr, "GET", target, Some("key-herp"), None);
+        assert_eq!(reply.status, 400, "{target} answered {}", reply.body);
+        let message = reply.json()["error"]
+            .as_str()
+            .unwrap_or_default()
+            .to_string();
+        assert!(message.contains(param), "{target}: {message}");
+    }
+    // A well-formed listing still answers.
+    let ok = call(
+        addr,
+        "GET",
+        "/v1/herp/records?limit=5",
+        Some("key-herp"),
+        None,
+    );
+    assert_eq!(ok.status, 200);
+    assert_eq!(ok.json()["total"], 1);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -26,35 +26,61 @@ use crate::journal::{
 };
 use crate::snapshot::Lsn;
 
-/// Extracts the indexed value from a row, or `None` to skip the row.
-pub type KeyExtractor = Arc<dyn Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync>;
+/// One key slot per index of an [`IndexDef`], in name order; a `None`
+/// slot leaves the row out of that index.
+pub type IndexKeys = Vec<Option<Vec<u8>>>;
 
-/// Declaration of a secondary index over a table.
+/// Extracts a row's [`IndexKeys`].
+pub type KeyExtractor = Arc<dyn Fn(&[u8]) -> IndexKeys + Send + Sync>;
+
+/// Declaration of a group of secondary indexes over a table fed by one
+/// extractor: every row image is decoded once for all of them. Each
+/// name keeps its own shadow table and backfill marker, so a group
+/// reads and writes exactly what the same indexes registered one by one
+/// would.
 #[derive(Clone)]
 pub struct IndexDef {
-    /// Index name, unique within its table.
-    pub name: String,
-    /// Value extractor applied to each row.
+    /// Index names, unique within their table, in extractor slot order.
+    pub names: Vec<String>,
+    /// Key extractor applied once per row image.
     pub extract: KeyExtractor,
 }
 
 impl std::fmt::Debug for IndexDef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexDef")
-            .field("name", &self.name)
+            .field("names", &self.names)
             .finish()
     }
 }
 
 impl IndexDef {
-    /// Build an index definition from a plain function or closure.
+    /// One index from a one-key extractor: the one-name case of
+    /// [`group`](Self::group).
     pub fn new<F>(name: &str, extract: F) -> Self
     where
         F: Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync + 'static,
     {
+        Self::group(&[name], move |row: &[u8]| vec![extract(row)])
+    }
+
+    /// Several indexes fed by one extractor call per row image:
+    /// `extract` returns one key slot per name, in `names` order.
+    pub fn group<F>(names: &[&str], extract: F) -> Self
+    where
+        F: Fn(&[u8]) -> IndexKeys + Send + Sync + 'static,
+    {
         IndexDef {
-            name: name.to_string(),
+            names: names.iter().map(|n| n.to_string()).collect(),
             extract: Arc::new(extract),
+        }
+    }
+
+    /// Key slots of one row image; an absent row has no keys.
+    fn keys(&self, row: Option<&[u8]>) -> IndexKeys {
+        match row {
+            Some(row) => (self.extract)(row),
+            None => vec![None; self.names.len()],
         }
     }
 }
@@ -367,12 +393,13 @@ impl TableStore {
         }
     }
 
-    /// Register a secondary index, backfilling it from existing rows the
-    /// first time. Once built, a persistent marker records the fact, so
-    /// re-registering the same index after a reopen is a single point
-    /// read — no full-table value materialization — because every row
-    /// write since the backfill has maintained the shadow table inside
-    /// its own atomic batch.
+    /// Register an index group, backfilling each of its indexes from
+    /// existing rows the first time. Once built, a persistent marker per
+    /// index records the fact, so re-registering after a reopen is one
+    /// point read per index and commits nothing — no full-table value
+    /// materialization — because every row write since the backfill has
+    /// maintained the shadow tables inside its own atomic batch. A
+    /// backfill calls the extractor once per row for the whole group.
     pub fn create_index(&self, table: &str, def: IndexDef) -> StorageResult<()> {
         check_name(table)?;
         // Search tables ARE indexes; stacking a shadow index on one is
@@ -380,26 +407,38 @@ impl TableStore {
         if is_search_table(table) {
             return Err(StorageError::InvalidTableName(table.to_string()));
         }
-        let marker = backfill_marker(table, &def.name);
-        if self.engine.get(TABLE_META, &marker)?.is_none() {
-            let rows = self.engine.scan_all(table)?;
-            let idx_table = index_table(table, &def.name);
+        let mut unbuilt = Vec::new();
+        for (slot, name) in def.names.iter().enumerate() {
+            if self
+                .engine
+                .get(TABLE_META, &backfill_marker(table, name))?
+                .is_none()
+            {
+                unbuilt.push((slot, index_table(table, name)));
+            }
+        }
+        if !unbuilt.is_empty() {
             let mut batch = Vec::new();
-            for (pk, row) in &rows {
-                if let Some(v) = (def.extract)(row) {
-                    batch.push(BatchOp::Put {
-                        table: idx_table.clone(),
-                        key: index_key(&v, pk),
-                        value: pk.clone(),
-                    });
+            for (pk, row) in self.engine.scan_all(table)? {
+                let keys = (def.extract)(&row);
+                for (slot, idx_table) in &unbuilt {
+                    if let Some(Some(v)) = keys.get(*slot) {
+                        batch.push(BatchOp::Put {
+                            table: idx_table.clone(),
+                            key: index_key(v, &pk),
+                            value: pk.clone(),
+                        });
+                    }
                 }
             }
             // Empty marker value: re-registration reads zero value bytes.
-            batch.push(BatchOp::Put {
-                table: TABLE_META.to_string(),
-                key: marker,
-                value: Vec::new(),
-            });
+            for (slot, _) in &unbuilt {
+                batch.push(BatchOp::Put {
+                    table: TABLE_META.to_string(),
+                    key: backfill_marker(table, &def.names[*slot]),
+                    value: Vec::new(),
+                });
+            }
             self.engine.apply_batch(batch)?;
         }
         self.indexes
@@ -516,12 +555,10 @@ impl TableStore {
         for (key, value) in rows.iter() {
             entries.push((table.to_string(), key.clone(), value.clone()));
             for def in defs {
-                if let Some(v) = (def.extract)(value) {
-                    entries.push((
-                        index_table(table, &def.name),
-                        index_key(&v, key),
-                        key.clone(),
-                    ));
+                for (name, v) in def.names.iter().zip((def.extract)(value)) {
+                    if let Some(v) = v {
+                        entries.push((index_table(table, name), index_key(&v, key), key.clone()));
+                    }
                 }
             }
         }
@@ -867,39 +904,48 @@ impl WriteSession<'_> {
                 .expect("journal commit lock poisoned")
         });
         let mut batch = Vec::with_capacity(staged.len() + events.len());
-        // Value each key held before the op being generated, so repeated
-        // writes to one key within the session produce correct index ops.
-        let mut current: HashMap<(String, Vec<u8>), Option<Vec<u8>>> = HashMap::new();
+        // Index keys of the image each key held before the op being
+        // generated, per def, so repeated writes to one key within the
+        // session produce correct index ops and every row image goes
+        // through each extractor once.
+        let mut current: HashMap<(String, Vec<u8>), Vec<IndexKeys>> = HashMap::new();
         for (table, key, new_value) in staged {
             let defs = indexes.get(&table).filter(|d| !d.is_empty());
             if let Some(defs) = defs {
                 let slot = (table.clone(), key.clone());
-                let old = match current.get(&slot) {
-                    Some(v) => v.clone(),
-                    None => store.engine.get(&table, &key)?,
+                let old_keys = match current.remove(&slot) {
+                    Some(keys) => keys,
+                    None => {
+                        let old = store.engine.get(&table, &key)?;
+                        defs.iter().map(|def| def.keys(old.as_deref())).collect()
+                    }
                 };
-                for def in defs {
-                    let idx_table = index_table(&table, &def.name);
-                    let old_v = old.as_deref().and_then(|r| (def.extract)(r));
-                    let new_v = new_value.as_deref().and_then(|r| (def.extract)(r));
-                    if old_v == new_v {
-                        continue;
-                    }
-                    if let Some(ov) = old_v {
-                        batch.push(BatchOp::Delete {
-                            table: idx_table.clone(),
-                            key: index_key(&ov, &key),
-                        });
-                    }
-                    if let Some(nv) = new_v {
-                        batch.push(BatchOp::Put {
-                            table: idx_table,
-                            key: index_key(&nv, &key),
-                            value: key.clone(),
-                        });
+                let new_keys: Vec<_> = defs
+                    .iter()
+                    .map(|def| def.keys(new_value.as_deref()))
+                    .collect();
+                for ((def, old_k), new_k) in defs.iter().zip(&old_keys).zip(&new_keys) {
+                    for ((name, old_v), new_v) in def.names.iter().zip(old_k).zip(new_k) {
+                        if old_v == new_v {
+                            continue;
+                        }
+                        let idx_table = index_table(&table, name);
+                        if let Some(ov) = old_v {
+                            batch.push(BatchOp::Delete {
+                                table: idx_table.clone(),
+                                key: index_key(ov, &key),
+                            });
+                        }
+                        if let Some(nv) = new_v {
+                            batch.push(BatchOp::Put {
+                                table: idx_table,
+                                key: index_key(nv, &key),
+                                value: key.clone(),
+                            });
+                        }
                     }
                 }
-                current.insert(slot, new_value.clone());
+                current.insert(slot, new_keys);
             }
             match &new_value {
                 Some(value) => batch.push(BatchOp::Put {
@@ -975,6 +1021,95 @@ mod tests {
     /// Index on the first byte of the row value.
     fn first_byte_index() -> IndexDef {
         IndexDef::new("first", |row: &[u8]| row.first().map(|b| vec![*b]))
+    }
+
+    /// A four-index group keyed on the row's first four bytes, counting
+    /// its extractor calls.
+    fn counted_group(calls: &Arc<AtomicU64>) -> IndexDef {
+        let calls = calls.clone();
+        IndexDef::group(&["b0", "b1", "b2", "b3"], move |row: &[u8]| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            (0..4).map(|i| row.get(i).map(|b| vec![*b])).collect()
+        })
+    }
+
+    #[test]
+    fn group_insert_and_update_extract_once_per_row_image() {
+        let s = store("group-session");
+        let calls = Arc::new(AtomicU64::new(0));
+        s.create_index("t", counted_group(&calls)).unwrap();
+        s.put("t", b"pk", b"ABCD").unwrap();
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "a fresh insert has one image"
+        );
+        s.put("t", b"pk", b"ABXY").unwrap();
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            3,
+            "an update extracts its old and its new image once each"
+        );
+        for (index, key) in [("b0", b"A"), ("b1", b"B"), ("b2", b"X"), ("b3", b"Y")] {
+            assert_eq!(s.lookup("t", index, key).unwrap(), vec![b"pk".to_vec()]);
+        }
+        assert!(s.lookup("t", "b2", b"C").unwrap().is_empty());
+    }
+
+    #[test]
+    fn group_bulk_load_extracts_once_per_row() {
+        let s = store("group-bulk");
+        let calls = Arc::new(AtomicU64::new(0));
+        s.create_index("t", counted_group(&calls)).unwrap();
+        let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..10u8).map(|i| (vec![i], vec![b'A', i])).collect();
+        s.bulk_load("t", rows).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 10);
+        assert_eq!(s.lookup("t", "b0", b"A").unwrap().len(), 10);
+        assert_eq!(s.lookup("t", "b1", &[7]).unwrap(), vec![vec![7]]);
+        assert!(
+            s.lookup("t", "b2", b"A").unwrap().is_empty(),
+            "short rows skip b2"
+        );
+    }
+
+    #[test]
+    fn group_backfill_extracts_once_per_row() {
+        let s = store("group-backfill");
+        for i in 0..10u8 {
+            s.put("t", &[i], &[b'A', i, b'C', b'D']).unwrap();
+        }
+        let calls = Arc::new(AtomicU64::new(0));
+        s.create_index("t", counted_group(&calls)).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 10);
+        assert_eq!(s.lookup("t", "b3", b"D").unwrap().len(), 10);
+        assert_eq!(s.lookup("t", "b1", &[3]).unwrap(), vec![vec![3]]);
+    }
+
+    #[test]
+    fn reregistering_a_built_group_commits_nothing() {
+        let dir = store_dir("group-marker");
+        {
+            // Built one index at a time: the group reads the same
+            // shadow tables and markers.
+            let s = TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ));
+            for (i, name) in ["b0", "b1", "b2", "b3"].into_iter().enumerate() {
+                let def = IndexDef::new(name, move |row: &[u8]| row.get(i).map(|b| vec![*b]));
+                s.create_index("t", def).unwrap();
+            }
+            s.put("t", b"pk", b"ABCD").unwrap();
+        }
+        let engine = Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap());
+        let s = TableStore::new(engine.clone());
+        let (lsn, commits) = (engine.committed_lsn(), engine.stats().commits);
+        let calls = Arc::new(AtomicU64::new(0));
+        s.create_index("t", counted_group(&calls)).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "no backfill");
+        assert_eq!(engine.committed_lsn(), lsn, "no commit");
+        assert_eq!(engine.stats().commits, commits);
+        assert_eq!(s.lookup("t", "b2", b"C").unwrap(), vec![b"pk".to_vec()]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
