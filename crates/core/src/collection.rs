@@ -63,7 +63,8 @@ pub const WORKFLOW_VERSIONS_TABLE: &str = "workflow_versions";
 pub struct CollectionOptions {
     /// Fsync the WAL on commit.
     pub fsync: bool,
-    /// Memtable bytes before a checkpoint flush.
+    /// Estimated memtable bytes before a checkpoint flush (see
+    /// `EngineOptions::checkpoint_bytes`).
     pub checkpoint_bytes: usize,
     /// Level-fold policy for the LSM tiers.
     pub compaction: CompactionOptions,

@@ -1,6 +1,6 @@
-//! Minimal binary encoding helpers shared by the WAL, snapshot and table
-//! layers: little-endian fixed integers, LEB128-style varints and
-//! length-prefixed byte strings.
+//! Minimal binary encoding helpers shared by WAL frames, run blocks, run
+//! tails, the MANIFEST and the table layer: little-endian fixed
+//! integers, LEB128-style varints and length-prefixed byte strings.
 
 use crate::error::{StorageError, StorageResult};
 

@@ -106,15 +106,19 @@ use crate::error::{StorageError, StorageResult};
 use crate::manifest::{self, RunEntry};
 use crate::memtable::{Memtable, NsKey, RangeTombstone};
 use crate::snapshot::{Lsn, SnapshotRegistry};
-use crate::sstable::{self, Run, RunLookup, RunSummary, VersionedEntry};
+use crate::sstable::{self, Run, RunLookup, RunSummary, Version};
 use crate::wal::{self, Wal, WalRecord};
+
+pub use crate::wal::BatchOp;
 
 /// Tuning knobs for [`Engine::open`].
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Issue `fsync` on every commit. Disable for tests/benches.
     pub fsync: bool,
-    /// Checkpoint automatically once the memtable holds this many bytes.
+    /// Checkpoint automatically once the memtable's estimated size —
+    /// table + key + value + 8 bytes per version — reaches this many
+    /// bytes.
     pub checkpoint_bytes: usize,
     /// Metrics registry to record into. `None` (the default) gives the
     /// engine a private registry, so per-instance counters stay exact; the
@@ -239,7 +243,7 @@ impl StorageMetrics {
             ),
             memtable_bytes: reg.gauge(
                 "preserva_storage_memtable_bytes",
-                "Approximate bytes held in the memtable.",
+                "Estimated memtable bytes the checkpoint threshold counts: table + key + value + 8 per version or range tombstone.",
             ),
             snapshots_pinned: reg.gauge(
                 "preserva_storage_snapshots_pinned",
@@ -389,28 +393,19 @@ fn run_tmp_path(dir: &Path, id: u64) -> PathBuf {
 /// version history, not just the final state. Returns `(operations
 /// applied, highest txid seen)`.
 fn apply_committed(records: Vec<WalRecord>, memtable: &mut Memtable) -> (u64, u64) {
-    let mut pending: Vec<WalRecord> = Vec::new();
+    let mut pending: Vec<BatchOp> = Vec::new();
     let mut max_txid = 0u64;
     let mut ops = 0u64;
     for rec in records {
         match rec {
             WalRecord::Commit { txid } => {
                 max_txid = max_txid.max(txid);
-                for p in pending.drain(..) {
-                    ops += 1;
-                    match p {
-                        WalRecord::Put { table, key, value } => {
-                            memtable.put(&table, &key, value, txid)
-                        }
-                        WalRecord::Delete { table, key } => memtable.delete(&table, &key, txid),
-                        WalRecord::DeleteRange { table, start, end } => {
-                            memtable.delete_range(&table, &start, end.as_deref(), txid)
-                        }
-                        WalRecord::Commit { .. } => unreachable!("commits are never pending"),
-                    }
+                ops += pending.len() as u64;
+                for op in pending.drain(..) {
+                    memtable.apply(op, txid);
                 }
             }
-            op => pending.push(op),
+            WalRecord::Op(op) => pending.push(op),
         }
     }
     (ops, max_txid)
@@ -715,24 +710,14 @@ impl Core {
                 done = Some(k);
             }
         }
-        let mem_rows: Vec<(NsKey, Lsn, bool)> = {
-            let mem = self.mem.read().expect("engine poisoned");
-            mem.entries()
-                .into_iter()
-                .map(|(k, lsn, v)| (k, lsn, v.is_some()))
+        fn versions(mem: &Memtable) -> Vec<(NsKey, Lsn, bool)> {
+            mem.iter()
+                .map(|(t, k, lsn, v)| ((t.to_string(), k.to_vec()), lsn, v.is_some()))
                 .collect()
-        };
+        }
+        let mem_rows = versions(&self.mem.read().expect("engine poisoned"));
         let frozen = self.frozen.read().expect("engine poisoned").clone();
-        let frozen_rows: Vec<(NsKey, Lsn, bool)> = frozen
-            .as_ref()
-            .map(|frozen| {
-                frozen
-                    .entries()
-                    .into_iter()
-                    .map(|(k, lsn, v)| (k, lsn, v.is_some()))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let frozen_rows = frozen.as_deref().map(versions).unwrap_or_default();
         let view = self.view();
         let mut live: BTreeMap<NsKey, (Lsn, bool)> = BTreeMap::new();
         let mut rts: Vec<RangeTombstone> = Vec::new();
@@ -820,23 +805,7 @@ impl Core {
             // different version history than readers saw.
             lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
             for op in &ops {
-                let rec = match op {
-                    BatchOp::Put { table, key, value } => WalRecord::Put {
-                        table: table.clone(),
-                        key: key.clone(),
-                        value: value.clone(),
-                    },
-                    BatchOp::Delete { table, key } => WalRecord::Delete {
-                        table: table.clone(),
-                        key: key.clone(),
-                    },
-                    BatchOp::DeleteRange { table, start, end } => WalRecord::DeleteRange {
-                        table: table.clone(),
-                        start: start.clone(),
-                        end: end.clone(),
-                    },
-                };
-                wal.append(&rec)?;
+                wal.append_op(op)?;
             }
             wal.append(&WalRecord::Commit { txid: lsn })?;
             wal.sync()?;
@@ -847,18 +816,11 @@ impl Core {
             let mut mem = self.mem.write().expect("engine poisoned");
             for op in ops {
                 match op {
-                    BatchOp::Put { table, key, value } => {
-                        self.metrics.puts.inc();
-                        mem.put(&table, &key, value, lsn);
-                    }
-                    BatchOp::Delete { table, key } => {
-                        self.metrics.deletes.inc();
-                        mem.delete(&table, &key, lsn);
-                    }
-                    BatchOp::DeleteRange { table, start, end } => {
-                        mem.delete_range(&table, &start, end.as_deref(), lsn);
-                    }
+                    BatchOp::Put { .. } => self.metrics.puts.inc(),
+                    BatchOp::Delete { .. } => self.metrics.deletes.inc(),
+                    BatchOp::DeleteRange { .. } => {}
                 }
+                mem.apply(op, lsn);
             }
             // Publish while still inside the WAL lock: a snapshot taken
             // the instant after a commit returns must see that commit.
@@ -997,14 +959,10 @@ impl Core {
         let flushed = snapshot.len() as u64;
         // Every version and range tombstone is carried into the run —
         // flushing must not change what any pinned snapshot sees; only
-        // compaction may fold, and only below the horizon.
-        let (id, summary) = self.install_run(
-            1,
-            flushed,
-            snapshot.entries().into_iter().map(Ok),
-            snapshot.ranges(),
-            &[],
-        )?;
+        // compaction may fold, and only below the horizon. Versions
+        // stream borrowed: the frozen memtable is never copied.
+        let (id, summary) =
+            self.install_run(1, flushed, snapshot.iter().map(Ok), snapshot.ranges(), &[])?;
         // Retire the frozen memtable only once the run is in the view:
         // readers consult `frozen` before the view, so in between they
         // see its rows twice, never zero times.
@@ -1046,7 +1004,7 @@ impl Core {
     ///
     /// Retired run files and anything else the new run supersedes are
     /// the caller's to delete, after this returns.
-    fn install_run<I>(
+    fn install_run<I, V>(
         &self,
         level: u32,
         expected_entries: u64,
@@ -1055,7 +1013,8 @@ impl Core {
         retired: &[u64],
     ) -> StorageResult<(u64, RunSummary)>
     where
-        I: IntoIterator<Item = StorageResult<VersionedEntry>>,
+        I: IntoIterator<Item = StorageResult<V>>,
+        V: Version,
     {
         let id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
         let tmp = run_tmp_path(&self.dir, id);
@@ -1397,31 +1356,32 @@ impl Engine {
             let _ = std::fs::remove_file(&tmp);
             {
                 let mut w = Wal::open(&tmp, options.fsync)?;
-                let mut by_lsn: BTreeMap<Lsn, Vec<WalRecord>> = BTreeMap::new();
-                for ((table, key), lsn, value) in memtable.entries() {
-                    let rec = match value {
-                        Some(v) => WalRecord::Put {
+                let mut by_lsn: BTreeMap<Lsn, Vec<BatchOp>> = BTreeMap::new();
+                for (table, key, lsn, value) in memtable.iter() {
+                    let (table, key) = (table.to_string(), key.to_vec());
+                    let op = match value {
+                        Some(v) => BatchOp::Put {
                             table,
                             key,
-                            value: v,
+                            value: v.to_vec(),
                         },
-                        None => WalRecord::Delete { table, key },
+                        None => BatchOp::Delete { table, key },
                     };
-                    by_lsn.entry(lsn).or_default().push(rec);
+                    by_lsn.entry(lsn).or_default().push(op);
                 }
                 for rt in memtable.ranges() {
                     by_lsn
                         .entry(rt.lsn)
                         .or_default()
-                        .push(WalRecord::DeleteRange {
+                        .push(BatchOp::DeleteRange {
                             table: rt.table.clone(),
                             start: rt.start.clone(),
                             end: rt.end.clone(),
                         });
                 }
-                for (lsn, recs) in by_lsn {
-                    for rec in recs {
-                        w.append(&rec)?;
+                for (lsn, ops) in by_lsn {
+                    for op in &ops {
+                        w.append_op(op)?;
                     }
                     w.append(&WalRecord::Commit { txid: lsn })?;
                 }
@@ -1813,37 +1773,6 @@ impl Drop for Snapshot {
     }
 }
 
-/// One operation inside an atomic batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Upsert `key` in `table`.
-    Put {
-        /// Target table.
-        table: String,
-        /// Key to upsert.
-        key: Vec<u8>,
-        /// Value to store.
-        value: Vec<u8>,
-    },
-    /// Delete `key` from `table`.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Key to delete.
-        key: Vec<u8>,
-    },
-    /// Delete every key of `table` in `[start, end)` as one O(1) range
-    /// tombstone.
-    DeleteRange {
-        /// Target table.
-        table: String,
-        /// First key covered (inclusive).
-        start: Vec<u8>,
-        /// End of the range (exclusive); `None` = unbounded.
-        end: Option<Vec<u8>>,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1893,7 +1822,7 @@ mod tests {
         // Hand-craft a torn transaction: a Put with no Commit frame.
         {
             let mut w = Wal::open(&dir.join("wal.log"), false).unwrap();
-            w.append(&WalRecord::Put {
+            w.append_op(&BatchOp::Put {
                 table: "t".into(),
                 key: b"uncommitted".to_vec(),
                 value: b"no".to_vec(),
@@ -1921,7 +1850,7 @@ mod tests {
         let wal_path = dir.join("wal.log");
         {
             let mut w = Wal::open(&wal_path, false).unwrap();
-            w.append(&WalRecord::Put {
+            w.append_op(&BatchOp::Put {
                 table: "t".into(),
                 key: b"uncommitted".to_vec(),
                 value: b"no".to_vec(),

@@ -1,23 +1,33 @@
 //! Ordered in-memory multi-version write buffer.
 //!
-//! Keys are namespaced `(table, key)` pairs kept in a single `BTreeMap`
-//! so range scans within a table are contiguous. Each key maps to its
-//! committed versions, newest first (`Reverse<Lsn>`): overwrites and
-//! deletions *accrete* instead of replacing, so a reader pinned at any
-//! LSN still finds the version it saw at pin time. Deletions are
+//! One flat `BTreeMap` holds every committed version, keyed by
+//! `((table, key), Reverse<Lsn>)`: range scans within a table are
+//! contiguous, and a key's versions sit side by side, newest first.
+//! Overwrites and deletions *accrete* instead of replacing, so a reader
+//! pinned at any LSN still finds the version it saw at pin time. The
+//! map owns the bytes a commit hands it — table, key and value move in
+//! from the batch, so a committed value is held once. Deletions are
 //! retained as tombstones (`None`); range deletions are one
 //! [`RangeTombstone`] record each, shadowing every smaller-LSN version
 //! of any covered key. Versions are only folded later, by compaction,
-//! below the oldest pinned snapshot.
+//! below the oldest pinned snapshot. A point read seeks straight to its
+//! pin; a range scan steps over each key's other versions one by one, a
+//! walk the flush threshold bounds, since a flush moves every version
+//! into a run.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::snapshot::Lsn;
+use crate::wal::BatchOp;
 
 /// Composite key: table name + user key, ordered by table first.
 pub type NsKey = (String, Vec<u8>);
+
+/// A borrowed version, as a flush streams it: `(table, key, lsn,
+/// value)`, where a `None` value is a point tombstone.
+pub type VersionRef<'a> = (&'a str, &'a [u8], Lsn, Option<&'a [u8]>);
 
 /// A committed range deletion: shadows every version with a smaller LSN
 /// of any key in `[start, end)` of `table` (`end = None` = unbounded).
@@ -50,8 +60,11 @@ impl RangeTombstone {
 /// The mutable, ordered, multi-version write buffer of the engine.
 #[derive(Debug, Default, Clone)]
 pub struct Memtable {
-    entries: BTreeMap<NsKey, BTreeMap<Reverse<Lsn>, Option<Vec<u8>>>>,
+    entries: BTreeMap<(NsKey, Reverse<Lsn>), Option<Vec<u8>>>,
     ranges: Vec<RangeTombstone>,
+    /// Point writes applied, including a batch's repeated write of one
+    /// key that the map keeps once. The flush sizes its run's bloom
+    /// filter from this count, so run bytes depend on it.
     versions: usize,
     approx_bytes: usize,
 }
@@ -62,24 +75,27 @@ impl Memtable {
         Self::default()
     }
 
-    /// Upsert a value at `lsn`. Older versions of the key are retained.
-    pub fn put(&mut self, table: &str, key: &[u8], value: Vec<u8>, lsn: Lsn) {
-        self.approx_bytes += table.len() + key.len() + value.len() + 8;
-        self.versions += 1;
-        self.entries
-            .entry((table.to_string(), key.to_vec()))
-            .or_default()
-            .insert(Reverse(lsn), Some(value));
+    /// Upsert a value at `lsn`, taking ownership of the bytes. Older
+    /// versions of the key are retained.
+    pub fn put(
+        &mut self,
+        table: impl Into<String>,
+        key: impl Into<Vec<u8>>,
+        value: Vec<u8>,
+        lsn: Lsn,
+    ) {
+        self.insert(table.into(), key.into(), Some(value), lsn);
     }
 
     /// Record a deletion tombstone at `lsn`.
-    pub fn delete(&mut self, table: &str, key: &[u8], lsn: Lsn) {
-        self.approx_bytes += table.len() + key.len() + 8;
+    pub fn delete(&mut self, table: impl Into<String>, key: impl Into<Vec<u8>>, lsn: Lsn) {
+        self.insert(table.into(), key.into(), None, lsn);
+    }
+
+    fn insert(&mut self, table: String, key: Vec<u8>, value: Option<Vec<u8>>, lsn: Lsn) {
+        self.approx_bytes += table.len() + key.len() + value.as_ref().map_or(0, Vec::len) + 8;
         self.versions += 1;
-        self.entries
-            .entry((table.to_string(), key.to_vec()))
-            .or_default()
-            .insert(Reverse(lsn), None);
+        self.entries.insert(((table, key), Reverse(lsn)), value);
     }
 
     /// Record a range deletion `[start, end)` of `table` at `lsn` —
@@ -94,19 +110,28 @@ impl Memtable {
         });
     }
 
+    /// Apply one committed batch operation at `lsn`, moving its bytes in.
+    pub fn apply(&mut self, op: BatchOp, lsn: Lsn) {
+        match op {
+            BatchOp::Put { table, key, value } => self.put(table, key, value, lsn),
+            BatchOp::Delete { table, key } => self.delete(table, key, lsn),
+            BatchOp::DeleteRange { table, start, end } => {
+                self.delete_range(&table, &start, end.as_deref(), lsn)
+            }
+        }
+    }
+
     /// Newest *point* version of a key at or below `max_lsn`. `None`
     /// means "no version visible here"; `Some((lsn, None))` is a
     /// tombstone. Range tombstones are NOT resolved — the caller
     /// compares against [`max_covering_rt`](Self::max_covering_rt).
     pub fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> Option<(Lsn, Option<&[u8]>)> {
+        let nskey = (table.to_string(), key.to_vec());
         self.entries
-            .get(&(table.to_string(), key.to_vec()))
-            .and_then(|versions| {
-                versions
-                    .range(Reverse(max_lsn)..)
-                    .next()
-                    .map(|(Reverse(lsn), v)| (*lsn, v.as_deref()))
-            })
+            .range((nskey, Reverse(max_lsn))..)
+            .next()
+            .filter(|(((t, k), _), _)| t == table && k == key)
+            .map(|((_, Reverse(lsn)), v)| (*lsn, v.as_deref()))
     }
 
     /// Largest range-tombstone LSN at or below `max_lsn` covering
@@ -135,20 +160,26 @@ impl Memtable {
         let inverted = matches!(end, Some(e) if e < start);
         let start: &[u8] = if inverted { &[] } else { start };
         let end = if inverted { Some(&[][..]) } else { end };
-        let lo = Bound::Included((table.to_string(), start.to_vec()));
+        // `Reverse(Lsn::MAX)` sorts first among a key's versions, so
+        // these bounds take every version of `start` and none of `end`.
+        let lo = Bound::Included(((table.to_string(), start.to_vec()), Reverse(Lsn::MAX)));
         let hi = match end {
-            Some(e) => Bound::Excluded((table.to_string(), e.to_vec())),
+            Some(e) => Bound::Excluded(((table.to_string(), e.to_vec()), Reverse(Lsn::MAX))),
             None => Bound::Unbounded,
         };
         let table_owned = table.to_string();
+        let mut last: Option<&'a [u8]> = None;
         self.entries
             .range((lo, hi))
-            .take_while(move |((t, _), _)| *t == table_owned)
-            .filter_map(move |((_, k), versions)| {
-                versions
-                    .range(Reverse(max_lsn)..)
-                    .next()
-                    .map(|(Reverse(lsn), v)| (k.as_slice(), *lsn, v.as_deref()))
+            .take_while(move |(((t, _), _), _)| *t == table_owned)
+            .filter_map(move |(((_, k), Reverse(lsn)), v)| {
+                // Versions run newest first: the first one at or below
+                // the pin answers for its key, the rest are stepped over.
+                if *lsn > max_lsn || last == Some(k.as_slice()) {
+                    return None;
+                }
+                last = Some(k.as_slice());
+                Some((k.as_slice(), *lsn, v.as_deref()))
             })
     }
 
@@ -157,15 +188,20 @@ impl Memtable {
         &self.ranges
     }
 
-    /// Number of resident point versions (including tombstones) across
-    /// all keys — the memory-amplification numerator.
+    /// Number of point versions (including tombstones) inserted across
+    /// all keys — the memory-amplification numerator. A batch writing
+    /// one key twice counts twice, though only its last write stays.
     pub fn len(&self) -> usize {
         self.versions
     }
 
     /// Number of distinct keys holding at least one version.
     pub fn keys(&self) -> usize {
-        self.entries.len()
+        let mut prev: Option<&NsKey> = None;
+        self.entries
+            .keys()
+            .filter(|(k, _)| prev.replace(k) != Some(k))
+            .count()
     }
 
     /// True when nothing is buffered (no versions, no range tombstones).
@@ -173,32 +209,25 @@ impl Memtable {
         self.entries.is_empty() && self.ranges.is_empty()
     }
 
-    /// Rough bytes consumed; drives checkpoint scheduling.
+    /// Estimated bytes buffered: table + key + value + 8 per version or
+    /// range tombstone. Drives checkpoint scheduling; it leaves out the
+    /// map's own per-entry overhead.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
 
-    /// Clone every version, ordered `(key asc, lsn desc)`, for a
-    /// memtable-only flush: the snapshot the run writer streams from
-    /// while the engine keeps serving reads out of the live memtable.
-    pub fn entries(&self) -> Vec<(NsKey, Lsn, Option<Vec<u8>>)> {
+    /// Every version, borrowed and ordered `(key asc, lsn desc)`: what a
+    /// memtable-only flush streams into the run writer while the engine
+    /// keeps serving reads out of the live memtable.
+    pub fn iter(&self) -> impl Iterator<Item = VersionRef<'_>> {
         self.entries
             .iter()
-            .flat_map(|(k, versions)| {
-                versions
-                    .iter()
-                    .map(move |(Reverse(lsn), v)| (k.clone(), *lsn, v.clone()))
-            })
-            .collect()
+            .map(|(((t, k), Reverse(lsn)), v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
     }
 
     /// Largest LSN of any buffered version or range tombstone.
     pub fn max_lsn(&self) -> Option<Lsn> {
-        let point = self
-            .entries
-            .values()
-            .filter_map(|versions| versions.keys().next().map(|Reverse(lsn)| *lsn))
-            .max();
+        let point = self.entries.keys().map(|(_, Reverse(lsn))| *lsn).max();
         let range = self.ranges.iter().map(|rt| rt.lsn).max();
         point.max(range)
     }
@@ -311,11 +340,7 @@ mod tests {
         m.put("t", b"a", b"1".to_vec(), 1);
         m.put("t", b"a", b"2".to_vec(), 3);
         m.put("t", b"b", b"3".to_vec(), 2);
-        let flat: Vec<_> = m
-            .entries()
-            .into_iter()
-            .map(|((_, k), lsn, _)| (k, lsn))
-            .collect();
+        let flat: Vec<_> = m.iter().map(|(_, k, lsn, _)| (k.to_vec(), lsn)).collect();
         assert_eq!(
             flat,
             vec![(b"a".to_vec(), 3), (b"a".to_vec(), 1), (b"b".to_vec(), 2)]

@@ -41,7 +41,7 @@ use std::path::Path;
 use crate::codec;
 use crate::crc32;
 use crate::error::{StorageError, StorageResult};
-use crate::memtable::{NsKey, RangeTombstone};
+use crate::memtable::{NsKey, RangeTombstone, VersionRef};
 use crate::snapshot::Lsn;
 
 const TAG_LIVE: u8 = 0;
@@ -63,6 +63,27 @@ const BLOOM_PROBES: u32 = 7;
 /// One versioned run entry: namespaced key, commit LSN, value or
 /// point tombstone.
 pub type VersionedEntry = (NsKey, Lsn, Option<Vec<u8>>);
+
+/// A version [`write_run`] can encode without taking ownership: an
+/// owned [`VersionedEntry`] out of a merge or a bulk load, or a
+/// [`VersionRef`] borrowed from a frozen memtable.
+pub trait Version {
+    /// `(table, key, lsn, value)`; a `None` value is a point tombstone.
+    fn parts(&self) -> VersionRef<'_>;
+}
+
+impl Version for VersionedEntry {
+    fn parts(&self) -> VersionRef<'_> {
+        let ((table, key), lsn, value) = self;
+        (table, key, *lsn, value.as_deref())
+    }
+}
+
+impl Version for VersionRef<'_> {
+    fn parts(&self) -> VersionRef<'_> {
+        *self
+    }
+}
 
 /// What a run writer reports back: enough for manifests and metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +200,7 @@ struct BlockMeta {
     first: NsKey,
 }
 
-fn encode_entry(out: &mut Vec<u8>, (table, key): &NsKey, lsn: Lsn, value: &Option<Vec<u8>>) {
+fn encode_entry(out: &mut Vec<u8>, (table, key, lsn, value): VersionRef<'_>) {
     match value {
         Some(v) => {
             out.push(TAG_LIVE);
@@ -282,7 +303,7 @@ fn decode_range_tombstones(buf: &[u8]) -> StorageResult<(Vec<RangeTombstone>, us
 }
 
 /// Write `entries` (already sorted ascending by `NsKey`, then LSN
-/// *descending* within a key — a [`Memtable::entries`] stream or a merge
+/// *descending* within a key — a [`Memtable::iter`] stream or a merge
 /// of such streams qualifies) plus `ranges` as a tiered run at
 /// `path`, recorded as living at `level`. Streaming: memory use is
 /// bounded by one block plus the index/bloom/range sections, never by
@@ -294,8 +315,8 @@ fn decode_range_tombstones(buf: &[u8]) -> StorageResult<(Vec<RangeTombstone>, us
 /// it but never produces a false negative. The iterator yields results
 /// so a compaction merge can propagate read errors from its inputs.
 ///
-/// [`Memtable::entries`]: crate::memtable::Memtable::entries
-pub fn write_run<I>(
+/// [`Memtable::iter`]: crate::memtable::Memtable::iter
+pub fn write_run<I, V>(
     path: &Path,
     level: u32,
     expected_entries: u64,
@@ -303,7 +324,8 @@ pub fn write_run<I>(
     ranges: &[RangeTombstone],
 ) -> StorageResult<RunSummary>
 where
-    I: IntoIterator<Item = StorageResult<VersionedEntry>>,
+    I: IntoIterator<Item = StorageResult<V>>,
+    V: Version,
 {
     let file = File::create(path)?;
     let mut w = BufWriter::new(file);
@@ -339,17 +361,17 @@ where
     };
 
     for item in entries {
-        let (nskey, lsn, value) = item?;
+        let item = item?;
+        let version @ (table, key, lsn, value) = item.parts();
         if block_first.is_none() {
-            block_first = Some(nskey.clone());
+            block_first = Some((table.to_string(), key.to_vec()));
         }
-        encode_entry(&mut block, &nskey, lsn, &value);
+        encode_entry(&mut block, version);
         entry_count += 1;
         if value.is_none() {
             tombstone_count += 1;
         }
         max_lsn = max_lsn.max(lsn);
-        let (table, key) = &nskey;
         bloom.insert(table.as_bytes(), key);
         if block.len() >= BLOCK_TARGET {
             flush_block(

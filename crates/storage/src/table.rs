@@ -620,7 +620,6 @@ impl TableStore {
         WriteSession {
             store: self,
             staged: Vec::new(),
-            latest: HashMap::new(),
             events: Vec::new(),
         }
     }
@@ -740,10 +739,10 @@ impl TableSnapshot {
 /// every staged operation and event.
 pub struct WriteSession<'a> {
     store: &'a TableStore,
-    /// Operations in the order staged: `Some(value)` puts, `None` deletes.
+    /// Operations in the order staged: `Some(value)` puts, `None`
+    /// deletes. The one copy of each value the session makes; commit
+    /// moves table, key and value on into the batch.
     staged: Vec<(String, Vec<u8>, Option<Vec<u8>>)>,
-    /// Latest staged state per `(table, key)`, for read-your-writes.
-    latest: HashMap<(String, Vec<u8>), Option<Vec<u8>>>,
     /// Explicitly injected journal events (kind, source, key, payload);
     /// sequence numbers are assigned at commit.
     events: Vec<(String, String, Vec<u8>, Vec<u8>)>,
@@ -790,15 +789,20 @@ impl WriteSession<'_> {
     }
 
     fn stage(&mut self, table: &str, key: &[u8], value: Option<Vec<u8>>) {
-        self.latest
-            .insert((table.to_string(), key.to_vec()), value.clone());
         self.staged.push((table.to_string(), key.to_vec(), value));
     }
 
-    /// Read through the session: staged writes shadow stored rows.
+    /// Read through the session: the newest staged write of the key
+    /// shadows the stored row. Finding it walks the staged ops, newest
+    /// first, so it costs O(staged ops) per call.
     pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         check_name(table)?;
-        if let Some(v) = self.latest.get(&(table.to_string(), key.to_vec())) {
+        let staged = self
+            .staged
+            .iter()
+            .rev()
+            .find(|(t, k, _)| t == table && k == key);
+        if let Some((_, _, v)) = staged {
             return Ok(v.clone());
         }
         self.store.engine.get(table, key)
@@ -829,7 +833,6 @@ impl WriteSession<'_> {
         let WriteSession {
             store,
             staged,
-            latest: _,
             events: injected,
         } = self;
         if staged.is_empty() && injected.is_empty() {
@@ -852,10 +855,10 @@ impl WriteSession<'_> {
         let mut auto: Vec<Option<JournalEntry>> = Vec::new();
         {
             let journaled = store.journaled.read();
-            let mut last_for: HashMap<(String, Vec<u8>), usize> = HashMap::new();
+            let mut last_for: HashMap<(&str, &[u8]), usize> = HashMap::new();
             for (table, key, value) in &staged {
                 if journaled.contains(table) {
-                    if let Some(prev) = last_for.insert((table.clone(), key.clone()), auto.len()) {
+                    if let Some(prev) = last_for.insert((table, key), auto.len()) {
                         auto[prev] = None;
                     }
                     auto.push(Some(JournalEntry {
@@ -947,17 +950,10 @@ impl WriteSession<'_> {
                 }
                 current.insert(slot, new_keys);
             }
-            match &new_value {
-                Some(value) => batch.push(BatchOp::Put {
-                    table: table.clone(),
-                    key: key.clone(),
-                    value: value.clone(),
-                }),
-                None => batch.push(BatchOp::Delete {
-                    table: table.clone(),
-                    key: key.clone(),
-                }),
-            }
+            batch.push(match new_value {
+                Some(value) => BatchOp::Put { table, key, value },
+                None => BatchOp::Delete { table, key },
+            });
         }
         drop(indexes);
 

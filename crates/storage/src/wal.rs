@@ -5,13 +5,15 @@
 //! truncated or whose CRC fails marks the logical end of the log (a "torn
 //! tail", the expected result of a crash mid-append); replay stops there.
 //!
-//! Record payloads encode the four logical operations of the engine:
-//! `Put`, `Delete`, `DeleteRange` (one O(1) frame however many rows it
-//! covers) and `Commit` (transaction boundary; its txid is the batch's
-//! LSN). A frame that passes its CRC but does not decode — the retired
-//! tag-4 checkpoint frame, or any tag this build does not know — is not
-//! a torn tail: replay fails with [`StorageError::Unsupported`] rather
-//! than drop the acknowledged commits after it.
+//! Record payloads encode the engine's [`BatchOp`]s — `Put`, `Delete`
+//! and `DeleteRange` (one O(1) frame however many rows it covers) — and
+//! `Commit` (transaction boundary; its txid is the batch's LSN). A
+//! commit frames each op straight from the borrowed batch
+//! ([`Wal::append_op`]) into one buffer the log reuses. A frame that
+//! passes its CRC but does not decode — the retired tag-4 checkpoint
+//! frame, or any tag this build does not know — is not a torn tail:
+//! replay fails with [`StorageError::Unsupported`] rather than drop the
+//! acknowledged commits after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -21,35 +23,44 @@ use crate::codec;
 use crate::crc32;
 use crate::error::{StorageError, StorageResult};
 
-/// Logical operations recorded in the WAL.
+/// One operation inside an atomic batch, and the payload of one WAL
+/// frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
-    /// Upsert of `key` in `table`.
+pub enum BatchOp {
+    /// Upsert `key` in `table`.
     Put {
         /// Target table.
         table: String,
-        /// Key being upserted.
+        /// Key to upsert.
         key: Vec<u8>,
-        /// Value being stored.
+        /// Value to store.
         value: Vec<u8>,
     },
-    /// Deletion of `key` from `table`.
+    /// Delete `key` from `table`.
     Delete {
         /// Target table.
         table: String,
-        /// Key being deleted.
+        /// Key to delete.
         key: Vec<u8>,
     },
-    /// Deletion of every key of `table` in `[start, end)` — a range
-    /// tombstone. One frame regardless of how many rows are covered.
+    /// Delete every key of `table` in `[start, end)` as one O(1) range
+    /// tombstone.
     DeleteRange {
         /// Target table.
         table: String,
-        /// Inclusive start key.
+        /// First key covered (inclusive).
         start: Vec<u8>,
-        /// Exclusive end key; `None` means unbounded.
+        /// End of the range (exclusive); `None` = unbounded.
         end: Option<Vec<u8>>,
     },
+}
+
+/// Logical records of the WAL: batch operations and the commit frames
+/// that make them visible.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WalRecord {
+    /// One operation of the batch the next `Commit` closes.
+    Op(BatchOp),
     /// All operations since the previous `Commit` become visible atomically.
     Commit {
         /// Transaction id assigned by the engine — the batch's LSN.
@@ -63,41 +74,56 @@ const TAG_COMMIT: u8 = 3;
 // Tag 4 was the retired checkpoint frame; it is never reused.
 const TAG_DELETE_RANGE: u8 = 5;
 
+fn encode_op(out: &mut Vec<u8>, op: &BatchOp) {
+    match op {
+        BatchOp::Put { table, key, value } => {
+            out.push(TAG_PUT);
+            codec::put_bytes(out, table.as_bytes());
+            codec::put_bytes(out, key);
+            codec::put_bytes(out, value);
+        }
+        BatchOp::Delete { table, key } => {
+            out.push(TAG_DELETE);
+            codec::put_bytes(out, table.as_bytes());
+            codec::put_bytes(out, key);
+        }
+        BatchOp::DeleteRange { table, start, end } => {
+            out.push(TAG_DELETE_RANGE);
+            codec::put_bytes(out, table.as_bytes());
+            codec::put_bytes(out, start);
+            // A flag byte disambiguates "unbounded" from an empty end key.
+            match end {
+                Some(e) => {
+                    out.push(1);
+                    codec::put_bytes(out, e);
+                }
+                None => out.push(0),
+            }
+        }
+    }
+}
+
+fn table_name(bytes: &[u8]) -> StorageResult<String> {
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| StorageError::Decode("non-utf8 table name".into()))
+}
+
 impl WalRecord {
+    /// Append the record payload (without framing) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            WalRecord::Op(op) => encode_op(out, op),
+            WalRecord::Commit { txid } => {
+                out.push(TAG_COMMIT);
+                codec::put_u64(out, *txid);
+            }
+        }
+    }
+
     /// Serialize the record payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
-        match self {
-            WalRecord::Put { table, key, value } => {
-                out.push(TAG_PUT);
-                codec::put_bytes(&mut out, table.as_bytes());
-                codec::put_bytes(&mut out, key);
-                codec::put_bytes(&mut out, value);
-            }
-            WalRecord::Delete { table, key } => {
-                out.push(TAG_DELETE);
-                codec::put_bytes(&mut out, table.as_bytes());
-                codec::put_bytes(&mut out, key);
-            }
-            WalRecord::DeleteRange { table, start, end } => {
-                out.push(TAG_DELETE_RANGE);
-                codec::put_bytes(&mut out, table.as_bytes());
-                codec::put_bytes(&mut out, start);
-                // A flag byte disambiguates "unbounded" from an empty
-                // end key.
-                match end {
-                    Some(e) => {
-                        out.push(1);
-                        codec::put_bytes(&mut out, e);
-                    }
-                    None => out.push(0),
-                }
-            }
-            WalRecord::Commit { txid } => {
-                out.push(TAG_COMMIT);
-                codec::put_u64(&mut out, *txid);
-            }
-        }
+        self.encode_into(&mut out);
         out
     }
 
@@ -106,26 +132,24 @@ impl WalRecord {
         let (&tag, rest) = buf
             .split_first()
             .ok_or_else(|| StorageError::Decode("empty WAL record".into()))?;
-        match tag {
+        let op = match tag {
             TAG_PUT => {
                 let (table, n) = codec::get_bytes(rest)?;
                 let (key, m) = codec::get_bytes(&rest[n..])?;
                 let (value, _) = codec::get_bytes(&rest[n + m..])?;
-                Ok(WalRecord::Put {
-                    table: String::from_utf8(table.to_vec())
-                        .map_err(|_| StorageError::Decode("non-utf8 table name".into()))?,
+                BatchOp::Put {
+                    table: table_name(table)?,
                     key: key.to_vec(),
                     value: value.to_vec(),
-                })
+                }
             }
             TAG_DELETE => {
                 let (table, n) = codec::get_bytes(rest)?;
                 let (key, _) = codec::get_bytes(&rest[n..])?;
-                Ok(WalRecord::Delete {
-                    table: String::from_utf8(table.to_vec())
-                        .map_err(|_| StorageError::Decode("non-utf8 table name".into()))?,
+                BatchOp::Delete {
+                    table: table_name(table)?,
                     key: key.to_vec(),
-                })
+                }
             }
             TAG_DELETE_RANGE => {
                 let (table, n) = codec::get_bytes(rest)?;
@@ -135,19 +159,19 @@ impl WalRecord {
                     Some(1) => Some(codec::get_bytes(&rest[n + m + 1..])?.0.to_vec()),
                     _ => return Err(StorageError::Decode("bad delete-range end flag".into())),
                 };
-                Ok(WalRecord::DeleteRange {
-                    table: String::from_utf8(table.to_vec())
-                        .map_err(|_| StorageError::Decode("non-utf8 table name".into()))?,
+                BatchOp::DeleteRange {
+                    table: table_name(table)?,
                     start: start.to_vec(),
                     end,
-                })
+                }
             }
             TAG_COMMIT => {
                 let (txid, _) = codec::get_u64(rest)?;
-                Ok(WalRecord::Commit { txid })
+                return Ok(WalRecord::Commit { txid });
             }
-            other => Err(StorageError::Decode(format!("unknown WAL tag {other}"))),
-        }
+            other => return Err(StorageError::Decode(format!("unknown WAL tag {other}"))),
+        };
+        Ok(WalRecord::Op(op))
     }
 }
 
@@ -160,6 +184,8 @@ pub struct Wal {
     len: u64,
     /// Whether `fsync` is issued on every [`Wal::sync`].
     fsync: bool,
+    /// Frame buffer every append encodes into, reused across appends.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -179,6 +205,7 @@ impl Wal {
             writer: BufWriter::new(file),
             len,
             fsync,
+            frame: Vec::new(),
         })
     }
 
@@ -200,12 +227,32 @@ impl Wal {
     /// Append one framed record. The record is buffered; call [`Wal::sync`]
     /// to make it durable.
     pub fn append(&mut self, record: &WalRecord) -> StorageResult<()> {
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        codec::put_u32(&mut frame, payload.len() as u32);
-        codec::put_u32(&mut frame, crc32::checksum(&payload));
-        frame.extend_from_slice(&payload);
-        self.writer.write_all(&frame)?;
+        self.write_frame(|out| record.encode_into(out))
+    }
+
+    /// Append one framed operation, encoded straight from the borrowed
+    /// op: the commit path logs a batch without copying it.
+    pub fn append_op(&mut self, op: &BatchOp) -> StorageResult<()> {
+        self.write_frame(|out| encode_op(out, op))
+    }
+
+    /// Encode a payload behind room for its header, then fill in the
+    /// header and hand the whole frame to the writer.
+    fn write_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> StorageResult<()> {
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        encode(frame);
+        let len = u32::try_from(frame.len() - 8).map_err(|_| {
+            StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "WAL record larger than 4 GiB",
+            ))
+        })?;
+        let crc = crc32::checksum(&frame[8..]);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.writer.write_all(frame)?;
         self.len += frame.len() as u64;
         Ok(())
     }
@@ -335,38 +382,38 @@ mod tests {
     }
 
     fn put(table: &str, k: &[u8], v: &[u8]) -> WalRecord {
-        WalRecord::Put {
+        WalRecord::Op(BatchOp::Put {
             table: table.into(),
             key: k.to_vec(),
             value: v.to_vec(),
-        }
+        })
     }
 
     #[test]
     fn record_roundtrip_all_variants() {
         let records = [
             put("records", b"k1", b"v1"),
-            WalRecord::Delete {
+            WalRecord::Op(BatchOp::Delete {
                 table: "records".into(),
                 key: b"k1".to_vec(),
-            },
+            }),
             WalRecord::Commit { txid: 42 },
-            WalRecord::DeleteRange {
+            WalRecord::Op(BatchOp::DeleteRange {
                 table: "records".into(),
                 start: b"a".to_vec(),
                 end: Some(b"z".to_vec()),
-            },
-            WalRecord::DeleteRange {
+            }),
+            WalRecord::Op(BatchOp::DeleteRange {
                 table: "records".into(),
                 start: Vec::new(),
                 end: None,
-            },
-            WalRecord::DeleteRange {
+            }),
+            WalRecord::Op(BatchOp::DeleteRange {
                 table: "records".into(),
                 start: b"m".to_vec(),
                 // An *empty* bounded end is distinct from unbounded.
                 end: Some(Vec::new()),
-            },
+            }),
         ];
         for r in &records {
             assert_eq!(&WalRecord::decode(&r.encode()).unwrap(), r);
@@ -505,5 +552,82 @@ mod tests {
         let rep = replay(&path).unwrap();
         assert!(rep.records.is_empty());
         assert!(!rep.torn_tail);
+    }
+
+    /// The fixed op list framed by the parent build (a 40-byte value
+    /// spans five slicing-by-8 words; every payload ends in a partial
+    /// word). Any change to the frame layout, the op encoding or the
+    /// checksum breaks this.
+    const GOLDEN_HEX: &str = "\
+        3e000000c4aa053901077265636f7264730b464e4a562d303030303031285a7f1035cee384\
+        59721728cde6bb5c710a2fc0e5be53740922c798bd566b0c21fa9fb0556e0324f92e000000\
+        056c41dd02155f5f6964783a7265636f7264733a737065636965731668796c612066616265\
+        7200464e4a562d30303030303122000000ff08953905077265636f7264730b464e4a562d30\
+        3030313030010b464e4a562d30303032303021000000a7ae634f05115f5f7365617263683a\
+        706f7374696e67730c737065636965730068796c610009000000271a6a1f03080706050403\
+        0201";
+
+    fn golden_records() -> Vec<WalRecord> {
+        let value: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        vec![
+            WalRecord::Op(BatchOp::Put {
+                table: "records".into(),
+                key: b"FNJV-000001".to_vec(),
+                value,
+            }),
+            WalRecord::Op(BatchOp::Delete {
+                table: "__idx:records:species".into(),
+                key: b"hyla faber\0FNJV-000001".to_vec(),
+            }),
+            WalRecord::Op(BatchOp::DeleteRange {
+                table: "records".into(),
+                start: b"FNJV-000100".to_vec(),
+                end: Some(b"FNJV-000200".to_vec()),
+            }),
+            WalRecord::Op(BatchOp::DeleteRange {
+                table: "__search:postings".into(),
+                start: b"species\0hyla".to_vec(),
+                end: None,
+            }),
+            WalRecord::Commit {
+                txid: 0x0102_0304_0506_0708,
+            },
+        ]
+    }
+
+    #[test]
+    fn frames_match_the_golden_bytes_and_replay() {
+        let path = tmpfile("golden");
+        let _ = std::fs::remove_file(&path);
+        let records = golden_records();
+        let mut wal = Wal::open(&path, false).unwrap();
+        for r in &records {
+            match r {
+                WalRecord::Op(op) => wal.append_op(op).unwrap(),
+                commit => wal.append(commit).unwrap(),
+            }
+        }
+        wal.sync().unwrap();
+        let hex: String = std::fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN_HEX);
+        let rep = replay(&path).unwrap();
+        assert_eq!(rep.records, records);
+        assert_eq!(rep.committed_len, wal.len());
+        // The record-at-a-time path frames the same bytes.
+        let again = tmpfile("golden-records");
+        let _ = std::fs::remove_file(&again);
+        let mut wal = Wal::open(&again, false).unwrap();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        wal.sync().unwrap();
+        assert_eq!(
+            std::fs::read(&again).unwrap(),
+            std::fs::read(&path).unwrap()
+        );
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use preserva::storage::engine::{Engine, EngineOptions};
 use preserva::storage::table::TableStore;
-use preserva::storage::wal::{Wal, WalRecord};
+use preserva::storage::wal::{BatchOp, Wal};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("preserva-ex-crash-{}", std::process::id()));
@@ -45,7 +45,7 @@ fn main() {
     // the process died between WAL append and commit.
     {
         let mut wal = Wal::open(&dir.join("wal.log"), false).unwrap();
-        wal.append(&WalRecord::Put {
+        wal.append_op(&BatchOp::Put {
             table: "updated_names".into(),
             key: b"Hyla faber".to_vec(),
             value: b"{torn write!}".to_vec(),

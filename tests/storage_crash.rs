@@ -294,7 +294,7 @@ fn stray_files_of_every_kind_are_cleaned_up() {
 /// log is torn at.
 #[test]
 fn frozen_wal_segment_with_torn_live_tail_recovers_and_folds() {
-    use preserva::storage::wal::{Wal, WalRecord};
+    use preserva::storage::wal::{BatchOp, Wal, WalRecord};
 
     let dir = tmpdir("frozen-wal");
     let expected = build_fixture(&dir);
@@ -305,7 +305,7 @@ fn frozen_wal_segment_with_torn_live_tail_recovers_and_folds() {
     {
         let mut w = Wal::open(&dir.join("wal.log"), false).unwrap();
         for (key, txid) in [(22u8, 1000u64), (23, 1001)] {
-            w.append(&WalRecord::Put {
+            w.append_op(&BatchOp::Put {
                 table: "t".into(),
                 key: vec![key],
                 value: format!("post-{key}").into_bytes(),
