@@ -61,13 +61,14 @@ impl<'a> HistoryStore<'a> {
     }
 
     fn next_seq(&self) -> Result<u64, HistoryError> {
-        // The highest existing key + 1; scan is fine at curation volumes
-        // and keeps the store free of counter state.
+        // The highest existing key + 1, read from the keys alone: no
+        // earlier entry's value is copied, and the store keeps no
+        // counter state.
         Ok(self
             .store
-            .scan(HISTORY_TABLE)?
+            .scan_keys(HISTORY_TABLE)?
             .last()
-            .and_then(|(k, _)| String::from_utf8(k.clone()).ok())
+            .and_then(|k| std::str::from_utf8(k).ok())
             .and_then(|s| s.parse::<u64>().ok())
             .map(|s| s + 1)
             .unwrap_or(0))
@@ -234,6 +235,29 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].seq, 0);
         assert_eq!(all[1].seq, 1);
+    }
+
+    #[test]
+    fn a_later_persist_reads_no_earlier_values() {
+        let s = store("keys-only");
+        let h = HistoryStore::new(&s);
+        let mut log = CurationLog::new();
+        for i in 0..20 {
+            log.append("r", "p", change("f", None, &i.to_string()));
+        }
+        h.persist(&log).unwrap();
+        let value_bytes = s
+            .engine()
+            .metrics_registry()
+            .counter("preserva_storage_value_bytes_read_total", "");
+        let before = value_bytes.get();
+        assert_eq!(h.persist(&log).unwrap(), 20);
+        assert_eq!(
+            value_bytes.get(),
+            before,
+            "finding the next sequence number copied earlier entries"
+        );
+        assert_eq!(h.all().unwrap().last().unwrap().seq, 39);
     }
 
     #[test]

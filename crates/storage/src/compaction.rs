@@ -1,4 +1,4 @@
-//! Leveled compaction: planning and the streaming k-way merge.
+//! Leveled compaction: planning and the fold rules a merge applies.
 //!
 //! The tiered store accumulates runs at level 1 (one per memtable flush).
 //! When a level holds more than `max_runs_per_level` runs, compaction
@@ -36,13 +36,12 @@
 //!   renamed, then the manifest is swapped; input files are deleted last.
 //!   Recovery removes temp files and any run not in the manifest.
 
-use std::collections::VecDeque;
-
+use crate::cursor::{Layer, MergeCursor};
 use crate::error::StorageResult;
 use crate::manifest::RunEntry;
-use crate::memtable::{NsKey, RangeTombstone};
+use crate::memtable::{RangeTombstone, VersionRef};
 use crate::snapshot::Lsn;
-use crate::sstable::{RunIter, VersionedEntry};
+use crate::sstable::{Run, Versions};
 
 /// Tuning knobs for the compactor, carried inside `EngineOptions`.
 #[derive(Debug, Clone)]
@@ -144,52 +143,52 @@ pub fn fold_ranges(
         .collect()
 }
 
-/// Streaming k-way merge over run iterators ordered newest-first.
+/// The fold rules applied to the merge of a compaction's input runs.
 ///
 /// Yields versions in `(key asc, lsn desc)` order — exactly the
-/// [`write_run`](crate::sstable::write_run) input contract. Per key:
-/// every version above the fold horizon survives verbatim; of the
-/// versions at or below it only the newest is emitted, unless a
-/// covering range tombstone at or below the horizon shadows it or it is
-/// a point tombstone at the bottom level. Layer LSN-disjointness means
-/// concatenating a key's versions across inputs in precedence order is
-/// already LSN-descending; should two versions share an LSN, the tie
-/// breaks by precedence. Memory stays
-/// bounded by one block per input plus one key's version chain. Errors
-/// from any input end the merge and surface to the caller (the
-/// compaction aborts and the inputs stay in place).
+/// [`write_run`](crate::sstable::write_run) input contract — from the
+/// same `MergeCursor` every multi-key read walks. Per key: every
+/// version above the fold horizon survives verbatim; of the versions at
+/// or below it only the newest is emitted, unless a covering range
+/// tombstone at or below the horizon shadows it or it is a point
+/// tombstone at the bottom level. Layer LSN-disjointness means a key's
+/// versions across inputs in precedence order are already
+/// LSN-descending; should two versions share an LSN, the tie breaks by
+/// precedence. Memory stays bounded by one block per input. Errors from
+/// any input end the merge and surface to the caller (the compaction
+/// aborts and the inputs stay in place).
 pub struct Merge<'a> {
-    heads: Vec<std::iter::Peekable<RunIter<'a>>>,
+    cursor: MergeCursor<'a>,
     drop_tombstones: bool,
     horizon: Lsn,
     ranges: Vec<RangeTombstone>,
-    pending: VecDeque<VersionedEntry>,
+    /// Whether the current key's newest version at or below the horizon
+    /// has been decided.
+    resolved: bool,
     versions_folded: u64,
     range_tombstones_applied: u64,
-    failed: bool,
 }
 
 impl<'a> Merge<'a> {
-    /// Build a merge over `iters`, which must be ordered newest-first —
-    /// the position in the vector is the precedence. `ranges` is the
+    /// Build a merge over `runs`, which must be ordered newest-first —
+    /// the position in the slice is the precedence. `ranges` is the
     /// union of the inputs' range tombstones (used for shadowing;
     /// filtering the output records is [`fold_ranges`]' job) and
     /// `horizon` the oldest LSN any live reader can be pinned at.
     pub fn new(
-        iters: Vec<RunIter<'a>>,
+        runs: &[&'a Run],
         drop_tombstones: bool,
         horizon: Lsn,
         ranges: Vec<RangeTombstone>,
     ) -> Merge<'a> {
         Merge {
-            heads: iters.into_iter().map(Iterator::peekable).collect(),
+            cursor: MergeCursor::new(runs.iter().map(|r| Layer::Run(r.cursor(None))).collect()),
             drop_tombstones,
             horizon,
             ranges,
-            pending: VecDeque::new(),
+            resolved: false,
             versions_folded: 0,
             range_tombstones_applied: 0,
-            failed: false,
         }
     }
 
@@ -206,86 +205,42 @@ impl<'a> Merge<'a> {
     }
 }
 
-impl Iterator for Merge<'_> {
-    type Item = StorageResult<VersionedEntry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
+impl Versions for Merge<'_> {
+    fn for_each_version(
+        &mut self,
+        f: &mut dyn FnMut(VersionRef<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
         loop {
-            if let Some(entry) = self.pending.pop_front() {
-                return Some(Ok(entry));
+            self.cursor.advance()?;
+            let Some(version @ (table, key, lsn, value)) = self.cursor.current() else {
+                return Ok(());
+            };
+            self.resolved &= !self.cursor.starts_key();
+            if lsn > self.horizon {
+                f(version)?;
+                continue;
             }
-            // Find the smallest key across heads.
-            let mut min_key: Option<NsKey> = None;
-            for head in self.heads.iter_mut() {
-                match head.peek() {
-                    Some(Ok((k, _, _))) if min_key.as_ref().is_none_or(|m| k < m) => {
-                        min_key = Some(k.clone());
-                    }
-                    Some(Ok(_)) => {}
-                    Some(Err(_)) => {
-                        self.failed = true;
-                        match head.next() {
-                            Some(Err(e)) => return Some(Err(e)),
-                            _ => unreachable!("peeked an error"),
-                        }
-                    }
-                    None => {}
-                }
+            if self.resolved {
+                // An older sibling of the version that already decided
+                // the at-or-below-horizon verdict: invisible to every
+                // possible reader.
+                self.versions_folded += 1;
+                continue;
             }
-            let min_key = min_key?;
-            // Drain every version of the key, precedence order = lsn desc.
-            let mut versions: Vec<(Lsn, Option<Vec<u8>>)> = Vec::new();
-            for head in self.heads.iter_mut() {
-                loop {
-                    match head.peek() {
-                        Some(Ok((k, _, _))) if *k == min_key => {
-                            let (_, lsn, v) = head.next().expect("peeked").expect("peeked Ok");
-                            versions.push((lsn, v));
-                        }
-                        Some(Err(_)) => {
-                            self.failed = true;
-                            match head.next() {
-                                Some(Err(e)) => return Some(Err(e)),
-                                _ => unreachable!("peeked an error"),
-                            }
-                        }
-                        _ => break,
-                    }
-                }
+            self.resolved = true;
+            let horizon = self.horizon;
+            let shadowed = self
+                .ranges
+                .iter()
+                .any(|rt| rt.lsn <= horizon && rt.lsn > lsn && rt.covers(table, key));
+            if shadowed {
+                self.versions_folded += 1;
+                self.range_tombstones_applied += 1;
+            } else if self.drop_tombstones && value.is_none() {
+                self.versions_folded += 1;
+            } else {
+                f(version)?;
             }
-            let (table, key) = &min_key;
-            let mut resolved_below_horizon = false;
-            for (lsn, value) in versions {
-                if lsn > self.horizon {
-                    self.pending.push_back((min_key.clone(), lsn, value));
-                    continue;
-                }
-                if resolved_below_horizon {
-                    // An older sibling of the version that already decided
-                    // the at-or-below-horizon verdict: invisible to every
-                    // possible reader.
-                    self.versions_folded += 1;
-                    continue;
-                }
-                resolved_below_horizon = true;
-                let shadowed = self
-                    .ranges
-                    .iter()
-                    .any(|rt| rt.lsn <= self.horizon && rt.lsn > lsn && rt.covers(table, key));
-                if shadowed {
-                    self.versions_folded += 1;
-                    self.range_tombstones_applied += 1;
-                } else if self.drop_tombstones && value.is_none() {
-                    self.versions_folded += 1;
-                } else {
-                    self.pending.push_back((min_key.clone(), lsn, value));
-                }
-            }
-            // Every surviving version is queued; loop re-checks pending
-            // (it may be empty when the whole key folded away).
         }
     }
 }
@@ -293,7 +248,9 @@ impl Iterator for Merge<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sstable::{write_run, Run};
+    use crate::memtable::NsKey;
+    use crate::sstable::{borrowed, write_run, VersionedEntry};
+    use crate::StorageError;
     use std::path::PathBuf;
 
     fn entry(level: u32, id: u64) -> RunEntry {
@@ -391,21 +348,36 @@ mod tests {
         ranges: &[RangeTombstone],
     ) -> Run {
         let path = dir.join(name);
-        write_run(
-            &path,
-            1,
-            rows.len() as u64,
-            rows.iter().map(|(k, lsn, v)| {
-                Ok((
+        let entries: Vec<VersionedEntry> = rows
+            .iter()
+            .map(|(k, lsn, v)| {
+                (
                     ("t".to_string(), k.as_bytes().to_vec()),
                     *lsn,
                     v.map(|x| x.as_bytes().to_vec()),
-                ))
-            }),
-            ranges,
-        )
-        .unwrap();
+                )
+            })
+            .collect();
+        write_run(&path, 1, rows.len() as u64, &mut borrowed(&entries), ranges).unwrap();
         Run::open(&path).unwrap()
+    }
+
+    /// Every version `merge` yields, copied out; a read error ends the
+    /// list.
+    fn drain(merge: &mut Merge<'_>) -> Vec<Result<VersionedEntry, StorageError>> {
+        let mut out = Vec::new();
+        let copy = &mut |(t, k, lsn, v): VersionRef<'_>| {
+            out.push(Ok((
+                (t.to_string(), k.to_vec()),
+                lsn,
+                v.map(<[u8]>::to_vec),
+            )));
+            Ok(())
+        };
+        if let Err(e) = merge.for_each_version(copy) {
+            out.push(Err(e));
+        }
+        out
     }
 
     fn key(k: &str) -> NsKey {
@@ -429,7 +401,8 @@ mod tests {
             ],
         );
 
-        let folded: Vec<_> = Merge::new(vec![new.iter(), old.iter()], true, Lsn::MAX, Vec::new())
+        let folded: Vec<_> = drain(&mut Merge::new(&[&new, &old], true, Lsn::MAX, Vec::new()))
+            .into_iter()
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(
@@ -440,8 +413,8 @@ mod tests {
             ]
         );
 
-        let mut merge = Merge::new(vec![new.iter(), old.iter()], false, Lsn::MAX, Vec::new());
-        let kept: Vec<_> = merge.by_ref().map(|r| r.unwrap()).collect();
+        let mut merge = Merge::new(&[&new, &old], false, Lsn::MAX, Vec::new());
+        let kept: Vec<_> = drain(&mut merge).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(kept.len(), 3, "tombstone survives when not at bottom");
         assert_eq!(kept[1], (key("b"), 10, None));
         assert_eq!(merge.versions_folded(), 2, "b@2 and c@3 folded");
@@ -458,8 +431,8 @@ mod tests {
         );
         // A reader pinned at 5 must still see v4; readers ≥ 7 see the
         // newer versions. Only v2 is invisible to everyone.
-        let mut merge = Merge::new(vec![new.iter(), old.iter()], true, 5, Vec::new());
-        let out: Vec<_> = merge.by_ref().map(|r| r.unwrap()).collect();
+        let mut merge = Merge::new(&[&new, &old], true, 5, Vec::new());
+        let out: Vec<_> = drain(&mut merge).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(
             out,
             vec![
@@ -471,7 +444,8 @@ mod tests {
         assert_eq!(merge.versions_folded(), 1, "only v2 folds");
 
         // With the horizon above everything the chain collapses to v9.
-        let out: Vec<_> = Merge::new(vec![new.iter(), old.iter()], true, Lsn::MAX, Vec::new())
+        let out: Vec<_> = drain(&mut Merge::new(&[&new, &old], true, Lsn::MAX, Vec::new()))
+            .into_iter()
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(out, vec![(key("k"), 9, Some(b"v9".to_vec()))]);
@@ -501,8 +475,8 @@ mod tests {
         // version at or below the horizon but the range tombstone at 6
         // (≤ horizon, > 3, covering "b") shadows it — no reader can see
         // it. z is outside the tombstone's range and survives.
-        let mut merge = Merge::new(vec![new.iter(), old.iter()], true, 7, vec![rt.clone()]);
-        let out: Vec<_> = merge.by_ref().map(|r| r.unwrap()).collect();
+        let mut merge = Merge::new(&[&new, &old], true, 7, vec![rt.clone()]);
+        let out: Vec<_> = drain(&mut merge).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(
             out,
             vec![
@@ -533,8 +507,7 @@ mod tests {
         std::fs::write(dir.join("bad.sst"), &bytes).unwrap();
         let bad = Run::open(dir.join("bad.sst").as_path()).unwrap();
 
-        let results: Vec<_> =
-            Merge::new(vec![bad.iter(), good.iter()], true, Lsn::MAX, Vec::new()).collect();
+        let results = drain(&mut Merge::new(&[&bad, &good], true, Lsn::MAX, Vec::new()));
         assert!(results.iter().any(|r| r.is_err()), "corruption surfaced");
     }
 }

@@ -28,14 +28,16 @@
 //!
 //! ## Read path
 //!
-//! Reads merge memtable → frozen memtable (when a flush is in flight) →
-//! runs in `(level asc, id desc)` order — level 1 always holds the
+//! Reads consult memtable → frozen memtable (when a flush is in flight)
+//! → runs in `(level asc, id desc)` order — level 1 always holds the
 //! newest versions, ids order runs within a level. Point gets consult
 //! each run's bloom filter and block index, touching at most one data
-//! block per run. Reads take no global lock: the memtables sit behind
-//! `RwLock`s and the run set is an immutable `Arc` snapshot swapped
-//! atomically, so reads proceed concurrently with writers, flushes and
-//! compaction.
+//! block per run. Scans, counts and key listings walk one merge cursor
+//! over those layers (see `cursor.rs`) and take each key's highest LSN
+//! at or below the read LSN. Reads take no global lock: the memtables
+//! sit behind `RwLock`s and the run set is an immutable `Arc` snapshot
+//! swapped atomically, so reads proceed concurrently with writers,
+//! flushes and compaction.
 //!
 //! ## MVCC
 //!
@@ -102,11 +104,12 @@ use std::time::Instant;
 use preserva_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::compaction::{self, CompactionOptions};
+use crate::cursor::{Copied, Layer, MergeCursor, Span};
 use crate::error::{StorageError, StorageResult};
 use crate::manifest::{self, RunEntry};
-use crate::memtable::{Memtable, NsKey, RangeTombstone};
+use crate::memtable::{Memtable, RangeTombstone};
 use crate::snapshot::{Lsn, SnapshotRegistry};
-use crate::sstable::{self, Run, RunLookup, RunSummary, Version};
+use crate::sstable::{self, Run, RunLookup, RunSummary, Versions};
 use crate::wal::{self, Wal, WalRecord};
 
 pub use crate::wal::BatchOp;
@@ -512,33 +515,53 @@ impl Core {
         Ok(None)
     }
 
-    /// Range tombstones of every layer that apply to `table` at or below
-    /// `max_lsn`. The merged per-key winners are checked against these:
-    /// a winner loses to any covering tombstone with a larger LSN.
-    fn visible_rts(
+    /// Visit each live row of `range` — of every table when `None` — at
+    /// `max_lsn`, in `(table, key)` order: one [`MergeCursor`] over the
+    /// active memtable, the frozen one and the runs. A key's highest LSN
+    /// at or below `max_lsn` across the layers wins, then loses to a
+    /// point tombstone or to a newer covering range tombstone. The active
+    /// memtable's in-range versions and its range tombstones are copied
+    /// under one read lock; the frozen memtable and the runs are
+    /// borrowed. Each layer holds a contiguous stretch of LSNs and data
+    /// only moves active → frozen → runs, so layers sampled one after
+    /// another while a flush moves data down together hold every commit
+    /// up to some LSN, some of them twice: the highest LSN per key is
+    /// that commit's state.
+    fn read(
         &self,
-        table: &str,
+        range: Option<Span<'_>>,
         max_lsn: Lsn,
-        view: &[Arc<RunHandle>],
-        frozen: Option<&Memtable>,
-    ) -> Vec<RangeTombstone> {
-        let mut rts: Vec<RangeTombstone> = Vec::new();
-        let keep = |rt: &&RangeTombstone| rt.table == table && rt.lsn <= max_lsn;
-        for handle in view {
-            rts.extend(handle.run.ranges().iter().filter(keep).cloned());
+        mut f: impl FnMut(&str, &[u8], &[u8]),
+    ) -> StorageResult<()> {
+        let applies =
+            |rt: &&RangeTombstone| rt.lsn <= max_lsn && range.is_none_or(|s| rt.table == s.table);
+        let (active, mut rts) = {
+            let mem = self.mem.read().expect("engine poisoned");
+            let active: Copied = mem.versions(range).filter(|v| v.2 <= max_lsn).collect();
+            let rts: Vec<RangeTombstone> = mem.ranges().iter().filter(applies).cloned().collect();
+            (active, rts)
+        };
+        let frozen = self.frozen.read().expect("engine poisoned").clone();
+        let view = self.view();
+        let mut layers = vec![Layer::mem(active.versions())];
+        if let Some(frozen) = frozen.as_deref() {
+            rts.extend(frozen.ranges().iter().filter(applies).cloned());
+            let versions = frozen.versions(range);
+            layers.push(Layer::mem(
+                versions.map(|(t, k, lsn, v)| (t.as_bytes(), k, lsn, v)),
+            ));
         }
-        if let Some(frozen) = frozen {
-            rts.extend(frozen.ranges().iter().filter(keep).cloned());
+        for handle in view.iter() {
+            rts.extend(handle.run.ranges().iter().filter(applies).cloned());
+            layers.push(Layer::Run(handle.run.cursor(range)));
         }
-        let mem = self.mem.read().expect("engine poisoned");
-        rts.extend(mem.ranges().iter().filter(keep).cloned());
-        rts
-    }
-
-    /// Does any tombstone in `rts` (already table-filtered) shadow a
-    /// version of `key` committed at `lsn`?
-    fn rt_shadows(rts: &[RangeTombstone], table: &str, key: &[u8], lsn: Lsn) -> bool {
-        rts.iter().any(|rt| rt.lsn > lsn && rt.covers(table, key))
+        MergeCursor::new(layers).for_each_newest(max_lsn, |(table, key, lsn, value)| {
+            if let Some(value) = value {
+                if !rts.iter().any(|rt| rt.lsn > lsn && rt.covers(table, key)) {
+                    f(table, key, value);
+                }
+            }
+        })
     }
 
     fn scan(
@@ -549,103 +572,28 @@ impl Core {
         max_lsn: Lsn,
     ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         self.metrics.scans.inc();
-        // Capture layers in freshness order — active, then frozen, then
-        // the run view (see `get`): data only ever moves active → frozen
-        // → runs, so this order can duplicate an entry but never lose
-        // one; newer layers are applied last and overwrite. Each layer
-        // contributes its newest version at or below the read LSN per
-        // key; cross-layer, LSN-disjointness makes "later layer wins"
-        // the correct merge.
-        let mem_rows: Vec<(Vec<u8>, Lsn, Option<Vec<u8>>)> = {
-            let mem = self.mem.read().expect("engine poisoned");
-            mem.range(table, start, end, max_lsn)
-                .map(|(k, lsn, v)| (k.to_vec(), lsn, v.map(|x| x.to_vec())))
-                .collect()
-        };
-        let frozen = self.frozen.read().expect("engine poisoned").clone();
-        let frozen_rows: Vec<(Vec<u8>, Lsn, Option<Vec<u8>>)> = frozen
-            .as_ref()
-            .map(|frozen| {
-                frozen
-                    .range(table, start, end, max_lsn)
-                    .map(|(k, lsn, v)| (k.to_vec(), lsn, v.map(|x| x.to_vec())))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let view = self.view();
-        let mut merged: BTreeMap<Vec<u8>, (Lsn, Option<Vec<u8>>)> = BTreeMap::new();
-        for handle in view.iter().rev() {
-            // oldest → newest so newer runs overwrite
-            handle
-                .run
-                .scan_range(table, start, end, max_lsn, &mut |k, lsn, v| {
-                    merged.insert(k.to_vec(), (lsn, v.map(|x| x.to_vec())));
-                })?;
-        }
-        for (k, lsn, v) in frozen_rows {
-            merged.insert(k, (lsn, v));
-        }
-        for (k, lsn, v) in mem_rows {
-            merged.insert(k, (lsn, v));
-        }
-        let rts = self.visible_rts(table, max_lsn, &view, frozen.as_deref());
-        let rows: Vec<(Vec<u8>, Vec<u8>)> = merged
-            .into_iter()
-            .filter(|(k, (lsn, _))| !Self::rt_shadows(&rts, table, k, *lsn))
-            .filter_map(|(k, (_, v))| v.map(|v| (k, v)))
-            .collect();
-        self.metrics
-            .value_bytes_read
-            .add(rows.iter().map(|(_, v)| v.len() as u64).sum());
+        let mut rows = Vec::new();
+        let mut value_bytes = 0;
+        self.read(Some(Span::range(table, start, end)), max_lsn, |_, k, v| {
+            value_bytes += v.len() as u64;
+            rows.push((k.to_vec(), v.to_vec()));
+        })?;
+        self.metrics.value_bytes_read.add(value_bytes);
         Ok(rows)
     }
 
+    /// Live keys of `table`, without copying a single key or value byte.
     fn count(&self, table: &str, max_lsn: Lsn) -> StorageResult<usize> {
         self.metrics.scans.inc();
-        let mem_rows: Vec<(Vec<u8>, Lsn, bool)> = {
-            let mem = self.mem.read().expect("engine poisoned");
-            mem.range(table, b"", None, max_lsn)
-                .map(|(k, lsn, v)| (k.to_vec(), lsn, v.is_some()))
-                .collect()
-        };
-        let frozen = self.frozen.read().expect("engine poisoned").clone();
-        let frozen_rows: Vec<(Vec<u8>, Lsn, bool)> = frozen
-            .as_ref()
-            .map(|frozen| {
-                frozen
-                    .range(table, b"", None, max_lsn)
-                    .map(|(k, lsn, v)| (k.to_vec(), lsn, v.is_some()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let view = self.view();
-        // live[key] = (lsn, is the newest visible version a value)?
-        // Keys are copied; value bytes never are — the regression test
-        // pins the `value_bytes_read` family to prove it.
-        let mut live: BTreeMap<Vec<u8>, (Lsn, bool)> = BTreeMap::new();
-        for handle in view.iter().rev() {
-            handle
-                .run
-                .scan_range(table, b"", None, max_lsn, &mut |k, lsn, v| {
-                    live.insert(k.to_vec(), (lsn, v.is_some()));
-                })?;
-        }
-        for (k, lsn, alive) in frozen_rows {
-            live.insert(k, (lsn, alive));
-        }
-        for (k, lsn, alive) in mem_rows {
-            live.insert(k, (lsn, alive));
-        }
-        let rts = self.visible_rts(table, max_lsn, &view, frozen.as_deref());
-        Ok(live
-            .into_iter()
-            .filter(|(k, (lsn, alive))| *alive && !Self::rt_shadows(&rts, table, k, *lsn))
-            .count())
+        let mut live = 0;
+        self.read(Some(Span::range(table, b"", None)), max_lsn, |_, _, _| {
+            live += 1
+        })?;
+        Ok(live)
     }
 
     /// Live keys of `table` in `[start, end)`, sorted, without
-    /// materializing a single value byte — the same merge as `count`
-    /// but keeping the surviving keys instead of tallying them.
+    /// materializing a single value byte.
     fn scan_keys(
         &self,
         table: &str,
@@ -654,111 +602,20 @@ impl Core {
         max_lsn: Lsn,
     ) -> StorageResult<Vec<Vec<u8>>> {
         self.metrics.scans.inc();
-        let mem_rows: Vec<(Vec<u8>, Lsn, bool)> = {
-            let mem = self.mem.read().expect("engine poisoned");
-            mem.range(table, start, end, max_lsn)
-                .map(|(k, lsn, v)| (k.to_vec(), lsn, v.is_some()))
-                .collect()
-        };
-        let frozen = self.frozen.read().expect("engine poisoned").clone();
-        let frozen_rows: Vec<(Vec<u8>, Lsn, bool)> = frozen
-            .as_ref()
-            .map(|frozen| {
-                frozen
-                    .range(table, start, end, max_lsn)
-                    .map(|(k, lsn, v)| (k.to_vec(), lsn, v.is_some()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let view = self.view();
-        let mut live: BTreeMap<Vec<u8>, (Lsn, bool)> = BTreeMap::new();
-        for handle in view.iter().rev() {
-            handle
-                .run
-                .scan_range(table, start, end, max_lsn, &mut |k, lsn, v| {
-                    live.insert(k.to_vec(), (lsn, v.is_some()));
-                })?;
-        }
-        for (k, lsn, alive) in frozen_rows {
-            live.insert(k, (lsn, alive));
-        }
-        for (k, lsn, alive) in mem_rows {
-            live.insert(k, (lsn, alive));
-        }
-        let rts = self.visible_rts(table, max_lsn, &view, frozen.as_deref());
-        Ok(live
-            .into_iter()
-            .filter(|(k, (lsn, alive))| *alive && !Self::rt_shadows(&rts, table, k, *lsn))
-            .map(|(k, _)| k)
-            .collect())
+        let mut keys = Vec::new();
+        self.read(Some(Span::range(table, start, end)), max_lsn, |_, k, _| {
+            keys.push(k.to_vec())
+        })?;
+        Ok(keys)
     }
 
     fn tables(&self, max_lsn: Lsn) -> StorageResult<Vec<String>> {
-        // Reduce a (key asc, lsn desc) version stream to the newest
-        // version at or below the read LSN per key.
-        fn newest_visible(
-            live: &mut BTreeMap<NsKey, (Lsn, bool)>,
-            stream: impl Iterator<Item = (NsKey, Lsn, bool)>,
-            max_lsn: Lsn,
-        ) {
-            let mut done: Option<NsKey> = None;
-            for (k, lsn, alive) in stream {
-                if lsn > max_lsn || done.as_ref() == Some(&k) {
-                    continue;
-                }
-                live.insert(k.clone(), (lsn, alive));
-                done = Some(k);
+        let mut names: Vec<String> = Vec::new();
+        self.read(None, max_lsn, |table, _, _| {
+            if names.last().is_none_or(|last| last != table) {
+                names.push(table.to_string());
             }
-        }
-        fn versions(mem: &Memtable) -> Vec<(NsKey, Lsn, bool)> {
-            mem.iter()
-                .map(|(t, k, lsn, v)| ((t.to_string(), k.to_vec()), lsn, v.is_some()))
-                .collect()
-        }
-        let mem_rows = versions(&self.mem.read().expect("engine poisoned"));
-        let frozen = self.frozen.read().expect("engine poisoned").clone();
-        let frozen_rows = frozen.as_deref().map(versions).unwrap_or_default();
-        let view = self.view();
-        let mut live: BTreeMap<NsKey, (Lsn, bool)> = BTreeMap::new();
-        let mut rts: Vec<RangeTombstone> = Vec::new();
-        for handle in view.iter().rev() {
-            let mut rows = Vec::new();
-            for item in handle.run.iter() {
-                let (k, lsn, v) = item?;
-                rows.push((k, lsn, v.is_some()));
-            }
-            newest_visible(&mut live, rows.into_iter(), max_lsn);
-            rts.extend(
-                handle
-                    .run
-                    .ranges()
-                    .iter()
-                    .filter(|rt| rt.lsn <= max_lsn)
-                    .cloned(),
-            );
-        }
-        if let Some(frozen) = frozen.as_deref() {
-            rts.extend(
-                frozen
-                    .ranges()
-                    .iter()
-                    .filter(|rt| rt.lsn <= max_lsn)
-                    .cloned(),
-            );
-        }
-        newest_visible(&mut live, frozen_rows.into_iter(), max_lsn);
-        {
-            let mem = self.mem.read().expect("engine poisoned");
-            rts.extend(mem.ranges().iter().filter(|rt| rt.lsn <= max_lsn).cloned());
-        }
-        newest_visible(&mut live, mem_rows.into_iter(), max_lsn);
-        let mut names: Vec<String> = live
-            .into_iter()
-            .filter_map(|((t, k), (lsn, alive))| {
-                (alive && !Self::rt_shadows(&rts, &t, &k, lsn)).then_some(t)
-            })
-            .collect();
-        names.dedup();
+        })?;
         Ok(names)
     }
 
@@ -880,10 +737,10 @@ impl Core {
         let n = rows.len() as u64;
         let wal = self.wal.lock().expect("engine poisoned");
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
-        let entries = rows
-            .into_iter()
-            .map(|(table, key, value)| Ok(((table, key), lsn, Some(value))));
-        let (id, summary) = self.install_run(1, n, entries, &[], &[])?;
+        let mut versions = rows.iter().map(|(table, key, value)| {
+            (table.as_str(), key.as_slice(), lsn, Some(value.as_slice()))
+        });
+        let (id, summary) = self.install_run(1, n, &mut versions, &[], &[])?;
         // Publish while still holding the WAL lock: a snapshot pinned the
         // instant after this returns must see the whole batch.
         self.committed_lsn.store(lsn, Ordering::SeqCst);
@@ -962,7 +819,7 @@ impl Core {
         // compaction may fold, and only below the horizon. Versions
         // stream borrowed: the frozen memtable is never copied.
         let (id, summary) =
-            self.install_run(1, flushed, snapshot.iter().map(Ok), snapshot.ranges(), &[])?;
+            self.install_run(1, flushed, &mut snapshot.iter(), snapshot.ranges(), &[])?;
         // Retire the frozen memtable only once the run is in the view:
         // readers consult `frozen` before the view, so in between they
         // see its rows twice, never zero times.
@@ -1004,21 +861,17 @@ impl Core {
     ///
     /// Retired run files and anything else the new run supersedes are
     /// the caller's to delete, after this returns.
-    fn install_run<I, V>(
+    fn install_run(
         &self,
         level: u32,
         expected_entries: u64,
-        entries: I,
+        versions: &mut impl Versions,
         ranges: &[RangeTombstone],
         retired: &[u64],
-    ) -> StorageResult<(u64, RunSummary)>
-    where
-        I: IntoIterator<Item = StorageResult<V>>,
-        V: Version,
-    {
+    ) -> StorageResult<(u64, RunSummary)> {
         let id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
         let tmp = run_tmp_path(&self.dir, id);
-        let summary = sstable::write_run(&tmp, level, expected_entries, entries, ranges)
+        let summary = sstable::write_run(&tmp, level, expected_entries, versions, ranges)
             .inspect_err(|_| {
                 let _ = std::fs::remove_file(&tmp);
             })?;
@@ -1136,12 +989,8 @@ impl Core {
             .flat_map(|h| h.run.ranges().iter().cloned())
             .collect();
         let out_ranges = compaction::fold_ranges(&input_ranges, task.drop_tombstones, horizon);
-        let mut merge = compaction::Merge::new(
-            inputs.iter().map(|h| h.run.iter()).collect(),
-            task.drop_tombstones,
-            horizon,
-            input_ranges,
-        );
+        let runs: Vec<&Run> = inputs.iter().map(|h| &h.run).collect();
+        let mut merge = compaction::Merge::new(&runs, task.drop_tombstones, horizon, input_ranges);
         // `input_entries` over-counts the output (shadowed versions and
         // folded tombstones drop out) — fine for a bloom sizing bound.
         let (out_id, summary) = self.install_run(
@@ -1537,8 +1386,8 @@ impl Engine {
     }
 
     /// Range scan over `table`: keys in `[start, end)`, `end = None` meaning
-    /// unbounded. Returns owned pairs sorted by key, newer layers shadowing
-    /// older ones, tombstones suppressed.
+    /// unbounded. Returns owned pairs sorted by key, each key's highest
+    /// LSN winning across layers, tombstones suppressed.
     pub fn scan(
         &self,
         table: &str,
@@ -2505,18 +2354,18 @@ mod tests {
     fn forge_inverted_id_layout(dir: &Path) {
         std::fs::create_dir_all(dir).unwrap();
         let entry = |key: &[u8], value: Option<&[u8]>| {
-            Ok((
+            (
                 ("t".to_string(), key.to_vec()),
                 1,
                 value.map(<[u8]>::to_vec),
-            ))
+            )
         };
         // Newer flush run: lower id, level 1.
         sstable::write_run(
             &manifest::run_path(dir, 10),
             1,
             2,
-            vec![entry(b"del", None), entry(b"k", Some(b"new"))],
+            &mut sstable::borrowed(&[entry(b"del", None), entry(b"k", Some(b"new"))]),
             &[],
         )
         .unwrap();
@@ -2525,7 +2374,7 @@ mod tests {
             &manifest::run_path(dir, 11),
             2,
             2,
-            vec![entry(b"del", Some(b"zombie")), entry(b"k", Some(b"old"))],
+            &mut sstable::borrowed(&[entry(b"del", Some(b"zombie")), entry(b"k", Some(b"old"))]),
             &[],
         )
         .unwrap();

@@ -54,6 +54,7 @@
 pub mod codec;
 pub mod compaction;
 pub mod crc32;
+mod cursor;
 pub mod engine;
 pub mod error;
 pub mod journal;

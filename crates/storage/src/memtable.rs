@@ -19,6 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+use crate::cursor::Span;
 use crate::snapshot::Lsn;
 use crate::wal::BatchOp;
 
@@ -155,32 +156,47 @@ impl Memtable {
         end: Option<&[u8]>,
         max_lsn: Lsn,
     ) -> impl Iterator<Item = (&'a [u8], Lsn, Option<&'a [u8]>)> + 'a {
-        // An inverted range is empty, not a panic (BTreeMap::range panics
-        // on start > end).
-        let inverted = matches!(end, Some(e) if e < start);
-        let start: &[u8] = if inverted { &[] } else { start };
-        let end = if inverted { Some(&[][..]) } else { end };
-        // `Reverse(Lsn::MAX)` sorts first among a key's versions, so
-        // these bounds take every version of `start` and none of `end`.
-        let lo = Bound::Included(((table.to_string(), start.to_vec()), Reverse(Lsn::MAX)));
-        let hi = match end {
-            Some(e) => Bound::Excluded(((table.to_string(), e.to_vec()), Reverse(Lsn::MAX))),
-            None => Bound::Unbounded,
-        };
-        let table_owned = table.to_string();
         let mut last: Option<&'a [u8]> = None;
-        self.entries
-            .range((lo, hi))
-            .take_while(move |(((t, _), _), _)| *t == table_owned)
-            .filter_map(move |(((_, k), Reverse(lsn)), v)| {
+        self.versions(Some(Span::range(table, start, end)))
+            .filter_map(move |(_, k, lsn, v)| {
                 // Versions run newest first: the first one at or below
                 // the pin answers for its key, the rest are stepped over.
-                if *lsn > max_lsn || last == Some(k.as_slice()) {
+                if lsn > max_lsn || last == Some(k) {
                     return None;
                 }
-                last = Some(k.as_slice());
-                Some((k.as_slice(), *lsn, v.as_deref()))
+                last = Some(k);
+                Some((k, lsn, v))
             })
+    }
+
+    /// Every version in `span` — of every table when `None` — borrowed
+    /// and ordered `(key asc, lsn desc)`, as a read merges them.
+    pub(crate) fn versions(&self, span: Option<Span<'_>>) -> impl Iterator<Item = VersionRef<'_>> {
+        // `Reverse(Lsn::MAX)` sorts first among a key's versions and
+        // `Reverse(0)` last.
+        let at = |table: &str, key: &[u8], lsn| ((table.to_string(), key.to_vec()), Reverse(lsn));
+        let (lo, hi, table) = match span {
+            None => (Bound::Unbounded, Bound::Unbounded, None),
+            // An empty span is an empty range, not a panic (BTreeMap::range
+            // panics on start > end).
+            Some(s) if s.is_empty() => {
+                let lo = at(s.table, s.start, Lsn::MAX);
+                (Bound::Included(lo.clone()), Bound::Excluded(lo), None)
+            }
+            Some(s) => {
+                let hi = match s.end {
+                    Bound::Included(e) => Bound::Included(at(s.table, e, 0)),
+                    Bound::Excluded(e) => Bound::Excluded(at(s.table, e, Lsn::MAX)),
+                    Bound::Unbounded => Bound::Unbounded,
+                };
+                let lo = Bound::Included(at(s.table, s.start, Lsn::MAX));
+                (lo, hi, Some(s.table.to_string()))
+            }
+        };
+        self.entries
+            .range((lo, hi))
+            .take_while(move |(((t, _), _), _)| table.as_ref().is_none_or(|table| t == table))
+            .map(|(((t, k), Reverse(lsn)), v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
     }
 
     /// The buffered range tombstones, in commit order.
@@ -220,9 +236,7 @@ impl Memtable {
     /// memtable-only flush streams into the run writer while the engine
     /// keeps serving reads out of the live memtable.
     pub fn iter(&self) -> impl Iterator<Item = VersionRef<'_>> {
-        self.entries
-            .iter()
-            .map(|(((t, k), Reverse(lsn)), v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
+        self.versions(None)
     }
 
     /// Largest LSN of any buffered version or range tombstone.

@@ -26,9 +26,22 @@
 //! after the WAL segment holding those commits was deleted by a flush.
 //! Opening a run reads only index + range tombstones + bloom (`tail_crc`
 //! covers exactly that region), so open cost is O(index), not O(data);
-//! each data block carries its own CRC verified on first touch. Point
-//! lookups consult the bloom filter, binary-search the index and read
-//! one data block (more only when a key's versions spill across blocks).
+//! each data block carries its own CRC, verified on every read — no
+//! block is cached.
+//!
+//! Every read of a run goes through one `RunCursor`: it reads one
+//! block at a time into a buffer it reuses, verifies the block's CRC and
+//! decodes each entry in place, lending `(table, key, lsn, value)` out
+//! of the buffer, so walking an entry allocates nothing. It starts at
+//! the block the index names for a span's first key and never reads a
+//! block whose first key lies past the span's end. Point lookups consult
+//! the bloom filter first and walk one key's versions, usually within
+//! one block (more only when the versions spill across blocks). Scans,
+//! counts and compactions walk the run as one layer of the
+//! `MergeCursor` (`cursor.rs`), which merges the layers
+//! of a view by `(key asc, lsn desc)`, so a key's highest LSN wins
+//! whichever layer holds it; compaction applies its fold rules to the
+//! same stream and hands the survivors to [`write_run`] borrowed.
 //!
 //! A file ending in the older v1 magic (`PRUN`, single-version entries
 //! without LSNs) opens as [`StorageError::Unsupported`], never as
@@ -36,10 +49,12 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::codec;
 use crate::crc32;
+use crate::cursor::{Layer, MergeCursor, RawVersion, Span};
 use crate::error::{StorageError, StorageResult};
 use crate::memtable::{NsKey, RangeTombstone, VersionRef};
 use crate::snapshot::Lsn;
@@ -60,28 +75,26 @@ const RUN_FOOTER_LEN: usize = 8 * 6 + 4 * 3;
 const BLOOM_BITS_PER_KEY: u64 = 10;
 const BLOOM_PROBES: u32 = 7;
 
-/// One versioned run entry: namespaced key, commit LSN, value or
-/// point tombstone.
-pub type VersionedEntry = (NsKey, Lsn, Option<Vec<u8>>);
-
-/// A version [`write_run`] can encode without taking ownership: an
-/// owned [`VersionedEntry`] out of a merge or a bulk load, or a
-/// [`VersionRef`] borrowed from a frozen memtable.
-pub trait Version {
-    /// `(table, key, lsn, value)`; a `None` value is a point tombstone.
-    fn parts(&self) -> VersionRef<'_>;
+/// A stream of borrowed versions in `(key asc, lsn desc)` order, as
+/// [`write_run`] takes them: a frozen memtable's versions for a flush,
+/// presorted rows for a bulk load, a compaction's
+/// [`Merge`](crate::compaction::Merge). Each version is lent only for
+/// one call of `f`, so a source may lend out of a buffer it reuses.
+pub trait Versions {
+    /// Hand every version to `f`, in order, stopping at the first error
+    /// from either side.
+    fn for_each_version(
+        &mut self,
+        f: &mut dyn FnMut(VersionRef<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()>;
 }
 
-impl Version for VersionedEntry {
-    fn parts(&self) -> VersionRef<'_> {
-        let ((table, key), lsn, value) = self;
-        (table, key, *lsn, value.as_deref())
-    }
-}
-
-impl Version for VersionRef<'_> {
-    fn parts(&self) -> VersionRef<'_> {
-        *self
+impl<'a, I: Iterator<Item = VersionRef<'a>>> Versions for I {
+    fn for_each_version(
+        &mut self,
+        f: &mut dyn FnMut(VersionRef<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        self.try_for_each(f)
     }
 }
 
@@ -218,38 +231,48 @@ fn encode_entry(out: &mut Vec<u8>, (table, key, lsn, value): VersionRef<'_>) {
     }
 }
 
-/// Decode every entry of a (CRC-verified) data block.
-fn decode_block(block: &[u8]) -> StorageResult<Vec<VersionedEntry>> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < block.len() {
-        let tag = block[pos];
-        pos += 1;
-        let (lsn, n) = codec::get_u64(&block[pos..])?;
-        pos += n;
-        let (table, n) = codec::get_bytes(&block[pos..])?;
-        pos += n;
-        let (key, n) = codec::get_bytes(&block[pos..])?;
-        pos += n;
-        let value = match tag {
-            TAG_LIVE => {
-                let (v, n) = codec::get_bytes(&block[pos..])?;
-                pos += n;
-                Some(v.to_vec())
-            }
-            TAG_TOMBSTONE => None,
-            other => {
-                return Err(StorageError::Corrupt {
-                    offset: pos as u64,
-                    reason: format!("unknown run entry tag {other}"),
-                })
-            }
-        };
-        let table = String::from_utf8(table.to_vec())
-            .map_err(|_| StorageError::Decode("non-utf8 table in run".into()))?;
-        out.push(((table, key.to_vec()), lsn, value));
-    }
-    Ok(out)
+/// Where one entry's parts sit in its data block.
+#[derive(Debug, Clone)]
+struct Entry {
+    lsn: Lsn,
+    table: Range<usize>,
+    key: Range<usize>,
+    /// `None` for a point tombstone.
+    value: Option<Range<usize>>,
+}
+
+/// Decode the entry at `pos` of a CRC-verified data block in place:
+/// where its parts sit, and where the next entry starts.
+fn decode_entry(block: &[u8], pos: usize) -> StorageResult<(Entry, usize)> {
+    let tag = block[pos];
+    let (lsn, n) = codec::get_u64(&block[pos + 1..])?;
+    let mut at = pos + 1 + n;
+    let mut field = || -> StorageResult<Range<usize>> {
+        let (bytes, n) = codec::get_bytes(&block[at..])?;
+        at += n;
+        Ok(at - bytes.len()..at)
+    };
+    let table = field()?;
+    let key = field()?;
+    let value = match tag {
+        TAG_LIVE => Some(field()?),
+        TAG_TOMBSTONE => None,
+        other => {
+            return Err(StorageError::Corrupt {
+                offset: pos as u64,
+                reason: format!("unknown run entry tag {other}"),
+            })
+        }
+    };
+    Ok((
+        Entry {
+            lsn,
+            table,
+            key,
+            value,
+        },
+        at,
+    ))
 }
 
 fn encode_range_tombstones(out: &mut Vec<u8>, ranges: &[RangeTombstone]) {
@@ -302,9 +325,8 @@ fn decode_range_tombstones(buf: &[u8]) -> StorageResult<(Vec<RangeTombstone>, us
     Ok((out, pos))
 }
 
-/// Write `entries` (already sorted ascending by `NsKey`, then LSN
-/// *descending* within a key — a [`Memtable::iter`] stream or a merge
-/// of such streams qualifies) plus `ranges` as a tiered run at
+/// Write `versions` (already sorted ascending by `NsKey`, then LSN
+/// *descending* within a key) plus `ranges` as a tiered run at
 /// `path`, recorded as living at `level`. Streaming: memory use is
 /// bounded by one block plus the index/bloom/range sections, never by
 /// the data set — the bloom filter is sized up front from
@@ -312,21 +334,15 @@ fn decode_range_tombstones(buf: &[u8]) -> StorageResult<(Vec<RangeTombstone>, us
 /// memtable version count for a flush, the summed input entry counts for
 /// a merge) and its bits are set as entries stream through. Overshooting
 /// the bound only lowers the false-positive rate; undershooting raises
-/// it but never produces a false negative. The iterator yields results
-/// so a compaction merge can propagate read errors from its inputs.
-///
-/// [`Memtable::iter`]: crate::memtable::Memtable::iter
-pub fn write_run<I, V>(
+/// it but never produces a false negative. A read error from a
+/// compaction's inputs ends the write and surfaces to the caller.
+pub fn write_run(
     path: &Path,
     level: u32,
     expected_entries: u64,
-    entries: I,
+    versions: &mut impl Versions,
     ranges: &[RangeTombstone],
-) -> StorageResult<RunSummary>
-where
-    I: IntoIterator<Item = StorageResult<V>>,
-    V: Version,
-{
+) -> StorageResult<RunSummary> {
     let file = File::create(path)?;
     let mut w = BufWriter::new(file);
     let mut index: Vec<BlockMeta> = Vec::new();
@@ -360,9 +376,7 @@ where
         Ok(())
     };
 
-    for item in entries {
-        let item = item?;
-        let version @ (table, key, lsn, value) = item.parts();
+    versions.for_each_version(&mut |version @ (table, key, lsn, value)| {
         if block_first.is_none() {
             block_first = Some((table.to_string(), key.to_vec()));
         }
@@ -382,7 +396,8 @@ where
                 &mut index,
             )?;
         }
-    }
+        Ok(())
+    })?;
     flush_block(
         &mut w,
         &mut block,
@@ -665,32 +680,60 @@ impl Run {
             .max()
     }
 
-    fn read_block(&self, meta: &BlockMeta) -> StorageResult<Vec<VersionedEntry>> {
-        let mut buf = vec![0u8; meta.len as usize];
-        read_exact_at(&self.file, &mut buf, meta.offset)?;
-        if crc32::checksum(&buf) != meta.crc {
-            return Err(StorageError::corrupt(
+    /// Read one data block into `buf`, which the caller reuses from block
+    /// to block, and verify its CRC. `buf` is left empty on failure.
+    fn read_block(&self, meta: &BlockMeta, buf: &mut Vec<u8>) -> StorageResult<()> {
+        buf.clear();
+        buf.resize(meta.len as usize, 0);
+        let read = match read_exact_at(&self.file, buf, meta.offset) {
+            Err(e) => Err(e.into()),
+            Ok(()) if crc32::checksum(buf) != meta.crc => Err(StorageError::corrupt(
                 meta.offset,
                 "run data block CRC mismatch",
-            ));
+            )),
+            Ok(()) => Ok(()),
+        };
+        if read.is_err() {
+            buf.clear();
         }
-        decode_block(&buf)
+        read
     }
 
-    /// Index of the first block that could contain `target`'s newest
-    /// version, or `None` when `target` sorts before all keys. A long
-    /// version chain makes several consecutive blocks share `target` as
+    /// Index of the first block that could contain `(table, key)`'s
+    /// newest version, or `None` when it sorts before all keys. A long
+    /// version chain makes several consecutive blocks share the key as
     /// their first key, and the chain head may sit at the *end* of the
     /// block before them — so equality resolves left, not to an
     /// arbitrary binary-search hit.
-    fn block_for(&self, target: &NsKey) -> Option<usize> {
-        let i = self.index.partition_point(|m| m.first < *target);
+    fn block_for(&self, table: &str, key: &[u8]) -> Option<usize> {
+        fn first(m: &BlockMeta) -> (&str, &[u8]) {
+            (&m.first.0, &m.first.1)
+        }
+        let target = (table, key);
+        let i = self.index.partition_point(|m| first(m) < target);
         if i > 0 {
             Some(i - 1)
-        } else if self.index.first().is_some_and(|m| m.first == *target) {
+        } else if self.index.first().is_some_and(|m| first(m) == target) {
             Some(0)
         } else {
             None
+        }
+    }
+
+    /// A cursor over the versions of `span` — every version when `None`.
+    pub(crate) fn cursor<'a>(&'a self, span: Option<Span<'a>>) -> RunCursor<'a> {
+        let next_block = match span {
+            None => 0,
+            Some(s) if s.is_empty() => self.index.len(),
+            Some(s) => self.block_for(s.table, s.start).unwrap_or(0),
+        };
+        RunCursor {
+            run: self,
+            span,
+            next_block,
+            block: Vec::new(),
+            pos: 0,
+            current: None,
         }
     }
 
@@ -703,44 +746,26 @@ impl Run {
         if !self.bloom.may_contain(table.as_bytes(), key) {
             return Ok(RunLookup::BloomSkip);
         }
-        let target: NsKey = (table.to_string(), key.to_vec());
-        let Some(first) = self.block_for(&target) else {
-            return Ok(RunLookup::Absent);
-        };
-        // Versions of one key sit consecutively (lsn desc) but may cross
-        // a block boundary; keep reading while blocks still hold the key.
-        for meta in &self.index[first..] {
-            if meta.first > target {
-                break;
+        let mut cursor = self.cursor(Some(Span::key(table, key)));
+        loop {
+            cursor.advance()?;
+            let Some((_, _, lsn, value)) = cursor.current() else {
+                return Ok(RunLookup::Absent);
+            };
+            if lsn <= max_lsn {
+                return Ok(match value {
+                    Some(v) => RunLookup::Value(lsn, v.to_vec()),
+                    None => RunLookup::Tombstone(lsn),
+                });
             }
-            let block = self.read_block(meta)?;
-            for (k, lsn, v) in &block {
-                match k.cmp(&target) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => {
-                        if *lsn <= max_lsn {
-                            return Ok(match v {
-                                Some(v) => RunLookup::Value(*lsn, v.clone()),
-                                None => RunLookup::Tombstone(*lsn),
-                            });
-                        }
-                    }
-                    std::cmp::Ordering::Greater => return Ok(RunLookup::Absent),
-                }
-            }
-            // Block ended at or before the key: versions may continue in
-            // the next block (whose first key is then `== target`); the
-            // loop's `first > target` guard ends the walk otherwise.
         }
-        Ok(RunLookup::Absent)
     }
 
     /// Visit the newest version at or below `max_lsn` of every key of
     /// `table` in `[start, end)` (`end = None` meaning unbounded),
     /// including tombstones, in key order. The callback borrows from the
-    /// block buffer so callers copy only what they keep — `count` copies
-    /// nothing. Range tombstones are not applied (the caller overlays
-    /// [`ranges`](Self::ranges)).
+    /// block buffer so callers copy only what they keep. Range tombstones
+    /// are not applied (the caller overlays [`ranges`](Self::ranges)).
     pub fn scan_range(
         &self,
         table: &str,
@@ -749,88 +774,92 @@ impl Run {
         max_lsn: Lsn,
         f: &mut ScanVisitor<'_>,
     ) -> StorageResult<()> {
-        if matches!(end, Some(e) if e <= start) {
-            return Ok(());
-        }
-        let lo: NsKey = (table.to_string(), start.to_vec());
-        let first_block = self.block_for(&lo).unwrap_or(0);
-        // The key whose newest visible version was already emitted (or
-        // all of whose visible versions were skipped as too new is NOT
-        // recorded here — only emission suppresses older versions).
-        let mut emitted: Option<Vec<u8>> = None;
-        for meta in &self.index[first_block..] {
-            // Stop once a block starts past the upper bound.
-            let (bt, bk) = &meta.first;
-            if bt.as_str() > table || (bt == table && end.is_some_and(|e| bk.as_slice() >= e)) {
-                break;
-            }
-            for ((t, k), lsn, v) in self.read_block(meta)? {
-                if t.as_str() < table || (t == table && k.as_slice() < start) {
-                    continue;
-                }
-                if t.as_str() > table || (t == table && end.is_some_and(|e| k.as_slice() >= e)) {
+        let span = Span::range(table, start, end);
+        MergeCursor::new(vec![Layer::Run(self.cursor(Some(span)))])
+            .for_each_newest(max_lsn, |(_, k, lsn, v)| f(k, lsn, v))
+    }
+}
+
+/// Walks a run's versions in `(key asc, lsn desc)` order, from a span's
+/// start to its end. It reads one CRC-verified block at a time into a
+/// buffer it reuses and decodes each entry in place, so a version
+/// costs no allocation; a block that starts past the span is never
+/// read.
+pub(crate) struct RunCursor<'a> {
+    run: &'a Run,
+    span: Option<Span<'a>>,
+    next_block: usize,
+    block: Vec<u8>,
+    /// Where the entry after the current one starts in `block`.
+    pos: usize,
+    current: Option<Entry>,
+}
+
+impl RunCursor<'_> {
+    /// Move to the next version in the span (the first, on the first
+    /// call); [`current`](Self::current) is `None` past the end.
+    pub(crate) fn advance(&mut self) -> StorageResult<()> {
+        self.current = None;
+        loop {
+            if self.pos == self.block.len() {
+                let Some(meta) = self.run.index.get(self.next_block) else {
+                    return Ok(());
+                };
+                let (table, key) = &meta.first;
+                if self.span.is_some_and(|s| s.is_past(table.as_bytes(), key)) {
+                    self.next_block = self.run.index.len();
                     return Ok(());
                 }
-                if lsn > max_lsn || emitted.as_deref() == Some(k.as_slice()) {
+                self.run.read_block(meta, &mut self.block)?;
+                self.pos = 0;
+                self.next_block += 1;
+                continue;
+            }
+            let (entry, next) = decode_entry(&self.block, self.pos)?;
+            self.pos = next;
+            if let Some(span) = self.span {
+                let (table, key) = (
+                    &self.block[entry.table.clone()],
+                    &self.block[entry.key.clone()],
+                );
+                if span.is_before(table, key) {
                     continue;
                 }
-                f(&k, lsn, v.as_deref());
-                emitted = Some(k);
+                if span.is_past(table, key) {
+                    self.next_block = self.run.index.len();
+                    self.pos = self.block.len();
+                    return Ok(());
+                }
             }
+            self.current = Some(entry);
+            return Ok(());
         }
-        Ok(())
     }
 
-    /// Streaming iterator over every version, block at a time, in
-    /// `(key asc, lsn desc)` order.
-    pub fn iter(&self) -> RunIter<'_> {
-        RunIter {
-            run: self,
-            next_block: 0,
-            buffered: Vec::new(),
-            pos: 0,
-            failed: false,
-        }
+    /// The version [`advance`](Self::advance) moved to, borrowed from
+    /// the block buffer.
+    pub(crate) fn current(&self) -> Option<RawVersion<'_>> {
+        let entry = self.current.as_ref()?;
+        Some((
+            &self.block[entry.table.clone()],
+            &self.block[entry.key.clone()],
+            entry.lsn,
+            entry.value.clone().map(|v| &self.block[v]),
+        ))
     }
 }
 
-/// Streaming iterator over a run's versions; memory bounded by one block.
-#[derive(Debug)]
-pub struct RunIter<'a> {
-    run: &'a Run,
-    next_block: usize,
-    buffered: Vec<VersionedEntry>,
-    pos: usize,
-    failed: bool,
-}
+/// One owned run entry, as tests write them: namespaced key, commit
+/// LSN, value or point tombstone.
+#[cfg(test)]
+pub(crate) type VersionedEntry = (NsKey, Lsn, Option<Vec<u8>>);
 
-impl Iterator for RunIter<'_> {
-    type Item = StorageResult<VersionedEntry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        while self.pos >= self.buffered.len() {
-            if self.next_block >= self.run.index.len() {
-                return None;
-            }
-            match self.run.read_block(&self.run.index[self.next_block]) {
-                Ok(block) => {
-                    self.next_block += 1;
-                    self.buffered = block;
-                    self.pos = 0;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        let item = self.buffered[self.pos].clone();
-        self.pos += 1;
-        Some(Ok(item))
-    }
+/// `entries` borrowed, as [`write_run`] pulls them.
+#[cfg(test)]
+pub(crate) fn borrowed(entries: &[VersionedEntry]) -> impl Iterator<Item = VersionRef<'_>> {
+    entries
+        .iter()
+        .map(|((t, k), lsn, v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
 }
 
 #[cfg(test)]
@@ -847,17 +876,33 @@ mod tests {
 
     const LATEST: Lsn = Lsn::MAX;
 
+    /// Every version of `run`, copied out.
+    fn all(run: &Run) -> Vec<VersionedEntry> {
+        let mut cursor = run.cursor(None);
+        let mut out = Vec::new();
+        cursor.advance().unwrap();
+        while let Some((t, k, lsn, v)) = cursor.current() {
+            let table = String::from_utf8(t.to_vec()).unwrap();
+            out.push(((table, k.to_vec()), lsn, v.map(<[u8]>::to_vec)));
+            cursor.advance().unwrap();
+        }
+        out
+    }
+
     fn write_sample_run(path: &Path, n: u32) -> RunSummary {
-        let entries = (0..n).map(|i| {
-            let key = format!("k{i:06}").into_bytes();
-            let value = if i % 7 == 3 {
-                None // tombstone
-            } else {
-                Some(format!("value-{i}").into_bytes())
-            };
-            Ok((("records".to_string(), key), Lsn::from(i + 1), value))
-        });
-        write_run(path, 1, u64::from(n), entries, &[]).unwrap()
+        let entries: Vec<VersionedEntry> = (0..n)
+            .map(|i| {
+                let key = format!("k{i:06}").into_bytes();
+                let value = if i % 7 == 3 {
+                    None // tombstone
+                } else {
+                    Some(format!("value-{i}").into_bytes())
+                };
+                (("records".to_string(), key), Lsn::from(i + 1), value)
+            })
+            .collect();
+        let mut versions = borrowed(&entries);
+        write_run(path, 1, u64::from(n), &mut versions, &[]).unwrap()
     }
 
     #[test]
@@ -900,7 +945,7 @@ mod tests {
             RunLookup::BloomSkip | RunLookup::Absent
         ));
 
-        let all: Vec<_> = run.iter().map(|r| r.unwrap()).collect();
+        let all = all(&run);
         assert_eq!(all.len(), 2000);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "iter is ordered");
     }
@@ -910,12 +955,12 @@ mod tests {
         let path = tmpfile("run-versions");
         // One key with three versions (lsn desc), then another key.
         let entries = vec![
-            Ok((("t".to_string(), b"k".to_vec()), 9, None)),
-            Ok((("t".to_string(), b"k".to_vec()), 5, Some(b"v5".to_vec()))),
-            Ok((("t".to_string(), b"k".to_vec()), 2, Some(b"v2".to_vec()))),
-            Ok((("t".to_string(), b"z".to_vec()), 7, Some(b"z7".to_vec()))),
+            (("t".to_string(), b"k".to_vec()), 9, None),
+            (("t".to_string(), b"k".to_vec()), 5, Some(b"v5".to_vec())),
+            (("t".to_string(), b"k".to_vec()), 2, Some(b"v2".to_vec())),
+            (("t".to_string(), b"z".to_vec()), 7, Some(b"z7".to_vec())),
         ];
-        write_run(&path, 1, 4, entries, &[]).unwrap();
+        write_run(&path, 1, 4, &mut borrowed(&entries), &[]).unwrap();
         let run = Run::open(&path).unwrap();
         assert_eq!(run.get("t", b"k", LATEST).unwrap(), RunLookup::Tombstone(9));
         assert_eq!(
@@ -948,22 +993,22 @@ mod tests {
         // Enough versions of ONE key to span several 4 KiB blocks, newest
         // first, then a final different key.
         let n = 600u64;
-        let mut entries: Vec<StorageResult<VersionedEntry>> = (0..n)
+        let mut entries: Vec<VersionedEntry> = (0..n)
             .map(|i| {
                 let lsn = n - i; // descending
-                Ok((
+                (
                     ("t".to_string(), b"hot".to_vec()),
                     lsn,
                     Some(format!("v{lsn:09}").into_bytes()),
-                ))
+                )
             })
             .collect();
-        entries.push(Ok((
+        entries.push((
             ("t".to_string(), b"tail".to_vec()),
             n + 1,
             Some(b"end".to_vec()),
-        )));
-        write_run(&path, 1, n + 1, entries, &[]).unwrap();
+        ));
+        write_run(&path, 1, n + 1, &mut borrowed(&entries), &[]).unwrap();
         let run = Run::open(&path).unwrap();
         assert!(run.index.len() > 1, "chain must cross blocks");
         // The oldest version lives blocks away from where block_for lands.
@@ -999,12 +1044,8 @@ mod tests {
                 lsn: 50,
             },
         ];
-        let entries = vec![Ok((
-            ("t".to_string(), b"b".to_vec()),
-            10,
-            Some(b"v".to_vec()),
-        ))];
-        let summary = write_run(&path, 2, 1, entries, &ranges).unwrap();
+        let entries = vec![(("t".to_string(), b"b".to_vec()), 10, Some(b"v".to_vec()))];
+        let summary = write_run(&path, 2, 1, &mut borrowed(&entries), &ranges).unwrap();
         assert_eq!(summary.range_tombstones, 2);
         assert_eq!(summary.max_lsn, 50, "range tombstone LSNs count");
         let run = Run::open(&path).unwrap();
@@ -1127,17 +1168,10 @@ mod tests {
     #[test]
     fn empty_run_roundtrips() {
         let path = tmpfile("run-empty");
-        let summary = write_run(
-            &path,
-            1,
-            0,
-            std::iter::empty::<StorageResult<VersionedEntry>>(),
-            &[],
-        )
-        .unwrap();
+        let summary = write_run(&path, 1, 0, &mut std::iter::empty(), &[]).unwrap();
         assert_eq!(summary.entries, 0);
         let run = Run::open(&path).unwrap();
-        assert_eq!(run.iter().count(), 0);
+        assert_eq!(all(&run).len(), 0);
         assert!(matches!(
             run.get("t", b"k", LATEST).unwrap(),
             RunLookup::BloomSkip | RunLookup::Absent
@@ -1147,9 +1181,10 @@ mod tests {
     #[test]
     fn run_footer_records_level() {
         let path = tmpfile("run-level");
-        let entries =
-            (0..10u8).map(|i| Ok((("t".to_string(), vec![i]), Lsn::from(i) + 1, Some(vec![i]))));
-        write_run(&path, 3, 10, entries, &[]).unwrap();
+        let entries: Vec<VersionedEntry> = (0..10u8)
+            .map(|i| (("t".to_string(), vec![i]), Lsn::from(i) + 1, Some(vec![i])))
+            .collect();
+        write_run(&path, 3, 10, &mut borrowed(&entries), &[]).unwrap();
         assert_eq!(Run::open(&path).unwrap().level(), 3);
     }
 
@@ -1158,14 +1193,16 @@ mod tests {
         // A hint far below the real entry count degrades the filter's
         // selectivity but must never hide a present key.
         let path = tmpfile("run-bloom-hint");
-        let entries = (0..500u32).map(|i| {
-            Ok((
-                ("t".to_string(), format!("k{i:04}").into_bytes()),
-                Lsn::from(i) + 1,
-                Some(b"v".to_vec()),
-            ))
-        });
-        write_run(&path, 1, 1, entries, &[]).unwrap();
+        let entries: Vec<VersionedEntry> = (0..500u32)
+            .map(|i| {
+                (
+                    ("t".to_string(), format!("k{i:04}").into_bytes()),
+                    Lsn::from(i) + 1,
+                    Some(b"v".to_vec()),
+                )
+            })
+            .collect();
+        write_run(&path, 1, 1, &mut borrowed(&entries), &[]).unwrap();
         let run = Run::open(&path).unwrap();
         for i in 0..500u32 {
             assert_eq!(

@@ -105,10 +105,20 @@ proptest! {
     /// A snapshot pinned mid-history keeps returning the byte-identical
     /// `scan_all` no matter what commits, flushes and compactions land
     /// after the pin — and the live view still matches a reference model.
+    /// Bounded `[start, end)` scans and key listings at the pin match the
+    /// model too, whichever runs, point and range tombstones the merge
+    /// walks at the time.
     #[test]
     fn pinned_snapshot_scan_all_is_repeatable_under_churn(
         before in proptest::collection::vec(op_strategy(), 0..20),
         after in proptest::collection::vec(op_strategy(), 1..30),
+        bounds in proptest::collection::vec(
+            (
+                proptest::collection::vec(0u8..8, 0..3),
+                proptest::option::of(proptest::collection::vec(0u8..8, 0..3)),
+            ),
+            1..4,
+        ),
     ) {
         let dir = tmpdir("churn");
         let e = Engine::open(&dir, foreground_compaction()).unwrap();
@@ -121,6 +131,16 @@ proptest! {
         let snap = e.snapshot();
         let frozen: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
         prop_assert_eq!(&snap.scan_all("t").unwrap(), &frozen);
+        let bounded: Vec<Vec<(Vec<u8>, Vec<u8>)>> = bounds
+            .iter()
+            .map(|(start, end)| {
+                frozen
+                    .iter()
+                    .filter(|(k, _)| k >= start && end.as_ref().is_none_or(|e| k < e))
+                    .cloned()
+                    .collect()
+            })
+            .collect();
 
         for op in &after {
             apply_to_engine(&e, op);
@@ -128,6 +148,11 @@ proptest! {
             // Repeatable read: every re-scan through the pin is identical.
             prop_assert_eq!(&snap.scan_all("t").unwrap(), &frozen);
             prop_assert_eq!(snap.count("t").unwrap(), frozen.len());
+            for ((start, end), want) in bounds.iter().zip(&bounded) {
+                prop_assert_eq!(&snap.scan("t", start, end.as_deref()).unwrap(), want);
+                let keys: Vec<Vec<u8>> = want.iter().map(|(k, _)| k.clone()).collect();
+                prop_assert_eq!(snap.scan_keys("t", start, end.as_deref()).unwrap(), keys);
+            }
         }
 
         // The live view converged on the model despite the pin.
