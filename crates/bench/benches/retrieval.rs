@@ -18,9 +18,12 @@ fn setup(n_records: usize) -> (RecordCatalog, String, std::path::PathBuf) {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(TableStore::new(Arc::new(
-        Engine::open(&dir, EngineOptions::default()).unwrap(),
-    )));
+    let store = Arc::new(
+        TableStore::new(Arc::new(
+            Engine::open(&dir, EngineOptions::default()).unwrap(),
+        ))
+        .unwrap(),
+    );
     let catalog = RecordCatalog::open(store).unwrap();
     let collection = generator::generate(&GeneratorConfig {
         records: n_records,

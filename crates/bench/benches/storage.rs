@@ -52,7 +52,7 @@ fn bench_get_scan(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 7919) % 10_000;
-            engine.get("records", &i.to_be_bytes()).unwrap()
+            engine.head().get("records", &i.to_be_bytes()).unwrap()
         })
     });
     g.throughput(Throughput::Elements(10_000));
@@ -102,13 +102,13 @@ fn bench_snapshot_scan_under_versions(c: &mut Criterion) {
         b.iter(|| snap.scan_all("records").unwrap())
     });
     g.bench_function("live_scan_over_5x_versions", |b| {
-        b.iter(|| engine.scan_all("records").unwrap())
+        b.iter(|| engine.head().scan_all("records").unwrap())
     });
     // Folded baseline: drop the pin, compact history away, re-scan.
     drop(snap);
     engine.compact().unwrap();
     g.bench_function("live_scan_after_fold", |b| {
-        b.iter(|| engine.scan_all("records").unwrap())
+        b.iter(|| engine.head().scan_all("records").unwrap())
     });
     g.finish();
     std::fs::remove_dir_all(&dir).ok();
@@ -260,7 +260,7 @@ fn bench_reassess_churn(c: &mut Criterion) {
     ] {
         let dir = tmpdir(label);
         let engine = Engine::open(&dir, EngineOptions::default()).unwrap();
-        let store = Arc::new(TableStore::new(Arc::new(engine)));
+        let store = Arc::new(TableStore::new(Arc::new(engine)).unwrap());
         let catalog = RecordCatalog::open_on(store.clone(), "records").unwrap();
         // Curate once, persist the clean collection, seed the cursor so
         // only the churn edits below are ever reprocessed.

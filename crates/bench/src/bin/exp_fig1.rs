@@ -32,7 +32,7 @@ fn main() {
     cs.assess(&user, "fnjv", &trace.run_id, &facts).unwrap();
 
     let store = cs.archive.store();
-    let count = |t: &str| store.count(t).unwrap();
+    let count = |t: &str| store.head().count(t).unwrap();
     let rows = vec![
         row!["figure-1 box", "evidence (repository table)", "rows"],
         row!["Data repository", RECORDS_TABLE, count(RECORDS_TABLE)],

@@ -60,14 +60,15 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = TableStore::new(Arc::new(
         Engine::open(&dir, EngineOptions::default()).unwrap(),
-    ));
+    ))
+    .unwrap();
     let written = persist_updates(&store, &report).unwrap();
     println!(
         "\npersisted {} rows: {} in `{}`, {} in `{}` (originals untouched)",
         written,
-        store.count(UPDATED_NAMES_TABLE).unwrap(),
+        store.head().count(UPDATED_NAMES_TABLE).unwrap(),
         UPDATED_NAMES_TABLE,
-        store.count(NAME_REFS_TABLE).unwrap(),
+        store.head().count(NAME_REFS_TABLE).unwrap(),
         NAME_REFS_TABLE
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -68,9 +68,7 @@ fn rate(n: usize, f: impl FnOnce()) -> f64 {
 }
 
 fn catalog_at(dir: &std::path::Path) -> RecordCatalog {
-    let store = Arc::new(TableStore::new(Arc::new(
-        Engine::open(dir, options()).unwrap(),
-    )));
+    let store = Arc::new(TableStore::new(Arc::new(Engine::open(dir, options()).unwrap())).unwrap());
     RecordCatalog::open_on(store, "records").unwrap()
 }
 

@@ -71,7 +71,10 @@ fn main() {
     }
     seed.checkpoint().unwrap();
     let seed_scan_us = median_us(|| {
-        assert_eq!(seed.scan_all("records").unwrap().len(), ROWS as usize);
+        assert_eq!(
+            seed.head().scan_all("records").unwrap().len(),
+            ROWS as usize
+        );
     });
     drop(seed);
     std::fs::remove_dir_all(&seed_dir).ok();
@@ -97,7 +100,7 @@ fn main() {
         assert_eq!(snap.scan_all("records").unwrap().len(), ROWS as usize);
     });
     let live_scan_us = median_us(|| {
-        assert_eq!(e.scan_all("records").unwrap().len(), ROWS as usize);
+        assert_eq!(e.head().scan_all("records").unwrap().len(), ROWS as usize);
     });
     let (pinned_entries, pinned_bytes) = resident(&dir);
 
@@ -105,7 +108,7 @@ fn main() {
     drop(snap);
     assert!(e.compact().unwrap());
     let folded_scan_us = median_us(|| {
-        assert_eq!(e.scan_all("records").unwrap().len(), ROWS as usize);
+        assert_eq!(e.head().scan_all("records").unwrap().len(), ROWS as usize);
     });
     let (folded_entries, folded_bytes) = resident(&dir);
 

@@ -61,9 +61,8 @@ fn options(fsync: bool) -> EngineOptions {
 }
 
 fn manager_at(dir: &std::path::Path, fsync: bool) -> Arc<ProvenanceManager> {
-    let store = Arc::new(TableStore::new(Arc::new(
-        Engine::open(dir, options(fsync)).unwrap(),
-    )));
+    let store =
+        Arc::new(TableStore::new(Arc::new(Engine::open(dir, options(fsync)).unwrap())).unwrap());
     Arc::new(ProvenanceManager::new(store))
 }
 
@@ -215,12 +214,14 @@ fn main() {
             }
         }
         let graph_rows: usize = store
+            .head()
             .scan(PROVENANCE_TABLE)
             .unwrap()
             .iter()
             .map(|(_, v)| v.len())
             .sum();
         let template_rows: usize = store
+            .head()
             .scan(TEMPLATES_TABLE)
             .unwrap()
             .iter()
@@ -232,7 +233,7 @@ fn main() {
             .sum();
         serde_json::json!({
             "runs": DEDUP_RUNS,
-            "templates_stored": store.scan(TEMPLATES_TABLE).unwrap().len(),
+            "templates_stored": store.head().scan(TEMPLATES_TABLE).unwrap().len(),
             "deduped_bytes_per_run": (graph_rows + template_rows) as f64 / DEDUP_RUNS as f64,
             "materialized_bytes_per_run": materialized as f64 / DEDUP_RUNS as f64,
             "dedup_ratio": materialized as f64 / (graph_rows + template_rows) as f64,

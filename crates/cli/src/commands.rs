@@ -111,6 +111,7 @@ fn open_collection(dir: &Path) -> Result<Collection, Box<dyn Error>> {
 
 fn load_config(store: &TableStore) -> Result<GeneratorConfig, Box<dyn Error>> {
     let row = store
+        .head()
         .get(META_TABLE, b"ingest")?
         .ok_or("no collection ingested here yet (run `preserva ingest` first)")?;
     let v: serde_json::Value = serde_json::from_slice(&row)?;
@@ -131,7 +132,7 @@ fn load_records(catalog: &RecordCatalog) -> Result<Vec<Record>, Box<dyn Error>> 
 /// The checklist edition the collection is currently pinned to.
 /// 0 means "latest" — the pre-reassessment behaviour.
 fn load_backbone_year(store: &TableStore) -> Result<i32, Box<dyn Error>> {
-    Ok(match store.get(META_TABLE, b"backbone-year")? {
+    Ok(match store.head().get(META_TABLE, b"backbone-year")? {
         Some(raw) => String::from_utf8_lossy(&raw).parse().unwrap_or(0),
         None => 0,
     })
@@ -203,7 +204,7 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
     // Identical parameters and an unmoved journal head mean the store
     // already holds exactly what this invocation would write: replay the
     // recorded output instead of re-staging every row.
-    if let Some(raw) = store.get(META_TABLE, b"ingest-cache")? {
+    if let Some(raw) = store.head().get(META_TABLE, b"ingest-cache")? {
         let v: serde_json::Value = serde_json::from_slice(&raw)?;
         if v["params"] == params && v["head"].as_u64() == Some(store.journal_head()) {
             if let Some(text) = v["output"].as_str() {
@@ -453,7 +454,7 @@ fn compact(args: &Args, dir: &Path) -> CliResult {
         // Rewriting existing rows is value-neutral but gives each chunk
         // its own level-1 run — a deterministic way to grow the tree for
         // smoke tests and tuning experiments.
-        let rows = engine.scan_all("records")?;
+        let rows = engine.head().scan_all("records")?;
         if rows.is_empty() {
             return Err("no records to rewrite (run `preserva ingest` first)".into());
         }
@@ -909,8 +910,8 @@ fn metrics_report(
     // 1. The user's store, observed: recovery counters from open, then
     //    read-only traffic (gets / scans / value bytes).
     let coll = Collection::open(dir, observed.clone())?;
-    let _ = coll.store().get(META_TABLE, b"ingest")?;
-    let records = coll.store().count("records")?;
+    let _ = coll.store().head().get(META_TABLE, b"ingest")?;
+    let records = coll.store().head().count("records")?;
     obs.trace("cli", format!("metrics probe: {records} records on disk"));
     coll.close()?;
     drop(coll);
@@ -924,7 +925,7 @@ fn metrics_report(
         let probe_coll = Collection::open(&scratch, observed)?;
         let probe = probe_coll.store();
         probe.put("probe", b"k", b"observability probe value")?;
-        let _ = probe.get("probe", b"k")?;
+        let _ = probe.head().get("probe", b"k")?;
         probe.delete("probe", b"k")?;
         probe.engine().checkpoint()?;
         // Bulk-path probe: one row through the direct-run builder, so
@@ -1310,9 +1311,9 @@ mod tests {
 
         // The stores hold what the commands claimed.
         let store = open_store(&dir).unwrap();
-        assert_eq!(store.count("records").unwrap(), 400);
-        assert_eq!(store.count(UPDATED_NAMES_TABLE).unwrap(), 6);
-        assert!(store.count("curation_history").unwrap() > 0);
+        assert_eq!(store.head().count("records").unwrap(), 400);
+        assert_eq!(store.head().count(UPDATED_NAMES_TABLE).unwrap(), 6);
+        assert!(store.head().count("curation_history").unwrap() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1366,6 +1367,7 @@ mod tests {
             assert_eq!(correct as usize, report.current);
             // The delta run left an OPM graph behind.
             let runs: Vec<String> = store
+                .head()
                 .scan(preserva_core::provenance_manager::PROVENANCE_TABLE)
                 .unwrap()
                 .into_iter()
@@ -1416,7 +1418,11 @@ mod tests {
         run(&args(&format!("stats --dir {d}"))).unwrap();
         {
             let store = open_store(&dir).unwrap();
-            let raw = store.get(META_TABLE, b"stats-cache").unwrap().unwrap();
+            let raw = store
+                .head()
+                .get(META_TABLE, b"stats-cache")
+                .unwrap()
+                .unwrap();
             let v: serde_json::Value = serde_json::from_slice(&raw).unwrap();
             assert_eq!(v["head"].as_u64().unwrap(), store.journal_head());
         }
@@ -1546,7 +1552,7 @@ mod tests {
         .unwrap();
         {
             let store = open_store(&dir).unwrap();
-            assert_eq!(store.count("records").unwrap(), 80);
+            assert_eq!(store.head().count("records").unwrap(), 80);
             assert_eq!(store.journal_head(), 80, "one journal event per record");
         }
         // Index-backed query and the stats panels read the bulk run like
@@ -1608,7 +1614,7 @@ mod tests {
             let total: usize = levels.iter().map(|(_, n)| n).sum();
             assert_eq!(total, 1, "full compaction leaves one run: {levels:?}");
             // Data intact after the merge + reopen.
-            assert_eq!(store.count("records").unwrap(), 60);
+            assert_eq!(store.head().count("records").unwrap(), 60);
         }
         // Idempotent: a second compact of a single clean run is a no-op
         // but still succeeds and prints the tree.

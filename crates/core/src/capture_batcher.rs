@@ -264,9 +264,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-batcher-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         Arc::new(ProvenanceManager::new(store))
     }
 

@@ -256,7 +256,7 @@ impl Collection {
             .clone()
             .unwrap_or_else(|| Arc::new(Registry::new()));
         let engine = Engine::open(dir, options.engine_options(obs.clone()))?;
-        let store = Arc::new(TableStore::new(Arc::new(engine)));
+        let store = Arc::new(TableStore::new(Arc::new(engine))?);
         let catalog = RecordCatalog::open_on(store.clone(), &options.records_table)?;
         let provenance = Arc::new(ProvenanceManager::with_metrics(store.clone(), obs.clone()));
         let prov_index = ProvIndex::new(provenance.clone());
@@ -395,6 +395,7 @@ impl Collection {
         let key = format!("{id}@{version}");
         let xml = self
             .store
+            .head()
             .get(WORKFLOWS_TABLE, key.as_bytes())?
             .and_then(|raw| String::from_utf8(raw).ok())
             .ok_or_else(|| {
@@ -405,7 +406,11 @@ impl Collection {
 
     /// The persisted latest-version pointer of workflow `id`.
     fn workflow_version(&self, id: &str) -> Result<Option<u32>, CollectionError> {
-        let Some(raw) = self.store.get(WORKFLOW_VERSIONS_TABLE, id.as_bytes())? else {
+        let Some(raw) = self
+            .store
+            .head()
+            .get(WORKFLOW_VERSIONS_TABLE, id.as_bytes())?
+        else {
             return Ok(None);
         };
         let version = std::str::from_utf8(&raw)
@@ -546,6 +551,50 @@ mod tests {
     }
 
     #[test]
+    fn damaged_journal_head_fails_the_open() {
+        let dir = temp_dir("journal-damaged");
+        {
+            let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
+            let records: Vec<Record> = (0..200).map(|i| Record::new(format!("r{i:04}"))).collect();
+            c.catalog().insert_all(&records).unwrap();
+            c.engine().checkpoint().unwrap();
+            c.engine().compact().unwrap();
+            c.close().unwrap();
+        }
+        let run = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "sst"))
+            .unwrap();
+        let mut bytes = std::fs::read(&run).unwrap();
+        let at = bytes
+            .windows(b"__journal_meta".len())
+            .position(|w| w == b"__journal_meta")
+            .unwrap();
+        bytes[at] ^= 0x01;
+        std::fs::write(&run, &bytes).unwrap();
+        match Collection::open(&dir, CollectionOptions::default()) {
+            Err(CollectionError::Storage(StorageError::Corrupt { .. })) => {}
+            other => panic!("expected a corrupt-storage error, got {:?}", other.err()),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn close_succeeds_while_the_head_reader_is_in_use() {
+        let dir = temp_dir("head-close");
+        let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
+        let head = c.store().head();
+        let held = head.clone();
+        assert!(head.get("records", b"r1").unwrap().is_none());
+        c.close().unwrap();
+        assert!(held.get("records", b"r1").unwrap().is_none());
+        drop(held);
+        drop(c);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn close_reports_leaked_pins_then_drop_is_quiet() {
         let dir = temp_dir("pins");
         let c = Collection::open(&dir, CollectionOptions::default()).unwrap();
@@ -678,7 +727,7 @@ mod tests {
         second.name = "identity, revised".into();
         assert_eq!(c.publish_workflow(&first).unwrap(), 1);
         assert_eq!(c.publish_workflow(&second).unwrap(), 2);
-        assert_eq!(c.store().count(WORKFLOWS_TABLE).unwrap(), 2);
+        assert_eq!(c.store().head().count(WORKFLOWS_TABLE).unwrap(), 2);
         assert_eq!(c.workflow("wf").unwrap(), Some(second));
         assert_eq!(c.workflow("missing").unwrap(), None);
         c.close().unwrap();
@@ -699,6 +748,7 @@ mod tests {
         for key in ["wf@1", "wf@2"] {
             assert!(
                 c.store()
+                    .head()
                     .get(WORKFLOWS_TABLE, key.as_bytes())
                     .unwrap()
                     .is_some(),

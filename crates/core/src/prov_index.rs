@@ -239,10 +239,11 @@ impl ProvIndex {
         used_only: bool,
     ) -> Result<Vec<String>, ProvenanceError> {
         let (start, end) = Self::artifact_bounds(artifact_key, after_seq);
-        let rows = self
-            .manager
-            .store()
-            .scan_range(PROV_IDX_ARTIFACT_TABLE, &start, Some(&end))?;
+        let rows =
+            self.manager
+                .store()
+                .head()
+                .scan_range(PROV_IDX_ARTIFACT_TABLE, &start, Some(&end))?;
         let mut out = Vec::new();
         for (_, value) in rows {
             if value.is_empty() {
@@ -271,10 +272,11 @@ impl ProvIndex {
         prefix.push(SEP);
         let mut end = prefix.clone();
         *end.last_mut().expect("non-empty") = SEP + 1;
-        let rows = self
-            .manager
-            .store()
-            .scan_range(PROV_IDX_WORKFLOW_TABLE, &prefix, Some(&end))?;
+        let rows =
+            self.manager
+                .store()
+                .head()
+                .scan_range(PROV_IDX_WORKFLOW_TABLE, &prefix, Some(&end))?;
         Ok(rows
             .into_iter()
             .filter_map(|(k, _)| String::from_utf8(k[prefix.len()..].to_vec()).ok())
@@ -287,10 +289,11 @@ impl ProvIndex {
         prefix.push(SEP);
         let mut end = workflow_id.as_bytes().to_vec();
         end.push(SEP + 1);
-        let rows = self
-            .manager
-            .store()
-            .scan_range(PROV_IDX_WORKFLOW_TABLE, &prefix, Some(&end))?;
+        let rows =
+            self.manager
+                .store()
+                .head()
+                .scan_range(PROV_IDX_WORKFLOW_TABLE, &prefix, Some(&end))?;
         let mut runs: BTreeSet<String> = BTreeSet::new();
         for (k, _) in rows {
             // key = workflow ++ 0 ++ artifact_key ++ 0 ++ run_id
@@ -341,9 +344,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-pidx-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         Arc::new(ProvenanceManager::new(store))
     }
 
@@ -449,9 +455,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let run_id;
         {
-            let store = Arc::new(TableStore::new(Arc::new(
-                Engine::open(&dir, EngineOptions::default()).unwrap(),
-            )));
+            let store = Arc::new(
+                TableStore::new(Arc::new(
+                    Engine::open(&dir, EngineOptions::default()).unwrap(),
+                ))
+                .unwrap(),
+            );
             let pm = Arc::new(ProvenanceManager::new(store));
             let idx = ProvIndex::new(pm.clone());
             let (w, t) = run_of("wa", 1);
@@ -459,9 +468,12 @@ mod tests {
             idx.refresh().unwrap();
             run_id = t.run_id;
         }
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         let pm = Arc::new(ProvenanceManager::new(store));
         let idx = ProvIndex::new(pm);
         assert_eq!(

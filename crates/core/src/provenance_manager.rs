@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 use crate::repository::{CodecError, Repository, RepositoryError};
 
 /// Table holding OPM graphs, keyed by run id. Rows are either a
-/// template reference (see [`TemplatedRow`]) or a raw OPM-JSON graph;
+/// template reference (a shared skeleton plus per-run bindings) or a
+/// raw OPM-JSON graph;
 /// the table is journaled so the cross-run index can follow captures
 /// incrementally.
 pub const PROVENANCE_TABLE: &str = "provenance_graphs";
@@ -345,7 +346,7 @@ impl ProvenanceManager {
         let trace_json = encode_json(TRACES_TABLE, &run_id, trace)?;
         let existing_json = match in_batch.get(&run_id) {
             Some(j) => Some(j.clone()),
-            None => match self.traces.get(&run_id)? {
+            None => match self.traces.get(self.store.head(), &run_id)? {
                 Some(existing) => Some(encode_json(TRACES_TABLE, &run_id, &existing)?),
                 None => None,
             },
@@ -432,7 +433,7 @@ impl ProvenanceManager {
             ));
         }
         let serialized = opm_ser::to_json(graph);
-        if let Some(existing) = self.store.get(PROVENANCE_TABLE, run_id.as_bytes())? {
+        if let Some(existing) = self.store.head().get(PROVENANCE_TABLE, run_id.as_bytes())? {
             // Compare decoded graphs, not stored bytes: an identical
             // graph is idempotent no matter which storage format (raw or
             // templated) the existing row uses.
@@ -463,6 +464,7 @@ impl ProvenanceManager {
             if row.fmt == TEMPLATED_FMT {
                 let tpl = self
                     .store
+                    .head()
                     .get(TEMPLATES_TABLE, row.template.as_bytes())?
                     .ok_or_else(|| {
                         ProvenanceError::Codec(CodecError::new(
@@ -485,6 +487,7 @@ impl ProvenanceManager {
     pub fn load_graph(&self, run_id: &str) -> Result<OpmGraph, ProvenanceError> {
         let bytes = self
             .store
+            .head()
             .get(PROVENANCE_TABLE, run_id.as_bytes())?
             .ok_or_else(|| ProvenanceError::UnknownRun(run_id.to_string()))?;
         self.decode_graph_row(run_id, bytes)
@@ -493,7 +496,7 @@ impl ProvenanceManager {
     /// Load a stored trace.
     pub fn load_trace(&self, run_id: &str) -> Result<ExecutionTrace, ProvenanceError> {
         self.traces
-            .get(run_id)?
+            .get(self.store.head(), run_id)?
             .ok_or_else(|| ProvenanceError::UnknownRun(run_id.to_string()))
     }
 
@@ -503,6 +506,7 @@ impl ProvenanceManager {
     pub fn run_ids(&self) -> Result<Vec<String>, ProvenanceError> {
         Ok(self
             .store
+            .head()
             .scan_keys(PROVENANCE_TABLE)?
             .into_iter()
             .filter_map(|k| String::from_utf8(k).ok())
@@ -533,9 +537,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-provmgr-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )))
+        Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        )
     }
 
     fn run_one() -> (Workflow, ExecutionTrace) {
@@ -580,12 +587,14 @@ mod tests {
         // Both tables hold exactly the same run ids — no graph without its
         // trace, no trace without its graph.
         let graphs: Vec<Vec<u8>> = s
+            .head()
             .scan(PROVENANCE_TABLE)
             .unwrap()
             .into_iter()
             .map(|(k, _)| k)
             .collect();
         let traces: Vec<Vec<u8>> = s
+            .head()
             .scan(TRACES_TABLE)
             .unwrap()
             .into_iter()
@@ -701,7 +710,7 @@ mod tests {
             std::env::temp_dir().join(format!("preserva-provmgr-{}-keyonly", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let engine = Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap());
-        let s = Arc::new(TableStore::new(engine.clone()));
+        let s = Arc::new(TableStore::new(engine.clone()).unwrap());
         let pm = ProvenanceManager::new(s);
         let mut expect = Vec::new();
         for _ in 0..5 {
@@ -743,7 +752,10 @@ mod tests {
         }
         // The damaged row is surfaced for repair, not overwritten.
         assert_eq!(
-            s.get(TRACES_TABLE, t.run_id.as_bytes()).unwrap().unwrap(),
+            s.head()
+                .get(TRACES_TABLE, t.run_id.as_bytes())
+                .unwrap()
+                .unwrap(),
             b"{not json".to_vec()
         );
     }
@@ -805,8 +817,8 @@ mod tests {
             assert!(pm.load_trace(&t.run_id).is_ok());
         }
         // A graph never commits without its trace, batched or not.
-        let graphs = s.scan_keys(PROVENANCE_TABLE).unwrap();
-        let traces = s.scan_keys(TRACES_TABLE).unwrap();
+        let graphs = s.head().scan_keys(PROVENANCE_TABLE).unwrap();
+        let traces = s.head().scan_keys(TRACES_TABLE).unwrap();
         assert_eq!(graphs, traces);
     }
 
@@ -850,7 +862,7 @@ mod tests {
             runs.push(t);
         }
         // One skeleton stored, three structural-sharing hits.
-        assert_eq!(s.count(TEMPLATES_TABLE).unwrap(), 1);
+        assert_eq!(s.head().count(TEMPLATES_TABLE).unwrap(), 1);
         let text = obs.render_prometheus();
         assert!(
             text.contains("preserva_prov_template_stores_total 1"),
@@ -866,6 +878,7 @@ mod tests {
         }
         // The per-run row is measurably smaller than the materialized graph.
         let row = s
+            .head()
             .get(PROVENANCE_TABLE, runs[0].run_id.as_bytes())
             .unwrap()
             .unwrap();
@@ -915,17 +928,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let run_id;
         {
-            let s = Arc::new(TableStore::new(Arc::new(
-                Engine::open(&dir, EngineOptions::default()).unwrap(),
-            )));
+            let s = Arc::new(
+                TableStore::new(Arc::new(
+                    Engine::open(&dir, EngineOptions::default()).unwrap(),
+                ))
+                .unwrap(),
+            );
             let pm = ProvenanceManager::new(s);
             let (w, t) = run_one();
             pm.capture(&w, &t).unwrap();
             run_id = t.run_id;
         }
-        let s = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let s = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         let pm = ProvenanceManager::new(s);
         assert!(pm.load_graph(&run_id).is_ok());
         std::fs::remove_dir_all(&dir).ok();

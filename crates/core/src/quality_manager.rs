@@ -222,7 +222,7 @@ impl DataQualityManager {
 
     /// Load every published report.
     pub fn reports(&self) -> Result<Vec<QualityReport>, QualityManagerError> {
-        Ok(self.reports.load_all()?)
+        Ok(self.reports.load_all(self.reports.store().head())?)
     }
 }
 
@@ -241,9 +241,12 @@ pub(crate) mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-dqm-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         let pm = Arc::new(ProvenanceManager::new(store.clone()));
 
         let mut r = ServiceRegistry::new();

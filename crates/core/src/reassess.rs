@@ -494,7 +494,7 @@ impl Reassessor {
 
     /// The persisted quality ledger (empty before the first run/seed).
     pub fn ledger(&self) -> Result<ContributionLedger, ReassessError> {
-        decode_ledger(self.store.get(REASSESS_META_TABLE, LEDGER_KEY)?)
+        decode_ledger(self.store.head().get(REASSESS_META_TABLE, LEDGER_KEY)?)
     }
 
     /// Journal sequence number already reassessed.
@@ -764,9 +764,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-reassess-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         let catalog = RecordCatalog::open_on(store.clone(), "records").unwrap();
         Fixture {
             store,
@@ -915,6 +918,7 @@ mod tests {
         assert!(ledger.get("Elachistocleis ovalis").is_none());
         assert_eq!(
             f.store
+                .head()
                 .get(REASSESS_REFS_TABLE, b"Hyla faber")
                 .unwrap()
                 .unwrap(),
@@ -922,6 +926,7 @@ mod tests {
         );
         assert!(f
             .store
+            .head()
             .get(REASSESS_REFS_TABLE, b"Elachistocleis ovalis")
             .unwrap()
             .is_none());
@@ -990,6 +995,7 @@ mod tests {
         assert!(ledger.get("Elachistocleis ovalis").is_none());
         assert!(f
             .store
+            .head()
             .get(REASSESS_NAMES_TABLE, b"FNJV-5")
             .unwrap()
             .is_none());

@@ -199,72 +199,29 @@ impl<T: Serialize + DeserializeOwned> Repository<T> {
         Ok(())
     }
 
-    /// Load one value by key.
-    pub fn get(&self, key: &str) -> Result<Option<T>, RepositoryError> {
-        match self.store.get(&self.table, key.as_bytes())? {
-            Some(row) => Ok(Some(self.decode(key.as_bytes(), &row)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Load one value by raw key bytes.
-    pub fn get_raw(&self, key: &[u8]) -> Result<Option<T>, RepositoryError> {
-        match self.store.get(&self.table, key)? {
-            Some(row) => Ok(Some(self.decode(key, &row)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Every stored value, in key order.
-    pub fn load_all(&self) -> Result<Vec<T>, RepositoryError> {
-        self.store
-            .scan(&self.table)?
-            .into_iter()
-            .map(|(k, row)| self.decode(&k, &row))
-            .collect()
-    }
-
-    /// Every stored key, in order.
-    pub fn keys(&self) -> Result<Vec<String>, RepositoryError> {
-        Ok(self
-            .store
-            .scan(&self.table)?
-            .into_iter()
-            .filter_map(|(k, _)| String::from_utf8(k).ok())
-            .collect())
-    }
-
-    /// Load one value by key as of a pinned snapshot.
-    pub fn get_at(&self, snap: &TableSnapshot, key: &str) -> Result<Option<T>, RepositoryError> {
+    /// Load one value by key, read through `snap`: a pinned snapshot,
+    /// or the store's head reader.
+    pub fn get(&self, snap: &TableSnapshot, key: &str) -> Result<Option<T>, RepositoryError> {
         match snap.get(&self.table, key.as_bytes())? {
             Some(row) => Ok(Some(self.decode(key.as_bytes(), &row)?)),
             None => Ok(None),
         }
     }
 
-    /// Every stored value as of a pinned snapshot, in key order. Several
-    /// repositories reading through the SAME snapshot see one consistent
-    /// cross-table state, no matter what commits land meanwhile.
-    pub fn load_all_at(&self, snap: &TableSnapshot) -> Result<Vec<T>, RepositoryError> {
+    /// Every value read through `snap`, in key order. Several
+    /// repositories reading through the SAME pinned snapshot see one
+    /// consistent cross-table state, no matter what commits land
+    /// meanwhile.
+    pub fn load_all(&self, snap: &TableSnapshot) -> Result<Vec<T>, RepositoryError> {
         snap.scan(&self.table)?
             .into_iter()
             .map(|(k, row)| self.decode(&k, &row))
             .collect()
     }
 
-    /// Number of stored values as of a pinned snapshot.
-    pub fn len_at(&self, snap: &TableSnapshot) -> Result<usize, RepositoryError> {
+    /// Number of values read through `snap`.
+    pub fn len(&self, snap: &TableSnapshot) -> Result<usize, RepositoryError> {
         Ok(snap.count(&self.table)?)
-    }
-
-    /// Number of stored values.
-    pub fn len(&self) -> Result<usize, RepositoryError> {
-        Ok(self.store.count(&self.table)?)
-    }
-
-    /// Whether the table holds no values.
-    pub fn is_empty(&self) -> Result<bool, RepositoryError> {
-        Ok(self.len()? == 0)
     }
 }
 
@@ -284,9 +241,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-repo-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )))
+        Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        )
     }
 
     fn repo(name: &str) -> Repository<Row> {
@@ -301,8 +261,9 @@ mod tests {
             value: 7,
         };
         r.save(&row).unwrap();
-        assert_eq!(r.get("a").unwrap(), Some(row));
-        assert_eq!(r.get("missing").unwrap(), None);
+        let head = r.store().head();
+        assert_eq!(r.get(head, "a").unwrap(), Some(row));
+        assert_eq!(r.get(head, "missing").unwrap(), None);
     }
 
     #[test]
@@ -317,8 +278,8 @@ mod tests {
         let before = r.store().engine().stats().commits;
         r.save_all(&rows).unwrap();
         assert_eq!(r.store().engine().stats().commits, before + 1);
-        assert_eq!(r.load_all().unwrap(), rows);
-        assert_eq!(r.len().unwrap(), 20);
+        assert_eq!(r.load_all(r.store().head()).unwrap(), rows);
+        assert_eq!(r.len(r.store().head()).unwrap(), 20);
     }
 
     #[test]
@@ -347,15 +308,15 @@ mod tests {
             .unwrap();
         session.commit().unwrap();
         assert_eq!(s.engine().stats().commits, before + 1);
-        assert!(rows.get("x").unwrap().is_some());
-        assert!(others.get("y").unwrap().is_some());
+        assert!(rows.get(s.head(), "x").unwrap().is_some());
+        assert!(others.get(s.head(), "y").unwrap().is_some());
     }
 
     #[test]
     fn decode_failure_names_table_and_key() {
         let r = repo("damage");
         r.store().put("rows", b"bad", b"not json").unwrap();
-        let err = r.get("bad").unwrap_err();
+        let err = r.get(r.store().head(), "bad").unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("rows"),

@@ -309,34 +309,34 @@ impl RecordCatalog {
 
     /// Load one record by id.
     pub fn get(&self, id: &str) -> Result<Option<Record>, CatalogError> {
-        Ok(self.repo.get(id)?)
+        Ok(self.repo.get(self.store().head(), id)?)
     }
 
     /// Every record, in id order.
     pub fn all(&self) -> Result<Vec<Record>, CatalogError> {
-        Ok(self.repo.load_all()?)
+        self.all_at(self.store().head())
     }
 
     /// Every record as of a pinned snapshot, in id order — one consistent
     /// view even while writers keep committing.
     pub fn all_at(&self, snap: &TableSnapshot) -> Result<Vec<Record>, CatalogError> {
-        Ok(self.repo.load_all_at(snap)?)
+        Ok(self.repo.load_all(snap)?)
     }
 
     /// Number of records.
     pub fn len(&self) -> Result<usize, CatalogError> {
-        Ok(self.repo.len()?)
+        self.len_at(self.store().head())
     }
 
     /// Number of records as of a pinned snapshot, counted without
     /// reading a value byte.
     pub fn len_at(&self, snap: &TableSnapshot) -> Result<usize, CatalogError> {
-        Ok(self.repo.len_at(snap)?)
+        Ok(self.repo.len(snap)?)
     }
 
     /// True when the catalog is empty.
     pub fn is_empty(&self) -> Result<bool, CatalogError> {
-        Ok(self.repo.is_empty()?)
+        Ok(self.len()? == 0)
     }
 
     /// The planner every read shares: records at `snap` matching `pred`,
@@ -470,9 +470,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("preserva-catalog-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         RecordCatalog::open(store).unwrap()
     }
 
@@ -600,7 +603,7 @@ mod tests {
         assert_eq!(single.first_seq, receipt.last_seq + 1);
         assert_eq!(single.head(), Some(c.store().journal_head()));
         // The change feed records exactly the catalog writes, in order.
-        let feed = c.store().read_journal(0, 100).unwrap();
+        let feed = c.store().head().read_journal(0, 100).unwrap();
         assert_eq!(feed.len(), 4);
         assert!(feed
             .iter()
@@ -657,7 +660,7 @@ mod tests {
         assert_eq!(c.len().unwrap(), 1);
         assert!(c.by_species("Hyla faber").unwrap().is_empty());
         assert_eq!(c.by_species("Boana faber").unwrap().len(), 1);
-        let feed = c.store().read_journal(0, 10).unwrap();
+        let feed = c.store().head().read_journal(0, 10).unwrap();
         assert_eq!(feed.len(), 1);
     }
 
@@ -683,8 +686,8 @@ mod tests {
             );
         }
         assert_eq!(
-            bulk.store().read_journal(0, 100).unwrap().len(),
-            session.store().read_journal(0, 100).unwrap().len()
+            bulk.store().head().read_journal(0, 100).unwrap().len(),
+            session.store().head().read_journal(0, 100).unwrap().len()
         );
     }
 
@@ -757,9 +760,12 @@ mod tests {
             std::env::temp_dir().join(format!("preserva-catalog-{}-trim-keys", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let open = || {
-            Arc::new(TableStore::new(Arc::new(
-                Engine::open(&dir, EngineOptions::default()).unwrap(),
-            )))
+            Arc::new(
+                TableStore::new(Arc::new(
+                    Engine::open(&dir, EngineOptions::default()).unwrap(),
+                ))
+                .unwrap(),
+            )
         };
         {
             // Built one index at a time, with genus and state keyed by
@@ -796,6 +802,7 @@ mod tests {
         let c = RecordCatalog::open(open()).unwrap();
         assert_eq!(
             c.store()
+                .head()
                 .lookup(CATALOG_TABLE, "state", "são  paulo".as_bytes())
                 .unwrap(),
             vec![b"a".to_vec()],

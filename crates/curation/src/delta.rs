@@ -6,11 +6,12 @@
 //! maintenance. A [`DeltaPlan`] is distilled from a batch of
 //! [`JournalEntry`]s (what changed since the stored cursor), then
 //! [`run_delta`] re-runs each pass on a touched record only when the
-//! pass's declared [`PassDependencies`] intersect that record's changed
-//! fields (or a bumped external source) — including fields changed by
-//! *earlier passes in the same sweep*, so in-sweep cascades (species →
-//! genus → …) behave exactly as in a full run. Equivalence with the
-//! full pipeline is guarded by the cross-crate `delta ≡ full` proptest.
+//! pass's declared [`PassDependencies`](crate::pass::PassDependencies)
+//! intersect that record's changed fields (or a bumped external source)
+//! — including fields changed by *earlier passes in the same sweep*, so
+//! in-sweep cascades (species → genus → …) behave exactly as in a full
+//! run. Equivalence with the full pipeline is guarded by the
+//! cross-crate `delta ≡ full` proptest.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -66,6 +66,7 @@ impl<'a> HistoryStore<'a> {
         // counter state.
         Ok(self
             .store
+            .head()
             .scan_keys(HISTORY_TABLE)?
             .last()
             .and_then(|k| std::str::from_utf8(k).ok())
@@ -98,6 +99,7 @@ impl<'a> HistoryStore<'a> {
     /// Every journaled entry, chronologically.
     pub fn all(&self) -> Result<Vec<LogEntry>, HistoryError> {
         self.store
+            .head()
             .scan(HISTORY_TABLE)?
             .into_iter()
             .map(|(_, v)| {
@@ -149,6 +151,7 @@ mod tests {
         TableStore::new(Arc::new(
             Engine::open(&dir, EngineOptions::default()).unwrap(),
         ))
+        .unwrap()
     }
 
     fn change(field: &str, old: Option<&str>, new: &str) -> CurationEvent {
@@ -268,7 +271,8 @@ mod tests {
         {
             let s = TableStore::new(Arc::new(
                 Engine::open(&dir, EngineOptions::default()).unwrap(),
-            ));
+            ))
+            .unwrap();
             let h = HistoryStore::new(&s);
             let mut log = CurationLog::new();
             log.append("r", "p", change("f", None, "v"));
@@ -276,7 +280,8 @@ mod tests {
         }
         let s = TableStore::new(Arc::new(
             Engine::open(&dir, EngineOptions::default()).unwrap(),
-        ));
+        ))
+        .unwrap();
         let h = HistoryStore::new(&s);
         assert_eq!(h.all().unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();

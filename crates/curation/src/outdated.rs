@@ -362,7 +362,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = TableStore::new(Arc::new(
             Engine::open(&dir, EngineOptions::default()).unwrap(),
-        ));
+        ))
+        .unwrap();
         // Simulate the originals table.
         store.put("records", b"FNJV-3", b"original row").unwrap();
 
@@ -373,6 +374,7 @@ mod tests {
 
         // Separate table holds the update, unverified.
         let row = store
+            .head()
             .get(UPDATED_NAMES_TABLE, b"Elachistocleis ovalis")
             .unwrap()
             .unwrap();
@@ -381,12 +383,16 @@ mod tests {
         assert_eq!(v["verified"], false);
 
         // Reference row links record → outdated name.
-        let r = store.get(NAME_REFS_TABLE, b"FNJV-3").unwrap().unwrap();
+        let r = store
+            .head()
+            .get(NAME_REFS_TABLE, b"FNJV-3")
+            .unwrap()
+            .unwrap();
         assert_eq!(r, b"Elachistocleis ovalis".to_vec());
 
         // Original record byte-identical.
         assert_eq!(
-            store.get("records", b"FNJV-3").unwrap().unwrap(),
+            store.head().get("records", b"FNJV-3").unwrap().unwrap(),
             b"original row".to_vec()
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -372,6 +372,8 @@ struct Core {
 /// An embedded, durable, ordered key-value engine with named tables.
 pub struct Engine {
     core: Arc<Core>,
+    /// The unpinned reader [`Engine::head`] lends out.
+    head: Snapshot,
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -1323,7 +1325,11 @@ impl Engine {
         } else {
             None
         };
-        let engine = Engine { core, worker };
+        let head = Snapshot {
+            core: core.clone(),
+            lsn: Lsn::MAX,
+        };
+        let engine = Engine { core, head, worker };
         // A directory recovered with an over-full level starts compacting
         // immediately rather than waiting for the next flush.
         engine.core.schedule_compaction();
@@ -1378,48 +1384,6 @@ impl Engine {
         }])
     }
 
-    /// Read a key: active memtable first, then the frozen one (when a
-    /// flush is in flight), then runs newest-data-first, touching at most
-    /// one data block per run thanks to bloom filter + block index.
-    pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        self.core.get(table, key, Lsn::MAX)
-    }
-
-    /// Range scan over `table`: keys in `[start, end)`, `end = None` meaning
-    /// unbounded. Returns owned pairs sorted by key, each key's highest
-    /// LSN winning across layers, tombstones suppressed.
-    pub fn scan(
-        &self,
-        table: &str,
-        start: &[u8],
-        end: Option<&[u8]>,
-    ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.core.scan(table, start, end, Lsn::MAX)
-    }
-
-    /// Full-table scan.
-    pub fn scan_all(&self, table: &str) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan(table, b"", None)
-    }
-
-    /// Number of live keys in `table`, without materializing a single
-    /// value byte (the `value_bytes_read` family stays untouched, which
-    /// the regression test asserts).
-    pub fn count(&self, table: &str) -> StorageResult<usize> {
-        self.core.count(table, Lsn::MAX)
-    }
-
-    /// Live keys of `table` in `[start, end)`, sorted, copying no value
-    /// bytes — the key-listing sibling of [`Engine::count`].
-    pub fn scan_keys(
-        &self,
-        table: &str,
-        start: &[u8],
-        end: Option<&[u8]>,
-    ) -> StorageResult<Vec<Vec<u8>>> {
-        self.core.scan_keys(table, start, end, Lsn::MAX)
-    }
-
     /// Apply a batch of operations atomically: either every operation is
     /// visible after a crash, or none is. Returns the batch's commit LSN
     /// (the current head LSN for an empty batch). A checkpoint the batch
@@ -1445,6 +1409,14 @@ impl Engine {
     /// The head LSN: the newest commit every fresh read observes.
     pub fn committed_lsn(&self) -> Lsn {
         self.core.committed_lsn.load(Ordering::SeqCst)
+    }
+
+    /// The head reader: reads through it see the newest commit at the
+    /// moment each read starts, so two reads may disagree. It pins
+    /// nothing and costs no more than the read itself; take
+    /// [`snapshot`](Self::snapshot) when several reads must agree.
+    pub fn head(&self) -> &Snapshot {
+        &self.head
     }
 
     /// Pin a repeatable-read snapshot at the current head LSN. Every
@@ -1500,11 +1472,6 @@ impl Engine {
         counts.into_iter().collect()
     }
 
-    /// List every table that currently holds at least one live key.
-    pub fn tables(&self) -> StorageResult<Vec<String>> {
-        self.core.tables(Lsn::MAX)
-    }
-
     /// Snapshot of the engine's counters, read back from the registry.
     pub fn stats(&self) -> EngineStats {
         let m = &self.core.metrics;
@@ -1537,16 +1504,21 @@ impl Drop for Engine {
     }
 }
 
-/// A pinned, repeatable-read view of the engine at one LSN.
+/// A read view of the engine at one LSN.
 ///
-/// Created by [`Engine::snapshot`] (head LSN) or [`Engine::as_of`]
-/// (historical LSN). Every read resolves to the newest version at or
-/// below the pinned LSN; repeated reads return byte-identical answers
+/// [`Engine::snapshot`] (head LSN) and [`Engine::as_of`] (historical
+/// LSN) pin one: every read resolves to the newest version at or below
+/// the pinned LSN, and repeated reads return byte-identical answers
 /// regardless of concurrent commits, flushes and compactions. The pin is
 /// registered with the engine's [`SnapshotRegistry`], flooring the
 /// compaction fold horizon, and released on drop. The handle keeps the
 /// engine core alive and stays valid even after the `Engine` itself is
 /// dropped.
+///
+/// [`Engine::head`] lends the head reader: a snapshot at [`Lsn::MAX`],
+/// which no pin can sit at (`as_of` clamps to the committed LSN). It
+/// reads the newest commit, is not repeatable, and neither it nor its
+/// clones touch the registry.
 pub struct Snapshot {
     core: Arc<Core>,
     lsn: Lsn,
@@ -1559,18 +1531,27 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
-    /// The pinned LSN: reads see exactly the commits at or below it.
+    /// The read LSN: reads see exactly the commits at or below it.
+    /// [`Lsn::MAX`] for the head reader.
     pub fn lsn(&self) -> Lsn {
         self.lsn
     }
 
-    /// Point read at the pinned LSN.
+    /// Whether this is the unpinned head reader.
+    fn is_head(&self) -> bool {
+        self.lsn == Lsn::MAX
+    }
+
+    /// Point read: active memtable first, then the frozen one (when a
+    /// flush is in flight), then runs newest-data-first, touching at
+    /// most one data block per run thanks to bloom filter + block index.
     pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         self.core.get(table, key, self.lsn)
     }
 
-    /// Range scan at the pinned LSN: keys in `[start, end)`, `end =
-    /// None` meaning unbounded.
+    /// Range scan over `table`: keys in `[start, end)`, `end = None`
+    /// meaning unbounded. Returns owned pairs sorted by key, each key's
+    /// highest LSN winning across layers, tombstones suppressed.
     pub fn scan(
         &self,
         table: &str,
@@ -1580,17 +1561,18 @@ impl Snapshot {
         self.core.scan(table, start, end, self.lsn)
     }
 
-    /// Full-table scan at the pinned LSN.
+    /// Full-table scan.
     pub fn scan_all(&self, table: &str) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         self.scan(table, b"", None)
     }
 
-    /// Live keys of `table` at the pinned LSN, copying no value bytes.
+    /// Number of live keys in `table`, without materializing a single
+    /// value byte (the `value_bytes_read` family stays untouched).
     pub fn count(&self, table: &str) -> StorageResult<usize> {
         self.core.count(table, self.lsn)
     }
 
-    /// Live keys in `[start, end)` at the pinned LSN, copying no value
+    /// Live keys of `table` in `[start, end)`, sorted, copying no value
     /// bytes.
     pub fn scan_keys(
         &self,
@@ -1601,24 +1583,32 @@ impl Snapshot {
         self.core.scan_keys(table, start, end, self.lsn)
     }
 
-    /// Tables holding at least one live key at the pinned LSN.
+    /// Tables holding at least one live key.
     pub fn tables(&self) -> StorageResult<Vec<String>> {
         self.core.tables(self.lsn)
     }
 }
 
 impl Clone for Snapshot {
-    /// Cloning pins the same LSN again: each handle releases exactly one
-    /// pin on drop.
+    /// Cloning a pinned snapshot pins its LSN again, so each handle
+    /// releases exactly one pin on drop; a head clone pins nothing.
     fn clone(&self) -> Snapshot {
+        if self.is_head() {
+            return Snapshot {
+                core: self.core.clone(),
+                lsn: self.lsn,
+            };
+        }
         self.core.pin(self.lsn)
     }
 }
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        self.core.registry.unpin(self.lsn);
-        self.core.refresh_snapshot_gauges();
+        if !self.is_head() {
+            self.core.registry.unpin(self.lsn);
+            self.core.refresh_snapshot_gauges();
+        }
     }
 }
 
@@ -1638,9 +1628,9 @@ mod tests {
         let dir = tmpdir("basic");
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
         e.put("t", b"k", b"v").unwrap();
-        assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(e.head().get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
         e.delete("t", b"k").unwrap();
-        assert_eq!(e.get("t", b"k").unwrap(), None);
+        assert_eq!(e.head().get("t", b"k").unwrap(), None);
     }
 
     #[test]
@@ -1653,9 +1643,9 @@ mod tests {
             e.delete("records", b"1").unwrap();
         }
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.get("records", b"1").unwrap(), None);
+        assert_eq!(e.head().get("records", b"1").unwrap(), None);
         assert_eq!(
-            e.get("records", b"2").unwrap().as_deref(),
+            e.head().get("records", b"2").unwrap().as_deref(),
             Some(&b"bird"[..])
         );
         assert_eq!(e.stats().recovered_records, 3);
@@ -1681,10 +1671,10 @@ mod tests {
         }
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
         assert_eq!(
-            e.get("t", b"committed").unwrap().as_deref(),
+            e.head().get("t", b"committed").unwrap().as_deref(),
             Some(&b"yes"[..])
         );
-        assert_eq!(e.get("t", b"uncommitted").unwrap(), None);
+        assert_eq!(e.head().get("t", b"uncommitted").unwrap(), None);
     }
 
     #[test]
@@ -1723,12 +1713,12 @@ mod tests {
             "log cut to its committed prefix"
         );
         assert_eq!(
-            e.get("t", b"after").unwrap().as_deref(),
+            e.head().get("t", b"after").unwrap().as_deref(),
             Some(&b"acked"[..])
         );
-        assert_eq!(e.get("t", b"uncommitted").unwrap(), None);
+        assert_eq!(e.head().get("t", b"uncommitted").unwrap(), None);
         assert_eq!(
-            e.get("t", b"committed").unwrap().as_deref(),
+            e.head().get("t", b"committed").unwrap().as_deref(),
             Some(&b"yes"[..])
         );
     }
@@ -1746,14 +1736,14 @@ mod tests {
             e.put("t", &200u32.to_be_bytes(), b"after").unwrap();
         }
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.count("t").unwrap(), 101);
+        assert_eq!(e.head().count("t").unwrap(), 101);
         assert_eq!(
-            e.get("t", &200u32.to_be_bytes()).unwrap().as_deref(),
+            e.head().get("t", &200u32.to_be_bytes()).unwrap().as_deref(),
             Some(&b"after"[..])
         );
         // Run-resident key still readable.
         assert_eq!(
-            e.get("t", &42u32.to_be_bytes()).unwrap().as_deref(),
+            e.head().get("t", &42u32.to_be_bytes()).unwrap().as_deref(),
             Some(&b"v42"[..])
         );
     }
@@ -1766,7 +1756,7 @@ mod tests {
         e.checkpoint().unwrap();
         e.delete("t", b"a").unwrap();
         e.checkpoint().unwrap();
-        assert_eq!(e.get("t", b"a").unwrap(), None);
+        assert_eq!(e.head().get("t", b"a").unwrap(), None);
         // Two runs exist; the newer one holds the tombstone.
         assert_eq!(e.runs_per_level(), vec![(1, 2)]);
         assert!(e.compact().unwrap());
@@ -1775,8 +1765,8 @@ mod tests {
         assert_eq!(e.runs_per_level(), vec![]);
         drop(e);
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.get("t", b"a").unwrap(), None);
-        assert_eq!(e.count("t").unwrap(), 0);
+        assert_eq!(e.head().get("t", b"a").unwrap(), None);
+        assert_eq!(e.head().count("t").unwrap(), 0);
     }
 
     #[test]
@@ -1803,7 +1793,7 @@ mod tests {
             .map(|(_, p)| Run::open(p).unwrap().entries())
             .collect();
         assert_eq!(bytes, vec![1, 1, 1]);
-        assert_eq!(e.count("t").unwrap(), 3);
+        assert_eq!(e.head().count("t").unwrap(), 3);
     }
 
     #[test]
@@ -1826,10 +1816,10 @@ mod tests {
             assert!(count <= 2, "level {level} holds {count} runs, bound is 2");
         }
         assert!(e.stats().compactions > 0);
-        assert_eq!(e.count("t").unwrap(), 20);
+        assert_eq!(e.head().count("t").unwrap(), 20);
         for i in 0..20u32 {
             assert_eq!(
-                e.get("t", &i.to_be_bytes()).unwrap().as_deref(),
+                e.head().get("t", &i.to_be_bytes()).unwrap().as_deref(),
                 Some(format!("v{i}").as_bytes())
             );
         }
@@ -1845,7 +1835,7 @@ mod tests {
         e.put("t", b"b", b"mem").unwrap(); // shadow
         e.put("t", b"c", b"mem").unwrap(); // new
         e.delete("t", b"a").unwrap(); // tombstone over run
-        let rows = e.scan_all("t").unwrap();
+        let rows = e.head().scan_all("t").unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1874,7 +1864,7 @@ mod tests {
         e.put("t", b"c", b"new").unwrap();
         e.checkpoint().unwrap();
         assert_eq!(e.runs_per_level(), vec![(1, 2)]);
-        let rows = e.scan_all("t").unwrap();
+        let rows = e.head().scan_all("t").unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1882,7 +1872,7 @@ mod tests {
                 (b"c".to_vec(), b"new".to_vec())
             ]
         );
-        assert_eq!(e.count("t").unwrap(), 2);
+        assert_eq!(e.head().count("t").unwrap(), 2);
     }
 
     #[test]
@@ -1892,7 +1882,7 @@ mod tests {
         for k in ["a", "b", "c", "d"] {
             e.put("t", k.as_bytes(), b"x").unwrap();
         }
-        let rows = e.scan("t", b"b", Some(b"d")).unwrap();
+        let rows = e.head().scan("t", b"b", Some(b"d")).unwrap();
         let keys: Vec<_> = rows.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![b"b".to_vec(), b"c".to_vec()]);
     }
@@ -1902,8 +1892,8 @@ mod tests {
         let dir = tmpdir("inverted");
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
         e.put("t", b"m", b"v").unwrap();
-        assert!(e.scan("t", b"z", Some(b"a")).unwrap().is_empty());
-        assert!(e.scan("t", b"m", Some(b"m")).unwrap().is_empty());
+        assert!(e.head().scan("t", b"z", Some(b"a")).unwrap().is_empty());
+        assert!(e.head().scan("t", b"m", Some(b"m")).unwrap().is_empty());
     }
 
     #[test]
@@ -1913,10 +1903,10 @@ mod tests {
         e.put("alpha", b"k", b"v").unwrap();
         e.put("beta", b"k", b"v").unwrap();
         e.delete("beta", b"k").unwrap();
-        assert_eq!(e.tables().unwrap(), vec!["alpha".to_string()]);
+        assert_eq!(e.head().tables().unwrap(), vec!["alpha".to_string()]);
         // Same answer when the state lives in runs.
         e.checkpoint().unwrap();
-        assert_eq!(e.tables().unwrap(), vec!["alpha".to_string()]);
+        assert_eq!(e.head().tables().unwrap(), vec!["alpha".to_string()]);
     }
 
     #[test]
@@ -1955,8 +1945,8 @@ mod tests {
             },
         ])
         .unwrap();
-        assert_eq!(e.get("t", b"x").unwrap(), None);
-        assert_eq!(e.get("t", b"y").unwrap().as_deref(), Some(&b"2"[..]));
+        assert_eq!(e.head().get("t", b"x").unwrap(), None);
+        assert_eq!(e.head().get("t", b"y").unwrap().as_deref(), Some(&b"2"[..]));
         assert_eq!(e.stats().commits, 1);
     }
 
@@ -1976,13 +1966,13 @@ mod tests {
             .metrics_registry()
             .counter("preserva_storage_value_bytes_read_total", "");
         let before = bytes.get();
-        assert_eq!(e.count("t").unwrap(), 10);
+        assert_eq!(e.head().count("t").unwrap(), 10);
         // The old implementation was scan_all().len(): it cloned every live
         // value (10 × 100 B here) just to throw them away.
         assert_eq!(bytes.get(), before, "count() must not materialize values");
-        let _ = e.scan_all("t").unwrap();
+        let _ = e.head().scan_all("t").unwrap();
         assert_eq!(bytes.get(), before + 1000, "scans do read value bytes");
-        let _ = e.get("t", &1u32.to_be_bytes()).unwrap();
+        let _ = e.head().get("t", &1u32.to_be_bytes()).unwrap();
         assert_eq!(bytes.get(), before + 1100, "gets do read value bytes");
     }
 
@@ -2045,8 +2035,11 @@ mod tests {
         assert_eq!(snap.get("t", b"b").unwrap().as_deref(), Some(&b"2"[..]));
         assert_eq!(snap.count("t").unwrap(), 2);
         // The live view moved on.
-        assert_eq!(e.get("t", b"a").unwrap().as_deref(), Some(&b"changed"[..]));
-        assert_eq!(e.get("t", b"b").unwrap(), None);
+        assert_eq!(
+            e.head().get("t", b"a").unwrap().as_deref(),
+            Some(&b"changed"[..])
+        );
+        assert_eq!(e.head().get("t", b"b").unwrap(), None);
     }
 
     #[test]
@@ -2105,24 +2098,27 @@ mod tests {
             before + 2,
             "one DeleteRange frame + one Commit frame, independent of row count"
         );
-        assert_eq!(e.count("t").unwrap(), 0);
-        assert_eq!(e.scan_all("t").unwrap(), vec![]);
-        assert_eq!(e.get("t", &5u32.to_be_bytes()).unwrap(), None);
-        assert_eq!(e.get("u", b"other").unwrap().as_deref(), Some(&b"kept"[..]));
-        assert_eq!(e.tables().unwrap(), vec!["u".to_string()]);
+        assert_eq!(e.head().count("t").unwrap(), 0);
+        assert_eq!(e.head().scan_all("t").unwrap(), vec![]);
+        assert_eq!(e.head().get("t", &5u32.to_be_bytes()).unwrap(), None);
+        assert_eq!(
+            e.head().get("u", b"other").unwrap().as_deref(),
+            Some(&b"kept"[..])
+        );
+        assert_eq!(e.head().tables().unwrap(), vec!["u".to_string()]);
         // The pre-delete snapshot still sees everything.
         assert_eq!(snap.count("t").unwrap(), 100);
         // Writes after the tombstone are visible again.
         e.put("t", &7u32.to_be_bytes(), b"back").unwrap();
         assert_eq!(
-            e.get("t", &7u32.to_be_bytes()).unwrap().as_deref(),
+            e.head().get("t", &7u32.to_be_bytes()).unwrap().as_deref(),
             Some(&b"back"[..])
         );
-        assert_eq!(e.count("t").unwrap(), 1);
+        assert_eq!(e.head().count("t").unwrap(), 1);
         // Bounded variant.
         e.delete_range("t", &0u32.to_be_bytes(), Some(&100u32.to_be_bytes()))
             .unwrap();
-        assert_eq!(e.count("t").unwrap(), 0);
+        assert_eq!(e.head().count("t").unwrap(), 0);
     }
 
     #[test]
@@ -2143,16 +2139,16 @@ mod tests {
             e.checkpoint().unwrap(); // rows now live in a run
             e.delete_range("t", b"", None).unwrap();
             e.checkpoint().unwrap(); // tombstone now lives in a run too
-            assert_eq!(e.count("t").unwrap(), 0);
+            assert_eq!(e.head().count("t").unwrap(), 0);
         }
         // Recovery: the tombstone reloads from the run footer section.
         let e = Engine::open(&dir, opts).unwrap();
-        assert_eq!(e.count("t").unwrap(), 0);
-        assert_eq!(e.get("t", &10u32.to_be_bytes()).unwrap(), None);
+        assert_eq!(e.head().count("t").unwrap(), 0);
+        assert_eq!(e.head().get("t", &10u32.to_be_bytes()).unwrap(), None);
         // Full compaction folds rows and tombstone away entirely.
         assert!(e.compact().unwrap());
         assert_eq!(e.runs_per_level(), vec![]);
-        assert_eq!(e.count("t").unwrap(), 0);
+        assert_eq!(e.head().count("t").unwrap(), 0);
         let applied = e
             .metrics_registry()
             .counter("preserva_storage_range_tombstones_applied_total", "");
@@ -2199,7 +2195,10 @@ mod tests {
             .metrics_registry()
             .counter("preserva_storage_compaction_versions_folded_total", "");
         assert!(folded.get() > 0);
-        assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"new"[..]));
+        assert_eq!(
+            e.head().get("t", b"k").unwrap().as_deref(),
+            Some(&b"new"[..])
+        );
     }
 
     #[test]
@@ -2243,12 +2242,12 @@ mod tests {
             .metrics_registry()
             .counter("preserva_storage_bloom_misses_total", "");
         for i in 0..50u32 {
-            assert!(e.get("t", &i.to_be_bytes()).unwrap().is_some());
+            assert!(e.head().get("t", &i.to_be_bytes()).unwrap().is_some());
         }
         assert_eq!(hits.get(), 50, "every present key consults a block");
         let miss_before = misses.get();
         for i in 1000..1100u32 {
-            assert!(e.get("t", &i.to_be_bytes()).unwrap().is_none());
+            assert!(e.head().get("t", &i.to_be_bytes()).unwrap().is_none());
         }
         assert!(
             misses.get() - miss_before > 90,
@@ -2338,8 +2337,12 @@ mod tests {
         // scan, taking levels from the run footers.
         std::fs::write(manifest::manifest_path(&dir), b"garbage").unwrap();
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.get("t", b"a").unwrap(), None, "tombstone still wins");
-        assert_eq!(e.get("t", b"b").unwrap().as_deref(), Some(&b"2"[..]));
+        assert_eq!(
+            e.head().get("t", b"a").unwrap(),
+            None,
+            "tombstone still wins"
+        );
+        assert_eq!(e.head().get("t", b"b").unwrap().as_deref(), Some(&b"2"[..]));
         assert!(
             manifest::load(&dir).unwrap().is_some(),
             "manifest rewritten after fallback"
@@ -2382,20 +2385,20 @@ mod tests {
 
     fn assert_level1_wins(e: &Engine) {
         assert_eq!(
-            e.get("t", b"k").unwrap().as_deref(),
+            e.head().get("t", b"k").unwrap().as_deref(),
             Some(&b"new"[..]),
             "level-1 value beats the higher-id level-2 one"
         );
         assert_eq!(
-            e.get("t", b"del").unwrap(),
+            e.head().get("t", b"del").unwrap(),
             None,
             "level-1 tombstone beats the higher-id level-2 value"
         );
         assert_eq!(
-            e.scan_all("t").unwrap(),
+            e.head().scan_all("t").unwrap(),
             vec![(b"k".to_vec(), b"new".to_vec())]
         );
-        assert_eq!(e.count("t").unwrap(), 1);
+        assert_eq!(e.head().count("t").unwrap(), 1);
     }
 
     #[test]
@@ -2418,12 +2421,18 @@ mod tests {
         assert_level1_wins(&e);
         // A full merge must make the same versions win *permanently*.
         assert!(e.compact().unwrap());
-        assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"new"[..]));
-        assert_eq!(e.get("t", b"del").unwrap(), None);
+        assert_eq!(
+            e.head().get("t", b"k").unwrap().as_deref(),
+            Some(&b"new"[..])
+        );
+        assert_eq!(e.head().get("t", b"del").unwrap(), None);
         drop(e);
         let e = Engine::open(&dir, opts).unwrap();
-        assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"new"[..]));
-        assert_eq!(e.get("t", b"del").unwrap(), None);
+        assert_eq!(
+            e.head().get("t", b"k").unwrap().as_deref(),
+            Some(&b"new"[..])
+        );
+        assert_eq!(e.head().get("t", b"del").unwrap(), None);
     }
 
     #[test]
@@ -2472,7 +2481,7 @@ mod tests {
         std::fs::write(manifest::run_path(&dir, 42), b"garbage").unwrap();
         manifest::store(&dir, &catalog).unwrap();
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(e.head().get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
         assert!(
             !manifest::run_path(&dir, 42).exists(),
             "corrupt run removed"
@@ -2492,7 +2501,7 @@ mod tests {
         std::fs::write(manifest::run_path(&dir, 999), b"not a run").unwrap();
         std::fs::write(dir.join("run-0000000000000500.tmp"), b"half").unwrap();
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(e.head().get("t", b"k").unwrap().as_deref(), Some(&b"v"[..]));
         assert!(!manifest::run_path(&dir, 999).exists(), "orphan removed");
         assert!(
             !dir.join("run-0000000000000500.tmp").exists(),

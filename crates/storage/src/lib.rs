@@ -45,7 +45,7 @@
 //! let engine = Engine::open(&dir, EngineOptions::default()).unwrap();
 //! engine.put("records", b"fnjv:1", b"Elachistocleis ovalis").unwrap();
 //! assert_eq!(
-//!     engine.get("records", b"fnjv:1").unwrap().as_deref(),
+//!     engine.head().get("records", b"fnjv:1").unwrap().as_deref(),
 //!     Some(&b"Elachistocleis ovalis"[..])
 //! );
 //! # std::fs::remove_dir_all(&dir).ok();

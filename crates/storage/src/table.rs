@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::codec::{get_u64, put_u64};
@@ -97,9 +97,9 @@ const TABLE_META: &str = "__table_meta";
 pub const SEARCH_PREFIX: &str = "__search:";
 const SEP: u8 = 0x00;
 
-/// True for tables in the reserved search namespace. These pass
-/// [`check_name`] (they are deliberately client-writable) but are never
-/// journaled or indexed themselves.
+/// True for tables in the reserved search namespace. These pass the
+/// reserved-name check (they are deliberately client-writable) but are
+/// never journaled or indexed themselves.
 pub fn is_search_table(name: &str) -> bool {
     name.strip_prefix(SEARCH_PREFIX)
         .is_some_and(|rest| !rest.is_empty() && !rest.contains(':'))
@@ -192,10 +192,12 @@ impl CommitReceipt {
 /// append-only change journal.
 pub struct TableStore {
     engine: Arc<Engine>,
-    indexes: parking_lot_free::RwLock<HashMap<String, Vec<IndexDef>>>,
+    /// The unpinned reader [`TableStore::head`] lends out.
+    head: TableSnapshot,
+    indexes: RwLock<HashMap<String, Vec<IndexDef>>>,
     /// Tables whose row writes auto-append journal events. Like indexes,
     /// journaling is code, not data: re-register after every open.
-    journaled: parking_lot_free::RwLock<HashSet<String>>,
+    journaled: RwLock<HashSet<String>>,
     /// Last journal sequence number whose entry has LANDED (its batch
     /// applied or ingested). Written only under `commit_lock`, after
     /// the engine write succeeds — so the head never names an entry a
@@ -217,23 +219,6 @@ pub struct TableStore {
     watch: (Mutex<()>, Condvar),
 }
 
-/// Tiny stand-in module so the storage crate stays dependency-free: wraps
-/// `std::sync::RwLock` with the subset of the `parking_lot` API we use.
-mod parking_lot_free {
-    pub struct RwLock<T>(std::sync::RwLock<T>);
-    impl<T> RwLock<T> {
-        pub fn new(v: T) -> Self {
-            RwLock(std::sync::RwLock::new(v))
-        }
-        pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-            self.0.read().expect("lock poisoned")
-        }
-        pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-            self.0.write().expect("lock poisoned")
-        }
-    }
-}
-
 impl std::fmt::Debug for TableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableStore")
@@ -250,33 +235,32 @@ impl TableStore {
     ///
     /// The journal head is recovered with a point read of the mirrored
     /// head pointer; any entries a concurrent commit ordered after the
-    /// recorded head are folded in with a (normally empty) range scan.
-    pub fn new(engine: Arc<Engine>) -> Self {
-        let mut head = engine
-            .get(JOURNAL_META_TABLE, JOURNAL_HEAD_KEY)
-            .ok()
-            .flatten()
-            .and_then(|v| get_u64(&v).ok().map(|(h, _)| h))
-            .unwrap_or(0);
-        if let Ok(rows) = engine.scan(
-            JOURNAL_TABLE,
-            &JournalEntry::storage_key(head.saturating_add(1)),
-            None,
-        ) {
-            for (k, _) in rows {
-                if let Ok(b) = <[u8; 8]>::try_from(k.as_slice()) {
-                    head = head.max(u64::from_be_bytes(b));
-                }
-            }
+    /// recorded head are folded in by listing the (normally empty) tail's
+    /// keys. Either read failing fails the open: a journal that read as
+    /// empty would hand its live sequence numbers out again.
+    pub fn new(engine: Arc<Engine>) -> StorageResult<TableStore> {
+        let reader = engine.head();
+        let mut seq = match reader.get(JOURNAL_META_TABLE, JOURNAL_HEAD_KEY)? {
+            Some(v) => get_u64(&v)?.0,
+            None => 0,
+        };
+        let tail = JournalEntry::storage_key(seq.saturating_add(1));
+        if let Some(last) = reader.scan_keys(JOURNAL_TABLE, &tail, None)?.last() {
+            let last = <[u8; 8]>::try_from(last.as_slice())
+                .map_err(|_| StorageError::Decode(format!("journal key {last:?}")))?;
+            seq = seq.max(u64::from_be_bytes(last));
         }
-        TableStore {
+        Ok(TableStore {
+            head: TableSnapshot {
+                snap: reader.clone(),
+            },
             engine,
-            indexes: parking_lot_free::RwLock::new(HashMap::new()),
-            journaled: parking_lot_free::RwLock::new(HashSet::new()),
-            landed_head: AtomicU64::new(head),
+            indexes: RwLock::new(HashMap::new()),
+            journaled: RwLock::new(HashSet::new()),
+            landed_head: AtomicU64::new(seq),
             commit_lock: Mutex::new(()),
             watch: (Mutex::new(()), Condvar::new()),
-        }
+        })
     }
 
     /// Access the underlying engine.
@@ -294,13 +278,19 @@ impl TableStore {
         if is_search_table(table) {
             return Err(StorageError::InvalidTableName(table.to_string()));
         }
-        self.journaled.write().insert(table.to_string());
+        self.journaled
+            .write()
+            .expect("table store poisoned")
+            .insert(table.to_string());
         Ok(())
     }
 
     /// Whether `table` is registered for automatic journaling.
     pub fn is_journaled(&self, table: &str) -> bool {
-        self.journaled.read().contains(table)
+        self.journaled
+            .read()
+            .expect("table store poisoned")
+            .contains(table)
     }
 
     /// Last LANDED journal sequence number; 0 when the journal is
@@ -310,21 +300,11 @@ impl TableStore {
         self.landed_head.load(Ordering::SeqCst)
     }
 
-    /// Journal entries with sequence numbers in `(after_seq, after_seq
-    /// ⊕ limit]` (saturating at `u64::MAX`), in order. `limit == 0`
-    /// always returns empty, as does `after_seq == u64::MAX` — the
-    /// cursor is exhausted, not wrapped. A cursor replay loops until
-    /// this returns empty; chunked reads of any page size observe the
-    /// same entries as one unbounded read (property-tested).
-    pub fn read_journal(&self, after_seq: u64, limit: usize) -> StorageResult<Vec<JournalEntry>> {
-        let Some((start, end)) = journal_page_bounds(after_seq, limit) else {
-            return Ok(Vec::new());
-        };
-        let rows = self.engine.scan(JOURNAL_TABLE, &start, end.as_deref())?;
-        rows.iter()
-            .take(limit)
-            .map(|(_, v)| JournalEntry::decode(v))
-            .collect()
+    /// The head reader: reads through it see the newest commit at the
+    /// moment each read starts, pinning nothing ([`Engine::head`]). Take
+    /// [`snapshot`](Self::snapshot) when several reads must agree.
+    pub fn head(&self) -> &TableSnapshot {
+        &self.head
     }
 
     /// Wake journal tailers after a commit appended entries. The mutex
@@ -363,7 +343,7 @@ impl TableStore {
     }
 
     /// Long-poll tail of the change feed: the next page after
-    /// `after_seq` ([`read_journal`](Self::read_journal) semantics),
+    /// `after_seq` ([`TableSnapshot::read_journal`] at the head),
     /// waiting up to `timeout` for entries when the cursor is at the
     /// head. Returns an empty page only on timeout (or an exhausted /
     /// zero-limit cursor) — never because entries raced the read.
@@ -381,7 +361,7 @@ impl TableStore {
             // The head only advances after its entries have landed, so
             // a wake from wait_for_journal means the next read is
             // non-empty — the loop can never spin hot on an empty page.
-            let page = self.read_journal(after_seq, limit)?;
+            let page = self.head.read_journal(after_seq, limit)?;
             if !page.is_empty() {
                 return Ok(page);
             }
@@ -411,6 +391,7 @@ impl TableStore {
         for (slot, name) in def.names.iter().enumerate() {
             if self
                 .engine
+                .head()
                 .get(TABLE_META, &backfill_marker(table, name))?
                 .is_none()
             {
@@ -419,7 +400,7 @@ impl TableStore {
         }
         if !unbuilt.is_empty() {
             let mut batch = Vec::new();
-            for (pk, row) in self.engine.scan_all(table)? {
+            for (pk, row) in self.engine.head().scan_all(table)? {
                 let keys = (def.extract)(&row);
                 for (slot, idx_table) in &unbuilt {
                     if let Some(Some(v)) = keys.get(*slot) {
@@ -443,6 +424,7 @@ impl TableStore {
         }
         self.indexes
             .write()
+            .expect("table store poisoned")
             .entry(table.to_string())
             .or_default()
             .push(def);
@@ -461,55 +443,6 @@ impl TableStore {
         let mut session = self.session();
         session.delete(table, key)?;
         session.commit().map(|_| ())
-    }
-
-    /// Read a row.
-    pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        check_name(table)?;
-        self.engine.get(table, key)
-    }
-
-    /// All rows of a table in key order.
-    pub fn scan(&self, table: &str) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        check_name(table)?;
-        self.engine.scan_all(table)
-    }
-
-    /// Primary keys of rows whose indexed value equals `value`.
-    pub fn lookup(&self, table: &str, index: &str, value: &[u8]) -> StorageResult<Vec<Vec<u8>>> {
-        check_name(table)?;
-        let idx_table = index_table(table, index);
-        let mut start = value.to_vec();
-        start.push(SEP);
-        let mut end = value.to_vec();
-        end.push(SEP + 1);
-        let hits = self.engine.scan(&idx_table, &start, Some(&end))?;
-        Ok(hits.into_iter().map(|(_, pk)| pk).collect())
-    }
-
-    /// Number of live rows in a table.
-    pub fn count(&self, table: &str) -> StorageResult<usize> {
-        check_name(table)?;
-        self.engine.count(table)
-    }
-
-    /// Live primary keys of `table` in key order, copying no value
-    /// bytes — use instead of [`scan`](Self::scan) when only the keys
-    /// matter.
-    pub fn scan_keys(&self, table: &str) -> StorageResult<Vec<Vec<u8>>> {
-        check_name(table)?;
-        self.engine.scan_keys(table, b"", None)
-    }
-
-    /// Rows of `table` with keys in `[start, end)`, in key order.
-    pub fn scan_range(
-        &self,
-        table: &str,
-        start: &[u8],
-        end: Option<&[u8]>,
-    ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        check_name(table)?;
-        self.engine.scan(table, start, end)
     }
 
     /// Bulk-load rows into `table` through the direct-run fast path:
@@ -546,7 +479,7 @@ impl TableStore {
         rows.dedup_by(|a, b| a.0 == b.0);
         rows.reverse();
 
-        let indexes = self.indexes.read();
+        let indexes = self.indexes.read().expect("table store poisoned");
         let defs = indexes.get(table).map(Vec::as_slice).unwrap_or(&[]);
         let journaled = self.is_journaled(table);
         let mut entries: Vec<(String, Vec<u8>, Vec<u8>)> = Vec::with_capacity(
@@ -644,36 +577,38 @@ impl TableStore {
     }
 }
 
-/// A pinned, repeatable-read view over a [`TableStore`]: the
-/// snapshot-scoped twin of its read methods. Holding one blocks
-/// compaction from folding the versions it can see; drop it when done.
+/// A read view over a [`TableStore`] at one LSN, an engine [`Snapshot`]
+/// that checks table names. [`TableStore::snapshot`] and
+/// [`TableStore::snapshot_at`] pin one: holding it blocks compaction
+/// from folding the versions it can see, so drop it when done.
+/// [`TableStore::head`] lends the unpinned head reader.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot {
     snap: Snapshot,
 }
 
 impl TableSnapshot {
-    /// The commit LSN this view is pinned at.
+    /// The commit LSN this view reads at; [`Lsn::MAX`] for the head.
     pub fn lsn(&self) -> Lsn {
         self.snap.lsn()
     }
 
-    /// Read a row as of the pinned LSN.
+    /// Read a row.
     pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         check_name(table)?;
         self.snap.get(table, key)
     }
 
-    /// All rows of a table as of the pinned LSN, in key order.
+    /// All rows of a table in key order.
     pub fn scan(&self, table: &str) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         check_name(table)?;
         self.snap.scan_all(table)
     }
 
-    /// Primary keys of rows whose indexed value equals `value`, as of
-    /// the pinned LSN. The shadow table is versioned like any other, so
-    /// this agrees with [`scan`](Self::scan) of the base table even
-    /// while writers churn.
+    /// Primary keys of rows whose indexed value equals `value`. The
+    /// shadow table is versioned like any other, so through a pinned
+    /// snapshot this agrees with [`scan`](Self::scan) of the base table
+    /// even while writers churn.
     pub fn lookup(&self, table: &str, index: &str, value: &[u8]) -> StorageResult<Vec<Vec<u8>>> {
         check_name(table)?;
         let idx_table = index_table(table, index);
@@ -685,21 +620,21 @@ impl TableSnapshot {
         Ok(hits.into_iter().map(|(_, pk)| pk).collect())
     }
 
-    /// Number of live rows in a table as of the pinned LSN.
+    /// Number of live rows in a table.
     pub fn count(&self, table: &str) -> StorageResult<usize> {
         check_name(table)?;
         self.snap.count(table)
     }
 
-    /// Live primary keys of `table` as of the pinned LSN, copying no
-    /// value bytes.
+    /// Live primary keys of `table` in key order, copying no value
+    /// bytes — use instead of [`scan`](Self::scan) when only the keys
+    /// matter.
     pub fn scan_keys(&self, table: &str) -> StorageResult<Vec<Vec<u8>>> {
         check_name(table)?;
         self.snap.scan_keys(table, b"", None)
     }
 
-    /// Rows of `table` with keys in `[start, end)` as of the pinned
-    /// LSN, in key order.
+    /// Rows of `table` with keys in `[start, end)`, in key order.
     pub fn scan_range(
         &self,
         table: &str,
@@ -711,11 +646,12 @@ impl TableSnapshot {
     }
 
     /// Journal entries with sequence numbers in `(after_seq, after_seq
-    /// ⊕ limit]` (saturating at `u64::MAX`) as of the pinned LSN:
-    /// a cursor replay against this view never sees entries from
-    /// commits after the pin. Same edge semantics as
-    /// [`TableStore::read_journal`]: `limit == 0` or an exhausted
-    /// cursor (`after_seq == u64::MAX`) reads empty, never wraps.
+    /// ⊕ limit]` (saturating at `u64::MAX`), in order: through a pinned
+    /// snapshot, a cursor replay never sees entries from commits after
+    /// the pin. `limit == 0` or an exhausted cursor (`after_seq ==
+    /// u64::MAX`) reads empty, never wraps. A cursor replay loops until
+    /// this returns empty; chunked reads of any page size observe the
+    /// same entries as one unbounded read (property-tested).
     pub fn read_journal(&self, after_seq: u64, limit: usize) -> StorageResult<Vec<JournalEntry>> {
         let Some((start, end)) = journal_page_bounds(after_seq, limit) else {
             return Ok(Vec::new());
@@ -805,7 +741,7 @@ impl WriteSession<'_> {
         if let Some((_, _, v)) = staged {
             return Ok(v.clone());
         }
-        self.store.engine.get(table, key)
+        self.store.engine.head().get(table, key)
     }
 
     /// Number of staged operations.
@@ -854,7 +790,7 @@ impl WriteSession<'_> {
         // follow, never deduplicated.
         let mut auto: Vec<Option<JournalEntry>> = Vec::new();
         {
-            let journaled = store.journaled.read();
+            let journaled = store.journaled.read().expect("table store poisoned");
             let mut last_for: HashMap<(&str, &[u8]), usize> = HashMap::new();
             for (table, key, value) in &staged {
                 if journaled.contains(table) {
@@ -889,7 +825,7 @@ impl WriteSession<'_> {
                 }),
         );
 
-        let indexes = store.indexes.read();
+        let indexes = store.indexes.read().expect("table store poisoned");
         // Old-value reads, seq assignment and the batch that lands them
         // are one critical section whenever the commit writes an indexed
         // table or carries events: two sessions rewriting one key would
@@ -919,7 +855,7 @@ impl WriteSession<'_> {
                 let old_keys = match current.remove(&slot) {
                     Some(keys) => keys,
                     None => {
-                        let old = store.engine.get(&table, &key)?;
+                        let old = store.engine.head().get(&table, &key)?;
                         defs.iter().map(|def| def.keys(old.as_deref())).collect()
                     }
                 };
@@ -1012,6 +948,7 @@ mod tests {
         TableStore::new(Arc::new(
             Engine::open(&store_dir(name), EngineOptions::default()).unwrap(),
         ))
+        .unwrap()
     }
 
     /// Index on the first byte of the row value.
@@ -1047,9 +984,12 @@ mod tests {
             "an update extracts its old and its new image once each"
         );
         for (index, key) in [("b0", b"A"), ("b1", b"B"), ("b2", b"X"), ("b3", b"Y")] {
-            assert_eq!(s.lookup("t", index, key).unwrap(), vec![b"pk".to_vec()]);
+            assert_eq!(
+                s.head().lookup("t", index, key).unwrap(),
+                vec![b"pk".to_vec()]
+            );
         }
-        assert!(s.lookup("t", "b2", b"C").unwrap().is_empty());
+        assert!(s.head().lookup("t", "b2", b"C").unwrap().is_empty());
     }
 
     #[test]
@@ -1060,10 +1000,10 @@ mod tests {
         let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..10u8).map(|i| (vec![i], vec![b'A', i])).collect();
         s.bulk_load("t", rows).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 10);
-        assert_eq!(s.lookup("t", "b0", b"A").unwrap().len(), 10);
-        assert_eq!(s.lookup("t", "b1", &[7]).unwrap(), vec![vec![7]]);
+        assert_eq!(s.head().lookup("t", "b0", b"A").unwrap().len(), 10);
+        assert_eq!(s.head().lookup("t", "b1", &[7]).unwrap(), vec![vec![7]]);
         assert!(
-            s.lookup("t", "b2", b"A").unwrap().is_empty(),
+            s.head().lookup("t", "b2", b"A").unwrap().is_empty(),
             "short rows skip b2"
         );
     }
@@ -1077,8 +1017,8 @@ mod tests {
         let calls = Arc::new(AtomicU64::new(0));
         s.create_index("t", counted_group(&calls)).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 10);
-        assert_eq!(s.lookup("t", "b3", b"D").unwrap().len(), 10);
-        assert_eq!(s.lookup("t", "b1", &[3]).unwrap(), vec![vec![3]]);
+        assert_eq!(s.head().lookup("t", "b3", b"D").unwrap().len(), 10);
+        assert_eq!(s.head().lookup("t", "b1", &[3]).unwrap(), vec![vec![3]]);
     }
 
     #[test]
@@ -1089,7 +1029,8 @@ mod tests {
             // shadow tables and markers.
             let s = TableStore::new(Arc::new(
                 Engine::open(&dir, EngineOptions::default()).unwrap(),
-            ));
+            ))
+            .unwrap();
             for (i, name) in ["b0", "b1", "b2", "b3"].into_iter().enumerate() {
                 let def = IndexDef::new(name, move |row: &[u8]| row.get(i).map(|b| vec![*b]));
                 s.create_index("t", def).unwrap();
@@ -1097,14 +1038,17 @@ mod tests {
             s.put("t", b"pk", b"ABCD").unwrap();
         }
         let engine = Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap());
-        let s = TableStore::new(engine.clone());
+        let s = TableStore::new(engine.clone()).unwrap();
         let (lsn, commits) = (engine.committed_lsn(), engine.stats().commits);
         let calls = Arc::new(AtomicU64::new(0));
         s.create_index("t", counted_group(&calls)).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 0, "no backfill");
         assert_eq!(engine.committed_lsn(), lsn, "no commit");
         assert_eq!(engine.stats().commits, commits);
-        assert_eq!(s.lookup("t", "b2", b"C").unwrap(), vec![b"pk".to_vec()]);
+        assert_eq!(
+            s.head().lookup("t", "b2", b"C").unwrap(),
+            vec![b"pk".to_vec()]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1123,14 +1067,14 @@ mod tests {
         // The carve-out: `__search:<name>` behaves like a user table...
         s.put("__search:postings", b"k", b"v").unwrap();
         assert_eq!(
-            s.get("__search:postings", b"k").unwrap(),
+            s.head().get("__search:postings", b"k").unwrap(),
             Some(b"v".to_vec())
         );
         let mut sess = s.session();
         sess.put("__search:meta", b"state", b"{}").unwrap();
         sess.delete("__search:postings", b"k").unwrap();
         sess.commit().unwrap();
-        assert_eq!(s.get("__search:postings", b"k").unwrap(), None);
+        assert_eq!(s.head().get("__search:postings", b"k").unwrap(), None);
         // ...but cannot itself be journaled or carry secondary indexes,
         assert!(s.mark_journaled("__search:postings").is_err());
         assert!(s
@@ -1151,11 +1095,14 @@ mod tests {
         s.put("t", b"pk1", b"Afrog").unwrap();
         s.put("t", b"pk2", b"Abird").unwrap();
         s.put("t", b"pk3", b"Bbat").unwrap();
-        let mut hits = s.lookup("t", "first", b"A").unwrap();
+        let mut hits = s.head().lookup("t", "first", b"A").unwrap();
         hits.sort();
         assert_eq!(hits, vec![b"pk1".to_vec(), b"pk2".to_vec()]);
-        assert_eq!(s.lookup("t", "first", b"B").unwrap(), vec![b"pk3".to_vec()]);
-        assert!(s.lookup("t", "first", b"Z").unwrap().is_empty());
+        assert_eq!(
+            s.head().lookup("t", "first", b"B").unwrap(),
+            vec![b"pk3".to_vec()]
+        );
+        assert!(s.head().lookup("t", "first", b"Z").unwrap().is_empty());
     }
 
     #[test]
@@ -1164,8 +1111,11 @@ mod tests {
         s.create_index("t", first_byte_index()).unwrap();
         s.put("t", b"pk", b"Aone").unwrap();
         s.put("t", b"pk", b"Btwo").unwrap();
-        assert!(s.lookup("t", "first", b"A").unwrap().is_empty());
-        assert_eq!(s.lookup("t", "first", b"B").unwrap(), vec![b"pk".to_vec()]);
+        assert!(s.head().lookup("t", "first", b"A").unwrap().is_empty());
+        assert_eq!(
+            s.head().lookup("t", "first", b"B").unwrap(),
+            vec![b"pk".to_vec()]
+        );
     }
 
     #[test]
@@ -1174,8 +1124,8 @@ mod tests {
         s.create_index("t", first_byte_index()).unwrap();
         s.put("t", b"pk", b"Aone").unwrap();
         s.delete("t", b"pk").unwrap();
-        assert!(s.lookup("t", "first", b"A").unwrap().is_empty());
-        assert_eq!(s.get("t", b"pk").unwrap(), None);
+        assert!(s.head().lookup("t", "first", b"A").unwrap().is_empty());
+        assert_eq!(s.head().get("t", b"pk").unwrap(), None);
     }
 
     #[test]
@@ -1184,8 +1134,14 @@ mod tests {
         s.put("t", b"pk1", b"Aone").unwrap();
         s.put("t", b"pk2", b"Btwo").unwrap();
         s.create_index("t", first_byte_index()).unwrap();
-        assert_eq!(s.lookup("t", "first", b"A").unwrap(), vec![b"pk1".to_vec()]);
-        assert_eq!(s.lookup("t", "first", b"B").unwrap(), vec![b"pk2".to_vec()]);
+        assert_eq!(
+            s.head().lookup("t", "first", b"A").unwrap(),
+            vec![b"pk1".to_vec()]
+        );
+        assert_eq!(
+            s.head().lookup("t", "first", b"B").unwrap(),
+            vec![b"pk2".to_vec()]
+        );
     }
 
     #[test]
@@ -1204,7 +1160,10 @@ mod tests {
         .unwrap();
         s.put("t", b"pk1", b"yes-row").unwrap();
         s.put("t", b"pk2", b"no-row").unwrap();
-        assert_eq!(s.lookup("t", "maybe", b"y").unwrap(), vec![b"pk1".to_vec()]);
+        assert_eq!(
+            s.head().lookup("t", "maybe", b"y").unwrap(),
+            vec![b"pk1".to_vec()]
+        );
     }
 
     #[test]
@@ -1218,9 +1177,18 @@ mod tests {
         session.delete("records", b"absent").unwrap();
         session.commit().unwrap();
         assert_eq!(s.engine().stats().commits, before + 1);
-        assert_eq!(s.get("records", b"r1").unwrap(), Some(b"one".to_vec()));
-        assert_eq!(s.get("records", b"r2").unwrap(), Some(b"two".to_vec()));
-        assert_eq!(s.get("catalog", b"c1").unwrap(), Some(b"meta".to_vec()));
+        assert_eq!(
+            s.head().get("records", b"r1").unwrap(),
+            Some(b"one".to_vec())
+        );
+        assert_eq!(
+            s.head().get("records", b"r2").unwrap(),
+            Some(b"two".to_vec())
+        );
+        assert_eq!(
+            s.head().get("catalog", b"c1").unwrap(),
+            Some(b"meta".to_vec())
+        );
     }
 
     #[test]
@@ -1235,9 +1203,9 @@ mod tests {
         session.put("t", b"pk", b"Cthree").unwrap();
         session.put("t", b"pk2", b"Cfour").unwrap();
         session.commit().unwrap();
-        assert!(s.lookup("t", "first", b"A").unwrap().is_empty());
-        assert!(s.lookup("t", "first", b"B").unwrap().is_empty());
-        let mut hits = s.lookup("t", "first", b"C").unwrap();
+        assert!(s.head().lookup("t", "first", b"A").unwrap().is_empty());
+        assert!(s.head().lookup("t", "first", b"B").unwrap().is_empty());
+        let mut hits = s.head().lookup("t", "first", b"C").unwrap();
         hits.sort();
         assert_eq!(hits, vec![b"pk".to_vec(), b"pk2".to_vec()]);
     }
@@ -1253,7 +1221,7 @@ mod tests {
         session.delete("t", b"k").unwrap();
         assert_eq!(session.get("t", b"k").unwrap(), None);
         // Nothing visible outside the session until commit.
-        assert_eq!(s.get("t", b"k").unwrap(), Some(b"stored".to_vec()));
+        assert_eq!(s.head().get("t", b"k").unwrap(), Some(b"stored".to_vec()));
     }
 
     #[test]
@@ -1264,7 +1232,7 @@ mod tests {
             let mut session = s.session();
             session.put("t", b"k", b"v").unwrap();
         }
-        assert_eq!(s.get("t", b"k").unwrap(), None);
+        assert_eq!(s.head().get("t", b"k").unwrap(), None);
         assert_eq!(s.engine().stats().commits, before);
     }
 
@@ -1297,7 +1265,7 @@ mod tests {
         let s = store("shadow");
         s.create_index("t", first_byte_index()).unwrap();
         s.put("t", b"pk", b"Aone").unwrap();
-        let rows = s.scan("t").unwrap();
+        let rows = s.head().scan("t").unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, b"pk".to_vec());
     }
@@ -1324,7 +1292,7 @@ mod tests {
         );
         assert_eq!(receipt.entries(), 2);
         assert_eq!(s.journal_head(), 2);
-        let entries = s.read_journal(0, 100).unwrap();
+        let entries = s.head().read_journal(0, 100).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].kind, ROW_UPSERTED);
         assert_eq!(entries[0].key, b"r2".to_vec());
@@ -1343,7 +1311,7 @@ mod tests {
         assert_eq!((receipt.first_seq, receipt.last_seq), (0, 0));
         assert!(receipt.lsn > 0, "data commit still carries its LSN");
         assert_eq!(s.journal_head(), 0);
-        assert!(s.read_journal(0, 10).unwrap().is_empty());
+        assert!(s.head().read_journal(0, 10).unwrap().is_empty());
     }
 
     #[test]
@@ -1362,7 +1330,7 @@ mod tests {
         let receipt = session.commit().unwrap();
         assert_eq!(s.engine().stats().commits, before + 1);
         assert_eq!(receipt.entries(), 2);
-        let entries = s.read_journal(0, 10).unwrap();
+        let entries = s.head().read_journal(0, 10).unwrap();
         assert_eq!(entries[0].kind, "checklist-changed");
         assert_eq!(entries[0].table, "taxonomy");
         assert_eq!(entries[1].kind, "name-status-changed");
@@ -1386,7 +1354,7 @@ mod tests {
         s.mark_journaled("t").unwrap();
         s.put("t", b"k", b"v").unwrap();
         s.delete("t", b"k").unwrap();
-        let entries = s.read_journal(0, 10).unwrap();
+        let entries = s.head().read_journal(0, 10).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].kind, ROW_UPSERTED);
         assert_eq!(entries[1].kind, ROW_DELETED);
@@ -1399,19 +1367,19 @@ mod tests {
         for i in 0..10u8 {
             s.put("t", &[i], b"v").unwrap();
         }
-        let first = s.read_journal(0, 4).unwrap();
+        let first = s.head().read_journal(0, 4).unwrap();
         assert_eq!(
             first.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![1, 2, 3, 4]
         );
-        let next = s.read_journal(4, 4).unwrap();
+        let next = s.head().read_journal(4, 4).unwrap();
         assert_eq!(
             next.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![5, 6, 7, 8]
         );
-        let tail = s.read_journal(8, 100).unwrap();
+        let tail = s.head().read_journal(8, 100).unwrap();
         assert_eq!(tail.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![9, 10]);
-        assert!(s.read_journal(10, 100).unwrap().is_empty());
+        assert!(s.head().read_journal(10, 100).unwrap().is_empty());
     }
 
     #[test]
@@ -1420,7 +1388,8 @@ mod tests {
         {
             let s = TableStore::new(Arc::new(
                 Engine::open(&dir, EngineOptions::default()).unwrap(),
-            ));
+            ))
+            .unwrap();
             s.mark_journaled("t").unwrap();
             s.put("t", b"a", b"1").unwrap();
             s.put("t", b"b", b"2").unwrap();
@@ -1428,15 +1397,52 @@ mod tests {
         }
         let s = TableStore::new(Arc::new(
             Engine::open(&dir, EngineOptions::default()).unwrap(),
-        ));
+        ))
+        .unwrap();
         assert_eq!(s.journal_head(), 2, "head recovered from meta point read");
         s.mark_journaled("t").unwrap();
         s.put("t", b"c", b"3").unwrap();
         assert_eq!(s.journal_head(), 3);
-        let entries = s.read_journal(2, 10).unwrap();
+        let entries = s.head().read_journal(2, 10).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].seq, 3);
         assert_eq!(entries[0].key, b"c".to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_journal_head_block_fails_the_open() {
+        let dir = store_dir("journal-damaged");
+        {
+            let s = TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap();
+            s.mark_journaled("t").unwrap();
+            for i in 0..200 {
+                s.put("t", format!("k{i:04}").as_bytes(), b"v").unwrap();
+            }
+            s.engine().checkpoint().unwrap();
+        }
+        // Flip one byte of the run block holding the head pointer; the
+        // journal's tail shares that block, its first entries do not.
+        let runs = crate::manifest::list_run_files(&dir).unwrap();
+        assert_eq!(runs.len(), 1);
+        let mut bytes = std::fs::read(&runs[0].1).unwrap();
+        let meta = JOURNAL_META_TABLE.as_bytes();
+        let at = bytes.windows(meta.len()).position(|w| w == meta).unwrap();
+        bytes[at] ^= 0x01;
+        std::fs::write(&runs[0].1, &bytes).unwrap();
+
+        let engine = Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap());
+        let first = JournalEntry::storage_key(1);
+        assert!(engine.head().get(JOURNAL_TABLE, &first).unwrap().is_some());
+        // Reading the damage as an empty journal would hand seq 1 out
+        // again and overwrite that live entry.
+        match TableStore::new(engine) {
+            Err(StorageError::Corrupt { .. }) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1446,14 +1452,15 @@ mod tests {
         {
             let s = TableStore::new(Arc::new(
                 Engine::open(&dir, EngineOptions::default()).unwrap(),
-            ));
+            ))
+            .unwrap();
             s.create_index("t", first_byte_index()).unwrap();
             for i in 0..50u8 {
                 s.put("t", &[i], &[b'A' + (i % 3), i]).unwrap();
             }
         }
         let engine = Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap());
-        let s = TableStore::new(engine.clone());
+        let s = TableStore::new(engine.clone()).unwrap();
         let bytes_read = engine
             .metrics_registry()
             .counter("preserva_storage_value_bytes_read_total", "");
@@ -1466,9 +1473,12 @@ mod tests {
         );
         // The skipped backfill didn't lose anything: old rows are still
         // indexed and new writes keep maintaining the shadow table.
-        assert!(!s.lookup("t", "first", b"A").unwrap().is_empty());
+        assert!(!s.head().lookup("t", "first", b"A").unwrap().is_empty());
         s.put("t", &[200], b"Znew").unwrap();
-        assert_eq!(s.lookup("t", "first", b"Z").unwrap(), vec![vec![200]]);
+        assert_eq!(
+            s.head().lookup("t", "first", b"Z").unwrap(),
+            vec![vec![200]]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1497,9 +1507,9 @@ mod tests {
         assert!(snap.lookup("t", "first", b"B").unwrap().is_empty());
         // The journal cursor through the snapshot stops at the pin.
         assert_eq!(snap.read_journal(0, 100).unwrap().len(), 1);
-        assert_eq!(s.read_journal(0, 100).unwrap().len(), 3);
+        assert_eq!(s.head().read_journal(0, 100).unwrap().len(), 3);
         // Live reads see the new state.
-        assert_eq!(s.get("t", b"pk").unwrap(), Some(b"Btwo".to_vec()));
+        assert_eq!(s.head().get("t", b"pk").unwrap(), Some(b"Btwo".to_vec()));
     }
 
     #[test]
@@ -1539,14 +1549,14 @@ mod tests {
             checkpoint_bytes: 1,
             ..EngineOptions::default()
         };
-        let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap()));
+        let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap())).unwrap();
         s.mark_journaled("t").unwrap();
         // A directory where the flush rotates the live WAL to makes every
         // checkpoint fail after its commit has landed.
         let blocker = dir.join("wal.frozen");
         std::fs::create_dir(&blocker).unwrap();
         s.put("t", b"a", b"1").unwrap();
-        assert_eq!(s.get("t", b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(s.head().get("t", b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(s.journal_head(), 1);
         assert!(s
             .engine()
@@ -1560,6 +1570,7 @@ mod tests {
         let receipt = session.commit().unwrap();
         assert_eq!((receipt.first_seq, receipt.last_seq), (2, 2));
         let keys: Vec<Vec<u8>> = s
+            .head()
             .read_journal(0, 10)
             .unwrap()
             .into_iter()
@@ -1582,7 +1593,7 @@ mod tests {
             },
             ..EngineOptions::default()
         };
-        let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap()));
+        let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap())).unwrap();
         s.mark_journaled("t").unwrap();
         s.bulk_load("t", vec![(b"a".to_vec(), b"1".to_vec())])
             .unwrap();
@@ -1601,8 +1612,8 @@ mod tests {
             .bulk_load("t", vec![(b"c".to_vec(), b"3".to_vec())])
             .unwrap();
         assert_eq!((receipt.first_seq, receipt.last_seq), (3, 3));
-        assert_eq!(s.read_journal(0, 10).unwrap().len(), 3);
-        assert_eq!(s.count("t").unwrap(), 3);
+        assert_eq!(s.head().read_journal(0, 10).unwrap().len(), 3);
+        assert_eq!(s.head().count("t").unwrap(), 3);
         assert_eq!(s.engine().stats().compactions, 1, "the retry merged");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1629,8 +1640,12 @@ mod tests {
                 });
             }
         });
-        let row = s.get("t", b"pk").unwrap().unwrap();
-        let entries = s.engine().scan_all(&index_table("t", "whole")).unwrap();
+        let row = s.head().get("t", b"pk").unwrap().unwrap();
+        let entries = s
+            .engine()
+            .head()
+            .scan_all(&index_table("t", "whole"))
+            .unwrap();
         assert_eq!(entries.len(), 1, "stale index entries for one row");
         assert_eq!(entries[0], (index_key(&row, b"pk"), b"pk".to_vec()));
     }

@@ -212,7 +212,7 @@ impl ViewDriver {
 
     /// The committed cursor state.
     pub fn state(&self) -> StorageResult<ViewState> {
-        ViewState::decode(self.store.get(self.spec.meta_table, STATE_KEY)?)
+        ViewState::load_at(self.store.head(), self.spec.meta_table)
     }
 
     /// Journal head minus cursor, refreshing the lag gauge.
@@ -360,9 +360,12 @@ mod tests {
     fn store(tag: &str) -> (Arc<TableStore>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("preserva-view-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(TableStore::new(Arc::new(
-            Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        let store = Arc::new(
+            TableStore::new(Arc::new(
+                Engine::open(&dir, EngineOptions::default()).unwrap(),
+            ))
+            .unwrap(),
+        );
         store.mark_journaled("src").unwrap();
         store.mark_journaled("audit").unwrap();
         (store, dir)
@@ -450,7 +453,7 @@ mod tests {
         let second = driver.run(&mut view, None, None).unwrap();
         assert_eq!(second.entries_consumed, 2, "foreign write + own audit row");
         assert!(view.seen.contains(&b"foreign".to_vec()));
-        assert!(store.get("echo", b"foreign").unwrap().is_some());
+        assert!(store.head().get("echo", b"foreign").unwrap().is_some());
         // Nothing intervened this time: the cursor skips the run's own
         // audit entry and the next run is a no-op.
         assert_eq!(second.cursor_after, store.journal_head());
@@ -501,7 +504,7 @@ mod tests {
         store.put("echo", b"stray", b"").unwrap();
         let rebuilt = driver.rebuild(&mut view).unwrap();
         assert_eq!(rebuilt.cursor_before, 0);
-        assert_eq!(store.scan_keys("echo").unwrap(), vec![b"a".to_vec()]);
+        assert_eq!(store.head().scan_keys("echo").unwrap(), vec![b"a".to_vec()]);
         assert_eq!(driver.state().unwrap().runs, 2);
         assert_eq!(driver.lag().unwrap(), 0);
         let text = driver.metrics_registry().render_prometheus();

@@ -39,7 +39,7 @@ fn foreground() -> EngineOptions {
 }
 
 fn store_at(dir: &Path) -> TableStore {
-    TableStore::new(Arc::new(Engine::open(dir, foreground()).unwrap()))
+    TableStore::new(Arc::new(Engine::open(dir, foreground()).unwrap())).unwrap()
 }
 
 fn put(table: &str, k: &[u8], v: &[u8]) -> BatchOp {
@@ -72,7 +72,7 @@ fn ingest_run_is_visible_durable_and_time_travels() {
         lsn = engine.ingest_run(rows).unwrap();
         assert!(lsn > before, "bulk run draws a fresh LSN");
         assert_eq!(engine.committed_lsn(), lsn);
-        assert_eq!(engine.count("t").unwrap(), 501);
+        assert_eq!(engine.head().count("t").unwrap(), 501);
         // Time travel: before the bulk LSN the batch is invisible; at it,
         // the whole batch appears at once.
         assert_eq!(engine.as_of(before).count("t").unwrap(), 1);
@@ -80,9 +80,9 @@ fn ingest_run_is_visible_durable_and_time_travels() {
     }
     // Reopen: the run was MANIFEST-committed, no WAL involved.
     let engine = Engine::open(&dir, foreground()).unwrap();
-    assert_eq!(engine.count("t").unwrap(), 501);
+    assert_eq!(engine.head().count("t").unwrap(), 501);
     assert_eq!(
-        engine.get("t", b"bulk-00499").unwrap().as_deref(),
+        engine.head().get("t", b"bulk-00499").unwrap().as_deref(),
         Some(&[1u8][..])
     );
     // The LSN clock recovered past the bulk run's LSN: a new commit must
@@ -107,7 +107,7 @@ fn ingest_run_rejects_unsorted_and_duplicate_rows() {
     ];
     assert!(engine.ingest_run(dup).is_err());
     assert_eq!(
-        engine.count("t").unwrap(),
+        engine.head().count("t").unwrap(),
         0,
         "rejected input writes nothing"
     );
@@ -130,7 +130,7 @@ fn ingest_run_compacts_with_normal_runs() {
     engine.put("t", b"m2", b"v").unwrap();
     engine.checkpoint().unwrap();
     assert!(engine.compact().unwrap());
-    assert_eq!(engine.count("t").unwrap(), 102);
+    assert_eq!(engine.head().count("t").unwrap(), 102);
     assert_eq!(
         engine
             .runs_per_level()
@@ -160,12 +160,12 @@ fn bulk_load_maintains_indexes_and_journal() {
         assert_eq!((receipt.first_seq, receipt.last_seq), (1, 200));
         assert_eq!(receipt.entries(), 200);
         assert_eq!(s.journal_head(), 200);
-        assert_eq!(s.count("t").unwrap(), 200);
+        assert_eq!(s.head().count("t").unwrap(), 200);
         // Index rows rode along in the same run.
-        let hits = s.lookup("t", "first", b"A").unwrap();
+        let hits = s.head().lookup("t", "first", b"A").unwrap();
         assert_eq!(hits.len(), 67);
         // Journal agrees with the data, entry for entry.
-        let feed = s.read_journal(0, 500).unwrap();
+        let feed = s.head().read_journal(0, 500).unwrap();
         assert_eq!(feed.len(), 200);
         assert!(feed
             .iter()
@@ -178,7 +178,7 @@ fn bulk_load_maintains_indexes_and_journal() {
     let s = store_at(&dir);
     assert_eq!(s.journal_head(), 200);
     s.create_index("t", first_byte()).unwrap();
-    assert_eq!(s.lookup("t", "first", b"B").unwrap().len(), 67);
+    assert_eq!(s.head().lookup("t", "first", b"B").unwrap().len(), 67);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -207,8 +207,11 @@ fn bulk_load_empty_and_duplicate_batches() {
         )
         .unwrap();
     assert_eq!(receipt.entries(), 1);
-    assert_eq!(s.get("t", b"k").unwrap().as_deref(), Some(&b"v2"[..]));
-    assert_eq!(s.read_journal(0, 10).unwrap().len(), 1);
+    assert_eq!(
+        s.head().get("t", b"k").unwrap().as_deref(),
+        Some(&b"v2"[..])
+    );
+    assert_eq!(s.head().read_journal(0, 10).unwrap().len(), 1);
 
     // Single-record batch: a well-formed one-entry range.
     let receipt = s
@@ -236,14 +239,14 @@ fn range_tombstone_only_flush_reopen_and_compaction() {
         engine.delete_range("t", &[0], None).unwrap();
         let id = engine.checkpoint().unwrap();
         assert!(id > 0, "range-tombstone-only memtable still flushes");
-        assert_eq!(engine.count("t").unwrap(), 0);
+        assert_eq!(engine.head().count("t").unwrap(), 0);
     }
     // Reopen validates the zero-entry run's bloom/index/footer geometry.
     let engine = Engine::open(&dir, foreground()).unwrap();
-    assert_eq!(engine.count("t").unwrap(), 0);
+    assert_eq!(engine.head().count("t").unwrap(), 0);
     // Compaction folds the covered rows and the tombstone away.
     assert!(engine.compact().unwrap());
-    assert_eq!(engine.count("t").unwrap(), 0);
+    assert_eq!(engine.head().count("t").unwrap(), 0);
     assert_eq!(
         engine
             .runs_per_level()
@@ -267,12 +270,12 @@ fn journal_cursor_edges_never_wrap_or_truncate() {
         s.put("t", &[i], b"v").unwrap();
     }
     // limit == 0 is pinned to "empty page", regardless of cursor.
-    assert!(s.read_journal(0, 0).unwrap().is_empty());
-    assert!(s.read_journal(3, 0).unwrap().is_empty());
+    assert!(s.head().read_journal(0, 0).unwrap().is_empty());
+    assert!(s.head().read_journal(3, 0).unwrap().is_empty());
     // A cursor at u64::MAX is exhausted, not wrapped around.
-    assert!(s.read_journal(u64::MAX, 100).unwrap().is_empty());
+    assert!(s.head().read_journal(u64::MAX, 100).unwrap().is_empty());
     // A limit that would overflow the end bound must not truncate.
-    let all = s.read_journal(2, usize::MAX).unwrap();
+    let all = s.head().read_journal(2, usize::MAX).unwrap();
     assert_eq!(all.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 4, 5]);
 
     // Entries planted at the very top of the sequence space (bypassing
@@ -294,13 +297,13 @@ fn journal_cursor_edges_never_wrap_or_truncate() {
         });
     }
     s.engine().apply_batch(batch).unwrap();
-    let top = s.read_journal(u64::MAX - 3, 10).unwrap();
+    let top = s.head().read_journal(u64::MAX - 3, 10).unwrap();
     assert_eq!(
         top.iter().map(|e| e.seq).collect::<Vec<_>>(),
         vec![u64::MAX - 2, u64::MAX - 1, u64::MAX],
         "the page (MAX-3, MAX] contains all three top entries"
     );
-    let exact = s.read_journal(u64::MAX - 2, 1).unwrap();
+    let exact = s.head().read_journal(u64::MAX - 2, 1).unwrap();
     assert_eq!(
         exact.iter().map(|e| e.seq).collect::<Vec<_>>(),
         vec![u64::MAX - 1]
@@ -333,7 +336,7 @@ proptest! {
             s.put("t", &[i as u8], b"v").unwrap();
         }
         let unbounded: Vec<u64> = s
-            .read_journal(after, usize::MAX)
+            .head().read_journal(after, usize::MAX)
             .unwrap()
             .iter()
             .map(|e| e.seq)
@@ -341,7 +344,7 @@ proptest! {
         let mut chunked = Vec::new();
         let mut cursor = after;
         loop {
-            let page = s.read_journal(cursor, chunk).unwrap();
+            let page = s.head().read_journal(cursor, chunk).unwrap();
             prop_assert!(page.len() <= chunk);
             if page.is_empty() {
                 break;
@@ -394,7 +397,7 @@ fn torn_wal_batch_recovers_to_a_batch_boundary() {
                 ])
                 .unwrap();
         }
-        assert_eq!(engine.count("t").unwrap(), batches as usize);
+        assert_eq!(engine.head().count("t").unwrap(), batches as usize);
     }
     let wal = std::fs::read(dir.join("wal.log")).unwrap();
     assert!(!wal.is_empty());
@@ -404,8 +407,8 @@ fn torn_wal_batch_recovers_to_a_batch_boundary() {
         std::fs::create_dir_all(&crash).unwrap();
         std::fs::write(crash.join("wal.log"), &wal[..cut]).unwrap();
         let s = store_at(&crash);
-        let rows = s.scan("t").unwrap();
-        let feed = s.read_journal(0, usize::MAX).unwrap();
+        let rows = s.head().scan("t").unwrap();
+        let feed = s.head().read_journal(0, usize::MAX).unwrap();
         // All-or-nothing per batch: data and journal agree exactly.
         assert_eq!(
             rows.len(),

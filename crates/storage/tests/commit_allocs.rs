@@ -31,7 +31,7 @@ fn store(name: &str) -> TableStore {
         },
     )
     .expect("open engine");
-    TableStore::new(Arc::new(engine))
+    TableStore::new(Arc::new(engine)).unwrap()
 }
 
 #[test]
@@ -68,7 +68,10 @@ fn a_put_copies_its_value_once() {
     );
     assert_eq!(store.engine().stats().checkpoints, 0, "nothing flushed");
     assert_eq!(
-        store.get("records", &keys[OPS - 1]).expect("read back"),
+        store
+            .head()
+            .get("records", &keys[OPS - 1])
+            .expect("read back"),
         Some(value)
     );
 }
@@ -104,7 +107,10 @@ fn a_committed_posting_leaves_little_heap_behind() {
     );
     assert_eq!(store.engine().stats().checkpoints, 0, "nothing flushed");
     assert_eq!(
-        store.get("__search:postings", &keys[0]).expect("read back"),
+        store
+            .head()
+            .get("__search:postings", &keys[0])
+            .expect("read back"),
         Some(Vec::new())
     );
 }

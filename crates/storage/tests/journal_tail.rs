@@ -30,7 +30,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn open_store(dir: &Path) -> TableStore {
     let store = TableStore::new(Arc::new(
         Engine::open(dir, EngineOptions::default()).unwrap(),
-    ));
+    ))
+    .unwrap();
     store.mark_journaled("t").unwrap();
     store
 }
@@ -86,7 +87,7 @@ proptest! {
 
         let head = store.journal_head();
         prop_assert_eq!(head as usize, ops.len(), "every op journals exactly one entry");
-        let full = store.read_journal(0, usize::MAX).unwrap();
+        let full = store.head().read_journal(0, usize::MAX).unwrap();
         prop_assert_eq!(full.len() as u64, head);
         // Seqs are dense from 1.
         for (i, e) in full.iter().enumerate() {
@@ -158,16 +159,17 @@ fn cursors_adjacent_to_u64_max_saturate_instead_of_wrapping() {
     // Reopen: head recovery must fold the planted entries in.
     let store = TableStore::new(Arc::new(
         Engine::open(&dir, EngineOptions::default()).unwrap(),
-    ));
+    ))
+    .unwrap();
     assert_eq!(store.journal_head(), u64::MAX - 1);
 
     // A huge limit from a cursor below the entries saturates, returning
     // everything up to the head.
-    let all = store.read_journal(u64::MAX - 4, usize::MAX).unwrap();
+    let all = store.head().read_journal(u64::MAX - 4, usize::MAX).unwrap();
     assert_eq!(all.iter().map(|e| e.seq).collect::<Vec<_>>(), high);
 
     // Cursor ON an entry: strictly-after semantics.
-    let after_first = store.read_journal(u64::MAX - 3, usize::MAX).unwrap();
+    let after_first = store.head().read_journal(u64::MAX - 3, usize::MAX).unwrap();
     assert_eq!(
         after_first.iter().map(|e| e.seq).collect::<Vec<_>>(),
         vec![u64::MAX - 2, u64::MAX - 1]
@@ -175,8 +177,12 @@ fn cursors_adjacent_to_u64_max_saturate_instead_of_wrapping() {
 
     // The exhausted cursor and the zero limit are empty, not errors —
     // and tail_journal must not block on them even with a timeout.
-    assert!(store.read_journal(u64::MAX, usize::MAX).unwrap().is_empty());
-    assert!(store.read_journal(5, 0).unwrap().is_empty());
+    assert!(store
+        .head()
+        .read_journal(u64::MAX, usize::MAX)
+        .unwrap()
+        .is_empty());
+    assert!(store.head().read_journal(5, 0).unwrap().is_empty());
     let started = std::time::Instant::now();
     assert!(store
         .tail_journal(u64::MAX, 10, Duration::from_secs(30))
@@ -261,7 +267,7 @@ fn concurrent_writers_and_tailer_see_no_gaps_or_reordering() {
     }
     assert_eq!(tailer.join().unwrap(), total);
     assert_eq!(store.journal_head(), total);
-    let full = store.read_journal(0, usize::MAX).unwrap();
+    let full = store.head().read_journal(0, usize::MAX).unwrap();
     assert_eq!(full.len() as u64, total, "head names only landed entries");
     for (i, e) in full.iter().enumerate() {
         assert_eq!(e.seq, i as u64 + 1, "seqs dense from 1 after the race");
@@ -274,7 +280,7 @@ fn concurrent_writers_and_tailer_see_no_gaps_or_reordering() {
     let store = open_store(&dir);
     assert_eq!(store.journal_head(), total);
     store.put("t", b"after-reopen", b"v").unwrap();
-    let tail = store.read_journal(total, 10).unwrap();
+    let tail = store.head().read_journal(total, 10).unwrap();
     assert_eq!(tail.len(), 1);
     assert_eq!(tail[0].seq, total + 1);
     assert_eq!(tail[0].key, b"after-reopen".to_vec());

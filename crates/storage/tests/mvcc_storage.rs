@@ -1,6 +1,6 @@
 //! MVCC integration battery for DESIGN.md §13: snapshot repeatability
 //! under churn, crash-tearing WAL segments that carry RANGE_TOMBSTONE
-//! frames, and O(1) range deletes.
+//! frames, O(1) range deletes, and head readers that pin nothing.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use preserva_storage::engine::{BatchOp, Engine, EngineOptions};
-use preserva_storage::CompactionOptions;
+use preserva_storage::{CompactionOptions, Lsn, TableStore};
 
 fn tmpdir(tag: &str) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -156,7 +156,7 @@ proptest! {
         }
 
         // The live view converged on the model despite the pin.
-        let live: Vec<(Vec<u8>, Vec<u8>)> = e.scan_all("t").unwrap();
+        let live: Vec<(Vec<u8>, Vec<u8>)> = e.head().scan_all("t").unwrap();
         prop_assert_eq!(live, model.into_iter().collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -217,7 +217,7 @@ fn wal_tear_battery_over_range_tombstone_frames() {
         drop(f);
 
         let e = Engine::open(&scratch, EngineOptions::default()).unwrap();
-        let got: BTreeMap<Vec<u8>, Vec<u8>> = e.scan_all("t").unwrap().into_iter().collect();
+        let got: BTreeMap<Vec<u8>, Vec<u8>> = e.head().scan_all("t").unwrap().into_iter().collect();
         let mut want: BTreeMap<Vec<u8>, Vec<u8>> =
             (0..5u8).map(|i| (vec![i], vec![b'v', i])).collect();
         if cut >= len_rt {
@@ -259,7 +259,7 @@ fn delete_range_of_100k_rows_commits_in_o1_wal_frames() {
         .unwrap();
     }
     e.checkpoint().unwrap();
-    assert_eq!(e.count("big").unwrap(), 100_000);
+    assert_eq!(e.head().count("big").unwrap(), 100_000);
 
     let appends = e
         .metrics_registry()
@@ -271,8 +271,8 @@ fn delete_range_of_100k_rows_commits_in_o1_wal_frames() {
         before + 2,
         "range delete of 100k rows must cost O(1) WAL frames"
     );
-    assert_eq!(e.count("big").unwrap(), 0);
-    assert_eq!(e.get("big", &77_777u32.to_be_bytes()).unwrap(), None);
+    assert_eq!(e.head().count("big").unwrap(), 0);
+    assert_eq!(e.head().get("big", &77_777u32.to_be_bytes()).unwrap(), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -320,6 +320,54 @@ fn mvcc_smoke_pinned_read_survives_10k_commit_churn() {
     // whatever the churn wrote last per key.
     e.checkpoint().unwrap();
     e.compact().unwrap();
-    assert_eq!(e.count("t").unwrap(), 512);
+    assert_eq!(e.head().count("t").unwrap(), 512);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn head_readers_pin_nothing_and_are_not_repeatable() {
+    let dir = tmpdir("head-readers");
+    let engine = Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap());
+    let store = TableStore::new(engine.clone()).unwrap();
+    let gauge = engine
+        .metrics_registry()
+        .gauge("preserva_storage_snapshots_pinned", "");
+    store.put("t", b"k", b"v1").unwrap();
+
+    let head = engine.head();
+    let head_clone = head.clone();
+    let table_head = store.head();
+    assert_eq!(head.lsn(), Lsn::MAX);
+    assert_eq!(table_head.lsn(), Lsn::MAX);
+    assert_eq!(engine.snapshots_pinned(), 0);
+    assert_eq!(gauge.get(), 0);
+
+    // A commit after the readers were taken reads through them, but not
+    // through a snapshot pinned before it.
+    let before = store.snapshot();
+    assert_eq!(engine.snapshots_pinned(), 1);
+    store.put("t", b"k", b"v2").unwrap();
+    assert_eq!(head.get("t", b"k").unwrap().as_deref(), Some(&b"v2"[..]));
+    assert_eq!(
+        head_clone.get("t", b"k").unwrap().as_deref(),
+        Some(&b"v2"[..])
+    );
+    assert_eq!(
+        table_head.get("t", b"k").unwrap().as_deref(),
+        Some(&b"v2"[..])
+    );
+    assert_eq!(before.get("t", b"k").unwrap().as_deref(), Some(&b"v1"[..]));
+
+    // Head clones come and go without touching the live pin's count.
+    let extra: Vec<_> = (0..4).map(|_| table_head.clone()).collect();
+    assert_eq!(engine.snapshots_pinned(), 1);
+    assert_eq!(gauge.get(), 1);
+    drop(extra);
+    drop(head_clone);
+    assert_eq!(engine.snapshots_pinned(), 1);
+    assert_eq!(gauge.get(), 1);
+    drop(before);
+    assert_eq!(engine.snapshots_pinned(), 0);
+    assert_eq!(gauge.get(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -69,7 +69,7 @@ proptest! {
             }
         }
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        let got: BTreeMap<Vec<u8>, Vec<u8>> = e.scan_all("t").unwrap().into_iter().collect();
+        let got: BTreeMap<Vec<u8>, Vec<u8>> = e.head().scan_all("t").unwrap().into_iter().collect();
         prop_assert_eq!(got, model);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -82,7 +82,7 @@ proptest! {
         for k in &keys {
             e.put("t", k, b"x").unwrap();
         }
-        let rows = e.scan_all("t").unwrap();
+        let rows = e.head().scan_all("t").unwrap();
         for w in rows.windows(2) {
             prop_assert!(w[0].0 < w[1].0);
         }
@@ -132,7 +132,7 @@ proptest! {
                 expected.insert(key, v.clone());
             }
             for (key, v) in &expected {
-                let got = e.get("t", key).unwrap();
+                let got = e.head().get("t", key).unwrap();
                 prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
             }
         }
@@ -145,7 +145,7 @@ proptest! {
         (proptest::collection::vec(0u8..6, 1..3), any::<Option<u8>>()), 1..40
     )) {
         let dir = tmpdir("index");
-        let store = TableStore::new(Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap()));
+        let store = TableStore::new(Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap())).unwrap();
         store.create_index("t", IndexDef::new("first", |r: &[u8]| r.first().map(|b| vec![*b]))).unwrap();
         for (k, v) in &ops {
             match v {
@@ -155,9 +155,9 @@ proptest! {
         }
         // For every first-byte value, index lookup must equal scan filter.
         for b in 0u8..=255 {
-            let mut via_index = store.lookup("t", "first", &[b]).unwrap();
+            let mut via_index = store.head().lookup("t", "first", &[b]).unwrap();
             via_index.sort();
-            let mut via_scan: Vec<Vec<u8>> = store.scan("t").unwrap().into_iter()
+            let mut via_scan: Vec<Vec<u8>> = store.head().scan("t").unwrap().into_iter()
                 .filter(|(_, row)| row.first() == Some(&b))
                 .map(|(k, _)| k)
                 .collect();
@@ -189,7 +189,7 @@ proptest! {
         let wal_path = dir.join("wal.log");
         let baseline_len;
         {
-            let store = TableStore::new(Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap()));
+            let store = TableStore::new(Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap())).unwrap();
             let mut s = store.session();
             for t in TABLES {
                 s.put(t, b"baseline", b"pre").unwrap();
@@ -214,10 +214,10 @@ proptest! {
         f.set_len(cut).unwrap();
         drop(f);
 
-        let store = TableStore::new(Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap()));
+        let store = TableStore::new(Arc::new(Engine::open(&dir, EngineOptions::default()).unwrap())).unwrap();
         // Baseline commit is intact in every table.
         for t in TABLES {
-            prop_assert_eq!(store.get(t, b"baseline").unwrap().as_deref(), Some(&b"pre"[..]));
+            prop_assert_eq!(store.head().get(t, b"baseline").unwrap().as_deref(), Some(&b"pre"[..]));
         }
         // Last-write-wins expectation per (table, key) for the torn session.
         let mut expected: BTreeMap<(usize, Vec<u8>), Vec<u8>> = BTreeMap::new();
@@ -227,13 +227,13 @@ proptest! {
         let present: Vec<bool> = expected
             .iter()
             .map(|((t, k), v)| {
-                store.get(TABLES[*t], k).unwrap().as_deref() == Some(v.as_slice())
+                store.head().get(TABLES[*t], k).unwrap().as_deref() == Some(v.as_slice())
             })
             .collect();
         let all = present.iter().all(|&p| p);
         let none = expected
             .keys()
-            .all(|(t, k)| store.get(TABLES[*t], k).unwrap().is_none());
+            .all(|(t, k)| store.head().get(TABLES[*t], k).unwrap().is_none());
         prop_assert!(
             all || none,
             "torn session must be all-or-none; cut at {} of {} (baseline {}): {:?}",
@@ -285,9 +285,15 @@ mod recovery_edge_cases {
         // Recovery must not fail outright: the two readable runs are
         // served (degraded, but available) and the corrupt file is gone.
         let e = Engine::open(&dir, keep_all_runs()).unwrap();
-        assert_eq!(e.get("t", b"gen1").unwrap().as_deref(), Some(&b"v1"[..]));
-        assert_eq!(e.get("t", b"gen2").unwrap().as_deref(), Some(&b"v2"[..]));
-        assert_eq!(e.get("t", b"gen3").unwrap(), None);
+        assert_eq!(
+            e.head().get("t", b"gen1").unwrap().as_deref(),
+            Some(&b"v1"[..])
+        );
+        assert_eq!(
+            e.head().get("t", b"gen2").unwrap().as_deref(),
+            Some(&b"v2"[..])
+        );
+        assert_eq!(e.head().get("t", b"gen3").unwrap(), None);
         assert_eq!(e.stats().recovered_from_snapshot, 2);
         assert!(
             !newest.exists(),
@@ -301,7 +307,7 @@ mod recovery_edge_cases {
         // The manifest was repaired to match: another reopen is clean.
         drop(e);
         let e = Engine::open(&dir, keep_all_runs()).unwrap();
-        assert_eq!(e.count("t").unwrap(), 3);
+        assert_eq!(e.head().count("t").unwrap(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -322,7 +328,10 @@ mod recovery_edge_cases {
         std::fs::write(dir.join("run-0000000000000043.tmp"), b"half").unwrap();
         std::fs::write(dir.join("MANIFEST.tmp"), b"half").unwrap();
         let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        assert_eq!(e.get("t", b"live").unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(
+            e.head().get("t", b"live").unwrap().as_deref(),
+            Some(&b"v"[..])
+        );
         assert!(!manifest::run_path(&dir, 42).exists());
         assert!(!dir.join("run-0000000000000043.tmp").exists());
         assert!(!dir.join("MANIFEST.tmp").exists());

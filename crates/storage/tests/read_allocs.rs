@@ -71,7 +71,7 @@ fn engine(name: &str) -> Engine {
 #[test]
 fn a_count_allocates_per_read_not_per_row() {
     let engine = engine("count");
-    let (live, tally) = counted(|| engine.count(RECORDS).expect("count"));
+    let (live, tally) = counted(|| engine.head().count(RECORDS).expect("count"));
     assert_eq!(live, ROWS);
     let per_row = tally.allocs as f64 / ROWS as f64;
     eprintln!(
@@ -91,7 +91,7 @@ fn a_point_get_allocates_a_handful_on_any_block() {
         (RECORDS, record_key(ROWS / 2), vec![b'r'; VALUE]),
         (POSTINGS, posting_key(ROWS / 2), record_key(ROWS / 2)),
     ] {
-        let (got, tally) = counted(|| engine.get(table, &key).expect("get"));
+        let (got, tally) = counted(|| engine.head().get(table, &key).expect("get"));
         assert_eq!(got, Some(want));
         eprintln!("get on a {table} block: {} allocations", tally.allocs);
         assert!(
@@ -105,7 +105,7 @@ fn a_point_get_allocates_a_handful_on_any_block() {
 #[test]
 fn a_scan_allocates_per_returned_row() {
     let engine = engine("scan");
-    let (rows, tally) = counted(|| engine.scan_all(RECORDS).expect("scan"));
+    let (rows, tally) = counted(|| engine.head().scan_all(RECORDS).expect("scan"));
     assert_eq!(rows.len(), ROWS);
     let per_row = tally.allocs as f64 / ROWS as f64;
     eprintln!("scan_all of {ROWS} rows: {per_row:.3} allocations per returned row");

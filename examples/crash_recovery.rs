@@ -22,7 +22,8 @@ fn main() {
     {
         let store = TableStore::new(Arc::new(
             Engine::open(&dir, EngineOptions::default()).unwrap(),
-        ));
+        ))
+        .unwrap();
         store
             .put("records", b"FNJV-000001", b"{original record}")
             .unwrap();
@@ -64,10 +65,11 @@ fn main() {
     );
 
     let committed = engine
+        .head()
         .get("updated_names", b"Elachistocleis ovalis")
         .unwrap();
-    let torn = engine.get("updated_names", b"Hyla faber").unwrap();
-    let original = engine.get("records", b"FNJV-000001").unwrap();
+    let torn = engine.head().get("updated_names", b"Hyla faber").unwrap();
+    let original = engine.head().get("records", b"FNJV-000001").unwrap();
     println!("  committed update survives:   {}", committed.is_some());
     println!("  torn update rolled back:     {}", torn.is_none());
     println!(
@@ -82,6 +84,7 @@ fn main() {
     drop(engine);
     let engine = Engine::open(&dir, EngineOptions::default()).unwrap();
     assert!(engine
+        .head()
         .get("updated_names", b"Elachistocleis ovalis")
         .unwrap()
         .is_some());

@@ -57,11 +57,12 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = TableStore::new(Arc::new(
         Engine::open(&dir, EngineOptions::default()).unwrap(),
-    ));
+    ))
+    .unwrap();
     persist_updates(&store, &report).unwrap();
     println!(
         "persisted {} proposed updates (unverified) in `{}`",
-        store.count(UPDATED_NAMES_TABLE).unwrap(),
+        store.head().count(UPDATED_NAMES_TABLE).unwrap(),
         UPDATED_NAMES_TABLE
     );
 

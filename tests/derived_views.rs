@@ -89,7 +89,7 @@ fn open_store(dir: &Path) -> Arc<TableStore> {
             max_runs_per_level: 100,
         },
     };
-    Arc::new(TableStore::new(Arc::new(Engine::open(dir, opts).unwrap())))
+    Arc::new(TableStore::new(Arc::new(Engine::open(dir, opts).unwrap())).unwrap())
 }
 
 fn driver<S: Subject>(store: &Arc<TableStore>) -> ViewDriver {
@@ -102,7 +102,7 @@ fn dump<S: Subject>(store: &TableStore) -> Dump {
     let spec = <S::View<'static> as DerivedView>::SPEC;
     let mut out = Dump::new();
     for &table in spec.tables.iter().chain(S::WRITES_BACK) {
-        for (k, v) in store.scan(table).unwrap() {
+        for (k, v) in store.head().scan(table).unwrap() {
             if table == spec.meta_table && k == STATE_KEY {
                 continue;
             }

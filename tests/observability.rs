@@ -37,7 +37,7 @@ fn one_registry_observes_every_subsystem() {
         },
     )
     .unwrap();
-    let store = Arc::new(TableStore::new(Arc::new(engine)));
+    let store = Arc::new(TableStore::new(Arc::new(engine)).unwrap());
 
     // Provenance manager reporting into the same registry, acting as the
     // workflow engine's sink.

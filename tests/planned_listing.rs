@@ -170,7 +170,7 @@ proptest! {
         let dir = tmpdir("prop");
         let store = Arc::new(TableStore::new(Arc::new(
             Engine::open(&dir, EngineOptions::default()).unwrap(),
-        )));
+        )).unwrap());
         let catalog = RecordCatalog::open(store.clone()).unwrap();
         let fresh: Vec<Record> = bulk.into_iter().map(record).collect();
         catalog.insert_all_bulk(&fresh).unwrap();

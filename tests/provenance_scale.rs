@@ -49,9 +49,7 @@ fn opts() -> EngineOptions {
 }
 
 fn open(dir: &Path) -> Arc<TableStore> {
-    Arc::new(TableStore::new(Arc::new(
-        Engine::open(dir, opts()).unwrap(),
-    )))
+    Arc::new(TableStore::new(Arc::new(Engine::open(dir, opts()).unwrap())).unwrap())
 }
 
 /// Minimal one-processor workflow; tiny values keep the WAL tail (and so

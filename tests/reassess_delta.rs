@@ -41,9 +41,12 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 fn open(dir: &std::path::Path) -> Arc<TableStore> {
-    Arc::new(TableStore::new(Arc::new(
-        Engine::open(dir, EngineOptions::default()).unwrap(),
-    )))
+    Arc::new(
+        TableStore::new(Arc::new(
+            Engine::open(dir, EngineOptions::default()).unwrap(),
+        ))
+        .unwrap(),
+    )
 }
 
 fn pipeline() -> CurationPipeline {
@@ -55,6 +58,7 @@ fn pipeline() -> CurationPipeline {
 
 fn stored_records(store: &TableStore) -> Vec<Record> {
     let mut out: Vec<Record> = store
+        .head()
         .scan("records")
         .unwrap()
         .into_iter()
@@ -227,8 +231,8 @@ fn torn_commit_keeps_journal_and_data_atomic() {
 
         let store = open(&dir);
         let head = store.journal_head();
-        let row = store.get("records", b"k1").unwrap();
-        let entries = store.read_journal(1, 16).unwrap(); // past the baseline entry
+        let row = store.head().get("records", b"k1").unwrap();
+        let entries = store.head().read_journal(1, 16).unwrap(); // past the baseline entry
         if row.is_some() {
             assert_eq!(head, 2, "cut at {cut}: data present but head {head}");
             assert_eq!(entries.len(), 1, "cut at {cut}");

@@ -87,11 +87,11 @@ fn storage_engine_handles_concurrent_writers() {
     for th in threads {
         th.join().unwrap();
     }
-    assert_eq!(engine.count("t").unwrap(), 8 * 200);
+    assert_eq!(engine.head().count("t").unwrap(), 8 * 200);
     // Every write is durable across reopen.
     drop(engine);
     let engine = Engine::open(&dir, EngineOptions::default()).unwrap();
-    assert_eq!(engine.count("t").unwrap(), 8 * 200);
+    assert_eq!(engine.head().count("t").unwrap(), 8 * 200);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -120,13 +120,13 @@ fn concurrent_readers_and_writers_dont_corrupt() {
         std::thread::spawn(move || {
             for _ in 0..500 {
                 // Base table must stay complete and readable throughout.
-                assert_eq!(engine.count("base").unwrap(), 100);
+                assert_eq!(engine.head().count("base").unwrap(), 100);
             }
         })
     };
     writer.join().unwrap();
     reader.join().unwrap();
-    assert_eq!(engine.count("hot").unwrap(), 500);
+    assert_eq!(engine.head().count("hot").unwrap(), 500);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -210,7 +210,7 @@ fn readers_never_lose_committed_keys_during_compaction_churn() {
                     }
                     // Exact point reads for a spread of committed keys.
                     for key in [1, hw / 2 + 1, hw] {
-                        let got = engine.get("churn", &key.to_be_bytes()).unwrap();
+                        let got = engine.head().get("churn", &key.to_be_bytes()).unwrap();
                         assert_eq!(
                             got.as_deref(),
                             Some(&key.to_le_bytes()[..]),
@@ -219,7 +219,7 @@ fn readers_never_lose_committed_keys_during_compaction_churn() {
                     }
                     // Scans must cover at least the committed prefix and
                     // every row they do return must be self-consistent.
-                    let rows = engine.scan_all("churn").unwrap();
+                    let rows = engine.head().scan_all("churn").unwrap();
                     assert!(
                         rows.len() >= hw as usize,
                         "scan saw {} rows below highwater {hw}",
@@ -230,7 +230,7 @@ fn readers_never_lose_committed_keys_during_compaction_churn() {
                         assert_eq!(v, &key.to_le_bytes().to_vec(), "torn row for {key}");
                     }
                     // The untouched table is immune to the churn.
-                    assert_eq!(engine.count("stable").unwrap(), 50);
+                    assert_eq!(engine.head().count("stable").unwrap(), 50);
                 }
             })
         })
@@ -243,7 +243,7 @@ fn readers_never_lose_committed_keys_during_compaction_churn() {
     // Settle: flush + force a final merge, then verify totals.
     engine.checkpoint().unwrap();
     engine.compact().unwrap();
-    assert_eq!(engine.count("churn").unwrap(), WRITES as usize);
-    assert_eq!(engine.count("stable").unwrap(), 50);
+    assert_eq!(engine.head().count("churn").unwrap(), WRITES as usize);
+    assert_eq!(engine.head().count("stable").unwrap(), 50);
     std::fs::remove_dir_all(&dir).ok();
 }

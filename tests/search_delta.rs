@@ -36,9 +36,12 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 fn open(dir: &std::path::Path) -> Arc<TableStore> {
-    Arc::new(TableStore::new(Arc::new(
-        Engine::open(dir, EngineOptions::default()).unwrap(),
-    )))
+    Arc::new(
+        TableStore::new(Arc::new(
+            Engine::open(dir, EngineOptions::default()).unwrap(),
+        ))
+        .unwrap(),
+    )
 }
 
 fn palette(records: &[Record]) -> Vec<String> {
@@ -61,7 +64,7 @@ fn decode_count(v: Vec<u8>) -> u64 {
 fn assert_counters_match_records(store: &TableStore, config: &SearchConfig) {
     let mut facets: BTreeMap<(String, String), u64> = BTreeMap::new();
     let mut names: BTreeMap<String, u64> = BTreeMap::new();
-    for (_, v) in store.scan("records").unwrap() {
+    for (_, v) in store.head().scan("records").unwrap() {
         let r: Record = serde_json::from_slice(&v).unwrap();
         let d = DocState::extract(&r, config);
         for f in &d.facets {
@@ -72,6 +75,7 @@ fn assert_counters_match_records(store: &TableStore, config: &SearchConfig) {
         }
     }
     let stored_facets: BTreeMap<(String, String), u64> = store
+        .head()
         .scan(tables::FACETS)
         .unwrap()
         .into_iter()
@@ -83,6 +87,7 @@ fn assert_counters_match_records(store: &TableStore, config: &SearchConfig) {
         .collect();
     assert_eq!(facets, stored_facets, "facet counters ≠ recompute");
     let stored_names: BTreeMap<String, u64> = store
+        .head()
         .scan(tables::NAMES)
         .unwrap()
         .into_iter()

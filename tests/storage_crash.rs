@@ -119,7 +119,7 @@ fn assert_state(dir: &Path, expected: &Expected, context: &str) {
         .unwrap_or_else(|err| panic!("open must survive the crash artifact ({context}): {err}"));
     for key in 0..24u8 {
         assert_eq!(
-            e.get("t", &[key]).unwrap(),
+            e.head().get("t", &[key]).unwrap(),
             expected.get(&vec![key]).cloned(),
             "get key {key} ({context})"
         );
@@ -128,8 +128,16 @@ fn assert_state(dir: &Path, expected: &Expected, context: &str) {
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
-    assert_eq!(e.scan_all("t").unwrap(), rows, "scan_all ({context})");
-    assert_eq!(e.count("t").unwrap(), expected.len(), "count ({context})");
+    assert_eq!(
+        e.head().scan_all("t").unwrap(),
+        rows,
+        "scan_all ({context})"
+    );
+    assert_eq!(
+        e.head().count("t").unwrap(),
+        expected.len(),
+        "count ({context})"
+    );
 }
 
 /// A flush or compaction that dies while writing its output leaves a
@@ -335,12 +343,15 @@ fn frozen_wal_segment_with_torn_live_tail_recovers_and_folds() {
             // WAL-only rows — survives regardless of the tear.
             for key in 0..22u8 {
                 assert_eq!(
-                    e.get("t", &[key]).unwrap(),
+                    e.head().get("t", &[key]).unwrap(),
                     expected.get(&vec![key]).cloned(),
                     "frozen-covered key {key} (live cut at {cut})"
                 );
             }
-            (e.get("t", &[22]).unwrap(), e.get("t", &[23]).unwrap())
+            (
+                e.head().get("t", &[22]).unwrap(),
+                e.head().get("t", &[23]).unwrap(),
+            )
         };
         // Post-rotation commits roll back all-or-nothing, in order.
         assert!(
@@ -403,15 +414,15 @@ fn wal_tear_over_compacted_tree_keeps_runs_intact() {
         let e = Engine::open(&dir, opts()).unwrap();
         for (k, v) in &run_resident {
             assert_eq!(
-                e.get("t", k).unwrap().as_deref(),
+                e.head().get("t", k).unwrap().as_deref(),
                 Some(v.as_slice()),
                 "run-resident key {k:?} (wal cut at {cut})"
             );
         }
-        assert_eq!(e.get("t", &[7]).unwrap(), None, "tombstone holds");
+        assert_eq!(e.head().get("t", &[7]).unwrap(), None, "tombstone holds");
         // The torn transactions are all-or-nothing per commit; at minimum
         // the run-resident row count is a floor.
-        assert!(e.count("t").unwrap() >= run_resident.len());
+        assert!(e.head().count("t").unwrap() >= run_resident.len());
     }
     std::fs::remove_dir_all(&dir).ok();
 }

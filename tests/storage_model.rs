@@ -83,7 +83,7 @@ fn open_store(dir: &std::path::Path) -> TableStore {
             max_runs_per_level: 2,
         },
     };
-    let store = TableStore::new(Arc::new(Engine::open(dir, opts).unwrap()));
+    let store = TableStore::new(Arc::new(Engine::open(dir, opts).unwrap())).unwrap();
     store.mark_journaled(TABLES[JOURNALED]).unwrap();
     store
 }
@@ -96,7 +96,7 @@ fn check_agreement(store: &TableStore, model: &Model) {
         for key in 0u8..16 {
             let expect = model.rows.get(&(t, vec![key])).cloned();
             prop_assert_eq!(
-                store.get(table, &[key]).unwrap(),
+                store.head().get(table, &[key]).unwrap(),
                 expect,
                 "get {}/{}",
                 table,
@@ -110,14 +110,19 @@ fn check_agreement(store: &TableStore, model: &Model) {
             .map(|((_, k), v)| (k.clone(), v.clone()))
             .collect();
         prop_assert_eq!(
-            store.engine().scan_all(table).unwrap(),
+            store.engine().head().scan_all(table).unwrap(),
             expect,
             "scan_all {}",
             table
         );
         // Live count.
         let expect_count = model.rows.range((t, vec![])..(t + 1, vec![])).count();
-        prop_assert_eq!(store.count(table).unwrap(), expect_count, "count {}", table);
+        prop_assert_eq!(
+            store.head().count(table).unwrap(),
+            expect_count,
+            "count {}",
+            table
+        );
     }
     // Live user tables (the engine also holds journal/meta bookkeeping
     // tables, which the store namespaces away from user names).
@@ -127,6 +132,7 @@ fn check_agreement(store: &TableStore, model: &Model) {
         .collect();
     let mut live: Vec<String> = store
         .engine()
+        .head()
         .tables()
         .unwrap()
         .into_iter()
