@@ -84,6 +84,16 @@ pub fn get_u64(buf: &[u8]) -> StorageResult<(u64, usize)> {
     Ok((u64::from_le_bytes(b), 8))
 }
 
+/// Decode a lowercase hex fixture (test fixtures hold the bytes an
+/// earlier build wrote as hex).
+#[cfg(test)]
+pub(crate) fn from_hex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,11 +12,7 @@
 //! nothing is pinned. Every version with `lsn > H` survives verbatim (a
 //! pinned reader between two such versions must still tell them apart);
 //! of the versions at or below `H` only the newest is kept, and even it
-//! is dropped when a covering range tombstone at or below `H` shadows
-//! it, or when it is a tombstone and the output is the bottom level.
-//! Range-tombstone records themselves ride through compaction and are
-//! folded out only at the bottom level once their LSN is at or below
-//! `H` — see [`fold_ranges`].
+//! is dropped when it is a tombstone and the output is the bottom level.
 //!
 //! Invariants the planner and merge preserve:
 //!
@@ -39,7 +35,7 @@
 use crate::cursor::{Layer, MergeCursor};
 use crate::error::StorageResult;
 use crate::manifest::RunEntry;
-use crate::memtable::{RangeTombstone, VersionRef};
+use crate::memtable::VersionRef;
 use crate::snapshot::Lsn;
 use crate::sstable::{Run, Versions};
 
@@ -113,7 +109,7 @@ pub fn plan(view: &[RunEntry], max_runs_per_level: usize) -> Option<Task> {
 /// A forced full compaction: merge every run into one bottom-level run,
 /// folding tombstones. `None` when there is nothing useful to do: no
 /// runs, or a single run the caller knows holds nothing foldable
-/// (`single_run_foldable` — point or range tombstones in the lone run).
+/// (`single_run_foldable` — tombstones in the lone run).
 pub fn full(view: &[RunEntry], single_run_foldable: bool) -> Option<Task> {
     if view.is_empty() || (view.len() == 1 && !single_run_foldable) {
         return None;
@@ -127,31 +123,14 @@ pub fn full(view: &[RunEntry], single_run_foldable: bool) -> Option<Task> {
     })
 }
 
-/// Range-tombstone records surviving a merge: everything above the
-/// horizon always rides through; at or below it a record is folded out
-/// only at the bottom level, where no deeper run can still hold a
-/// version it must shadow.
-pub fn fold_ranges(
-    ranges: &[RangeTombstone],
-    drop_tombstones: bool,
-    horizon: Lsn,
-) -> Vec<RangeTombstone> {
-    ranges
-        .iter()
-        .filter(|rt| !(drop_tombstones && rt.lsn <= horizon))
-        .cloned()
-        .collect()
-}
-
 /// The fold rules applied to the merge of a compaction's input runs.
 ///
 /// Yields versions in `(key asc, lsn desc)` order — exactly the
 /// [`write_run`](crate::sstable::write_run) input contract — from the
 /// same `MergeCursor` every multi-key read walks. Per key: every
 /// version above the fold horizon survives verbatim; of the versions at
-/// or below it only the newest is emitted, unless a covering range
-/// tombstone at or below the horizon shadows it or it is a point
-/// tombstone at the bottom level. Layer LSN-disjointness means a key's
+/// or below it only the newest is emitted, unless it is a tombstone at
+/// the bottom level. Layer LSN-disjointness means a key's
 /// versions across inputs in precedence order are already
 /// LSN-descending; should two versions share an LSN, the tie breaks by
 /// precedence. Memory stays bounded by one block per input. Errors from
@@ -161,47 +140,29 @@ pub struct Merge<'a> {
     cursor: MergeCursor<'a>,
     drop_tombstones: bool,
     horizon: Lsn,
-    ranges: Vec<RangeTombstone>,
     /// Whether the current key's newest version at or below the horizon
     /// has been decided.
     resolved: bool,
     versions_folded: u64,
-    range_tombstones_applied: u64,
 }
 
 impl<'a> Merge<'a> {
     /// Build a merge over `runs`, which must be ordered newest-first —
-    /// the position in the slice is the precedence. `ranges` is the
-    /// union of the inputs' range tombstones (used for shadowing;
-    /// filtering the output records is [`fold_ranges`]' job) and
-    /// `horizon` the oldest LSN any live reader can be pinned at.
-    pub fn new(
-        runs: &[&'a Run],
-        drop_tombstones: bool,
-        horizon: Lsn,
-        ranges: Vec<RangeTombstone>,
-    ) -> Merge<'a> {
+    /// the position in the slice is the precedence. `horizon` is the
+    /// oldest LSN any live reader can be pinned at.
+    pub fn new(runs: &[&'a Run], drop_tombstones: bool, horizon: Lsn) -> Merge<'a> {
         Merge {
             cursor: MergeCursor::new(runs.iter().map(|r| Layer::Run(r.cursor(None))).collect()),
             drop_tombstones,
             horizon,
-            ranges,
             resolved: false,
             versions_folded: 0,
-            range_tombstones_applied: 0,
         }
     }
 
     /// Versions dropped by the fold rule so far.
     pub fn versions_folded(&self) -> u64 {
         self.versions_folded
-    }
-
-    /// Versions dropped specifically because a range tombstone at or
-    /// below the horizon shadowed them (a subset of
-    /// [`versions_folded`](Self::versions_folded)).
-    pub fn range_tombstones_applied(&self) -> u64 {
-        self.range_tombstones_applied
     }
 }
 
@@ -212,7 +173,7 @@ impl Versions for Merge<'_> {
     ) -> StorageResult<()> {
         loop {
             self.cursor.advance()?;
-            let Some(version @ (table, key, lsn, value)) = self.cursor.current() else {
+            let Some(version @ (_, _, lsn, value)) = self.cursor.current() else {
                 return Ok(());
             };
             self.resolved &= !self.cursor.starts_key();
@@ -228,15 +189,7 @@ impl Versions for Merge<'_> {
                 continue;
             }
             self.resolved = true;
-            let horizon = self.horizon;
-            let shadowed = self
-                .ranges
-                .iter()
-                .any(|rt| rt.lsn <= horizon && rt.lsn > lsn && rt.covers(table, key));
-            if shadowed {
-                self.versions_folded += 1;
-                self.range_tombstones_applied += 1;
-            } else if self.drop_tombstones && value.is_none() {
+            if self.drop_tombstones && value.is_none() {
                 self.versions_folded += 1;
             } else {
                 f(version)?;
@@ -338,15 +291,6 @@ mod tests {
     }
 
     fn run_of(dir: &std::path::Path, name: &str, rows: &[(&str, Lsn, Option<&str>)]) -> Run {
-        run_with_ranges(dir, name, rows, &[])
-    }
-
-    fn run_with_ranges(
-        dir: &std::path::Path,
-        name: &str,
-        rows: &[(&str, Lsn, Option<&str>)],
-        ranges: &[RangeTombstone],
-    ) -> Run {
         let path = dir.join(name);
         let entries: Vec<VersionedEntry> = rows
             .iter()
@@ -358,7 +302,7 @@ mod tests {
                 )
             })
             .collect();
-        write_run(&path, 1, rows.len() as u64, &mut borrowed(&entries), ranges).unwrap();
+        write_run(&path, 1, rows.len() as u64, &mut borrowed(&entries)).unwrap();
         Run::open(&path).unwrap()
     }
 
@@ -401,7 +345,7 @@ mod tests {
             ],
         );
 
-        let folded: Vec<_> = drain(&mut Merge::new(&[&new, &old], true, Lsn::MAX, Vec::new()))
+        let folded: Vec<_> = drain(&mut Merge::new(&[&new, &old], true, Lsn::MAX))
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -413,7 +357,7 @@ mod tests {
             ]
         );
 
-        let mut merge = Merge::new(&[&new, &old], false, Lsn::MAX, Vec::new());
+        let mut merge = Merge::new(&[&new, &old], false, Lsn::MAX);
         let kept: Vec<_> = drain(&mut merge).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(kept.len(), 3, "tombstone survives when not at bottom");
         assert_eq!(kept[1], (key("b"), 10, None));
@@ -431,7 +375,7 @@ mod tests {
         );
         // A reader pinned at 5 must still see v4; readers ≥ 7 see the
         // newer versions. Only v2 is invisible to everyone.
-        let mut merge = Merge::new(&[&new, &old], true, 5, Vec::new());
+        let mut merge = Merge::new(&[&new, &old], true, 5);
         let out: Vec<_> = drain(&mut merge).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(
             out,
@@ -444,57 +388,11 @@ mod tests {
         assert_eq!(merge.versions_folded(), 1, "only v2 folds");
 
         // With the horizon above everything the chain collapses to v9.
-        let out: Vec<_> = drain(&mut Merge::new(&[&new, &old], true, Lsn::MAX, Vec::new()))
+        let out: Vec<_> = drain(&mut Merge::new(&[&new, &old], true, Lsn::MAX))
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(out, vec![(key("k"), 9, Some(b"v9".to_vec()))]);
-    }
-
-    #[test]
-    fn range_tombstone_shadows_covered_versions_below_horizon() {
-        let dir = tmp("merge-rt");
-        let rt = RangeTombstone {
-            table: "t".into(),
-            start: b"a".to_vec(),
-            end: Some(b"m".to_vec()),
-            lsn: 6,
-        };
-        let new = run_with_ranges(
-            &dir,
-            "new.sst",
-            &[("b", 8, Some("b8"))],
-            std::slice::from_ref(&rt),
-        );
-        let old = run_of(
-            &dir,
-            "old.sst",
-            &[("b", 3, Some("b3")), ("z", 2, Some("z2"))],
-        );
-        // Horizon 7: b@8 rides above it verbatim; b@3 is the newest
-        // version at or below the horizon but the range tombstone at 6
-        // (≤ horizon, > 3, covering "b") shadows it — no reader can see
-        // it. z is outside the tombstone's range and survives.
-        let mut merge = Merge::new(&[&new, &old], true, 7, vec![rt.clone()]);
-        let out: Vec<_> = drain(&mut merge).into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(
-            out,
-            vec![
-                (key("b"), 8, Some(b"b8".to_vec())),
-                (key("z"), 2, Some(b"z2".to_vec())),
-            ]
-        );
-        assert_eq!(merge.range_tombstones_applied(), 1);
-        assert_eq!(merge.versions_folded(), 1);
-
-        // The record itself folds at the bottom level once ≤ horizon,
-        // and rides through otherwise.
-        assert!(fold_ranges(std::slice::from_ref(&rt), true, Lsn::MAX).is_empty());
-        assert_eq!(
-            fold_ranges(std::slice::from_ref(&rt), false, Lsn::MAX),
-            vec![rt.clone()]
-        );
-        assert_eq!(fold_ranges(std::slice::from_ref(&rt), true, 5), vec![rt]);
     }
 
     #[test]
@@ -507,7 +405,7 @@ mod tests {
         std::fs::write(dir.join("bad.sst"), &bytes).unwrap();
         let bad = Run::open(dir.join("bad.sst").as_path()).unwrap();
 
-        let results = drain(&mut Merge::new(&[&bad, &good], true, Lsn::MAX, Vec::new()));
+        let results = drain(&mut Merge::new(&[&bad, &good], true, Lsn::MAX));
         assert!(results.iter().any(|r| r.is_err()), "corruption surfaced");
     }
 }

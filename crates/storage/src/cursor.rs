@@ -244,9 +244,8 @@ impl<'a> MergeCursor<'a> {
         self.starts_key
     }
 
-    /// Visit each key's first version at or below `max_lsn`, point
-    /// tombstones included (as `None`); range tombstones are the
-    /// caller's to apply.
+    /// Visit each key's first version at or below `max_lsn`, tombstones
+    /// included (as `None`).
     pub(crate) fn for_each_newest(
         mut self,
         max_lsn: Lsn,

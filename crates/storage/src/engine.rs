@@ -45,9 +45,9 @@
 //! assigned inside the WAL lock — the `Commit` frame's txid *is* the
 //! LSN, so WAL order is version order. All layers are multi-version:
 //! the memtable keys versions by `(key, lsn desc)`, runs carry
-//! per-entry LSNs and range tombstones, and an **LSN-disjointness
-//! invariant** holds — the LSN intervals of active memtable, frozen
-//! memtable and each run in precedence order strictly decrease, because
+//! per-entry LSNs, and an **LSN-disjointness invariant** holds — the
+//! LSN intervals of active memtable, frozen memtable and each run in
+//! precedence order strictly decrease, because
 //! data only moves active → frozen → level-1 run, and a compaction
 //! merges a contiguous precedence suffix into output older than every
 //! surviving layer above it.
@@ -63,12 +63,9 @@
 //! snapshot (see `compaction`), so an idle engine with no pins keeps
 //! exactly one version per key, same as before MVCC.
 //!
-//! A point read walks layers newest → oldest accumulating the best
-//! covering range tombstone at or below its read LSN; the first layer
-//! holding a point version at or below the LSN yields the verdict —
-//! deletion if the accumulated range tombstone is newer than that
-//! version, the version itself otherwise. Layer disjointness makes this
-//! first-verdict-wins walk exact.
+//! A point read walks layers newest → oldest; the first layer holding a
+//! version at or below its read LSN yields the verdict. Layer
+//! disjointness makes this first-verdict-wins walk exact.
 //!
 //! ## Recovery
 //!
@@ -76,21 +73,33 @@
 //! scan when the manifest is missing or corrupt — safe because every
 //! run's footer records its level, so the fallback rebuilds the same
 //! `(level asc, id desc)` precedence), opens every catalogued run and
-//! replays the committed WAL suffix — `wal.frozen` first when a flush
-//! died mid-way, then the live log. Only then does it change the
-//! directory: it sweeps temp files, deletes corrupt or orphaned runs
-//! (plain I/O errors fail the open instead — a transient failure must not
-//! become permanent data loss) and folds the two WAL segments back into
-//! one, or cuts a lone live log back to its last `Commit` frame so new
-//! commits never land behind a torn tail. Only operations covered by a
-//! `Commit` frame are applied — a crash between `append` and `Commit`
-//! rolls the partial transaction back, which is exactly the behaviour the
-//! curation layer relies on for its "original records are never
-//! half-updated" guarantee.
+//! replays the committed WAL: `wal.frozen`, the segment of a flush that
+//! died mid-way, into the frozen memtable, and the live log into the
+//! active one. Only then does it change the directory: it sweeps temp
+//! files, deletes corrupt or orphaned runs (plain I/O errors fail the
+//! open instead — a transient failure must not become permanent data
+//! loss) and cuts the live log back to its last `Commit` frame so new
+//! commits never land behind a torn tail. Before the engine starts it
+//! flushes the frozen memtable the way a failed flush is retried; if
+//! that flush fails, so does the open, and `wal.frozen` stays for the
+//! next one. Only operations covered by a `Commit` frame are applied — a
+//! crash between `append` and `Commit` rolls the partial transaction
+//! back, which is exactly the behaviour the curation layer relies on for
+//! its "original records are never half-updated" guarantee.
+//!
+//! A failed WAL write, flush or sync poisons the engine: the failed
+//! batch's buffered frames are dropped unwritten, and every later
+//! commit, bulk ingest and checkpoint fails with
+//! [`StorageError::Poisoned`] until a reopen; reads and compaction keep
+//! working. The reopen's cut removes any part of the batch that reached
+//! the file, so a batch whose `Commit` frame did not land never comes
+//! back, and one whose sync failed after it landed comes back whole,
+//! under its own LSN.
 //!
 //! A file in a format this build does not read — a `snap-*.sst`
-//! single-snapshot file, a v1 (`PRUN`) run, or a WAL frame that passes
-//! its CRC but does not decode — fails the open with
+//! single-snapshot file, a v1 (`PRUN`) run, a run holding range
+//! tombstones, or a WAL frame that passes its CRC but does not decode
+//! (such as a retired range-tombstone frame) — fails the open with
 //! [`StorageError::Unsupported`] before anything on disk changes, so an
 //! archive written by an older build is reported, never silently
 //! dropped.
@@ -107,7 +116,7 @@ use crate::compaction::{self, CompactionOptions};
 use crate::cursor::{Copied, Layer, MergeCursor, Span};
 use crate::error::{StorageError, StorageResult};
 use crate::manifest::{self, RunEntry};
-use crate::memtable::{Memtable, RangeTombstone};
+use crate::memtable::Memtable;
 use crate::snapshot::{Lsn, SnapshotRegistry};
 use crate::sstable::{self, Run, RunLookup, RunSummary, Versions};
 use crate::wal::{self, Wal, WalRecord};
@@ -169,7 +178,6 @@ struct StorageMetrics {
     snapshots_pinned: Arc<Gauge>,
     oldest_snapshot_lag: Arc<Gauge>,
     versions_folded: Arc<Counter>,
-    range_tombstones_applied: Arc<Counter>,
     ingest_records: Arc<Counter>,
     bulk_batches: Arc<Counter>,
 }
@@ -246,7 +254,7 @@ impl StorageMetrics {
             ),
             memtable_bytes: reg.gauge(
                 "preserva_storage_memtable_bytes",
-                "Estimated memtable bytes the checkpoint threshold counts: table + key + value + 8 per version or range tombstone.",
+                "Estimated memtable bytes the checkpoint threshold counts: table + key + value + 8 per version.",
             ),
             snapshots_pinned: reg.gauge(
                 "preserva_storage_snapshots_pinned",
@@ -259,10 +267,6 @@ impl StorageMetrics {
             versions_folded: reg.counter(
                 "preserva_storage_compaction_versions_folded_total",
                 "Shadowed versions dropped by compaction below the fold horizon.",
-            ),
-            range_tombstones_applied: reg.counter(
-                "preserva_storage_range_tombstones_applied_total",
-                "Versions dropped by compaction because a range tombstone covered them.",
             ),
             ingest_records: reg.counter(
                 "preserva_storage_ingest_records_total",
@@ -450,49 +454,35 @@ impl Core {
 
     fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> StorageResult<Option<Vec<u8>>> {
         self.metrics.gets.inc();
-        // Walk layers newest → oldest, accumulating the best covering
-        // range tombstone at or below the read LSN; the first layer with
-        // a point version at or below it settles the verdict against
-        // that accumulator. Layer LSN-disjointness makes the first
-        // verdict exact: no older layer can hold a newer version.
-        let mut rt_best: Option<Lsn> = None;
+        // Walk layers newest → oldest; the first layer holding a version
+        // at or below the read LSN settles the verdict. Layer
+        // LSN-disjointness makes that exact: no older layer can hold a
+        // newer version.
+        let found = |value: Option<&[u8]>| {
+            let value = value.map(<[u8]>::to_vec);
+            if let Some(v) = &value {
+                self.metrics.value_bytes_read.add(v.len() as u64);
+            }
+            value
+        };
         // Memtable first.
         {
             let mem = self.mem.read().expect("engine poisoned");
-            rt_best = rt_best.max(mem.max_covering_rt(table, key, max_lsn));
-            if let Some((lsn, hit)) = mem.get(table, key, max_lsn) {
-                if rt_best.is_some_and(|rt| rt > lsn) {
-                    return Ok(None);
-                }
-                let hit = hit.map(|v| v.to_vec());
-                if let Some(v) = &hit {
-                    self.metrics.value_bytes_read.add(v.len() as u64);
-                }
-                return Ok(hit);
+            if let Some((_, value)) = mem.get(table, key, max_lsn) {
+                return Ok(found(value));
             }
         }
         // Then the frozen memtable, if a flush is in flight. Data moves
         // active → frozen → runs and we probe in that same order, so a
         // version can never slip past us mid-flush.
         let frozen = self.frozen.read().expect("engine poisoned").clone();
-        if let Some(frozen) = frozen {
-            rt_best = rt_best.max(frozen.max_covering_rt(table, key, max_lsn));
-            if let Some((lsn, hit)) = frozen.get(table, key, max_lsn) {
-                if rt_best.is_some_and(|rt| rt > lsn) {
-                    return Ok(None);
-                }
-                let hit = hit.map(|v| v.to_vec());
-                if let Some(v) = &hit {
-                    self.metrics.value_bytes_read.add(v.len() as u64);
-                }
-                return Ok(hit);
-            }
+        if let Some((_, value)) = frozen.as_ref().and_then(|f| f.get(table, key, max_lsn)) {
+            return Ok(found(value));
         }
         // Then runs in precedence order, newest data first. Reading the
         // view last is safe: a flush that races us only moves data from a
         // memtable into a run we are about to consult.
         for handle in self.view().iter() {
-            rt_best = rt_best.max(handle.run.max_covering_rt(table, key, max_lsn));
             match handle.run.get(table, key, max_lsn)? {
                 RunLookup::BloomSkip => {
                     self.metrics.bloom_misses.inc();
@@ -504,11 +494,8 @@ impl Core {
                     self.metrics.bloom_hits.inc();
                     return Ok(None);
                 }
-                RunLookup::Value(lsn, v) => {
+                RunLookup::Value(_, v) => {
                     self.metrics.bloom_hits.inc();
-                    if rt_best.is_some_and(|rt| rt > lsn) {
-                        return Ok(None);
-                    }
                     self.metrics.value_bytes_read.add(v.len() as u64);
                     return Ok(Some(v));
                 }
@@ -521,9 +508,8 @@ impl Core {
     /// `max_lsn`, in `(table, key)` order: one [`MergeCursor`] over the
     /// active memtable, the frozen one and the runs. A key's highest LSN
     /// at or below `max_lsn` across the layers wins, then loses to a
-    /// point tombstone or to a newer covering range tombstone. The active
-    /// memtable's in-range versions and its range tombstones are copied
-    /// under one read lock; the frozen memtable and the runs are
+    /// tombstone. The active memtable's in-range versions are copied
+    /// under its read lock; the frozen memtable and the runs are
     /// borrowed. Each layer holds a contiguous stretch of LSNs and data
     /// only moves active → frozen → runs, so layers sampled one after
     /// another while a flush moves data down together hold every commit
@@ -535,33 +521,25 @@ impl Core {
         max_lsn: Lsn,
         mut f: impl FnMut(&str, &[u8], &[u8]),
     ) -> StorageResult<()> {
-        let applies =
-            |rt: &&RangeTombstone| rt.lsn <= max_lsn && range.is_none_or(|s| rt.table == s.table);
-        let (active, mut rts) = {
-            let mem = self.mem.read().expect("engine poisoned");
-            let active: Copied = mem.versions(range).filter(|v| v.2 <= max_lsn).collect();
-            let rts: Vec<RangeTombstone> = mem.ranges().iter().filter(applies).cloned().collect();
-            (active, rts)
-        };
+        let active: Copied = (self.mem.read().expect("engine poisoned"))
+            .versions(range)
+            .filter(|v| v.2 <= max_lsn)
+            .collect();
         let frozen = self.frozen.read().expect("engine poisoned").clone();
         let view = self.view();
         let mut layers = vec![Layer::mem(active.versions())];
         if let Some(frozen) = frozen.as_deref() {
-            rts.extend(frozen.ranges().iter().filter(applies).cloned());
             let versions = frozen.versions(range);
             layers.push(Layer::mem(
                 versions.map(|(t, k, lsn, v)| (t.as_bytes(), k, lsn, v)),
             ));
         }
         for handle in view.iter() {
-            rts.extend(handle.run.ranges().iter().filter(applies).cloned());
             layers.push(Layer::Run(handle.run.cursor(range)));
         }
-        MergeCursor::new(layers).for_each_newest(max_lsn, |(table, key, lsn, value)| {
+        MergeCursor::new(layers).for_each_newest(max_lsn, |(table, key, _, value)| {
             if let Some(value) = value {
-                if !rts.iter().any(|rt| rt.lsn > lsn && rt.covers(table, key)) {
-                    f(table, key, value);
-                }
+                f(table, key, value);
             }
         })
     }
@@ -646,10 +624,12 @@ impl Core {
     }
 
     /// Commit a batch: WAL frames plus a `Commit` frame, synced, then
-    /// applied to the memtable and published. A checkpoint the commit
-    /// triggers is maintenance, not part of the write: once published the
-    /// commit returns `Ok`, a failed checkpoint goes to the trace ring,
-    /// and the next commit over the threshold retries it.
+    /// applied to the memtable and published. A failed WAL write, flush
+    /// or sync poisons the log, so this and every later write fails
+    /// until a reopen. A checkpoint the commit triggers is maintenance,
+    /// not part of the write: once published the commit returns `Ok`, a
+    /// failed checkpoint goes to the trace ring, and the next commit
+    /// over the threshold retries it.
     fn apply_batch(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
         if ops.is_empty() {
             return Ok(self.committed_lsn.load(Ordering::SeqCst));
@@ -677,7 +657,6 @@ impl Core {
                 match op {
                     BatchOp::Put { .. } => self.metrics.puts.inc(),
                     BatchOp::Delete { .. } => self.metrics.deletes.inc(),
-                    BatchOp::DeleteRange { .. } => {}
                 }
                 mem.apply(op, lsn);
             }
@@ -738,11 +717,12 @@ impl Core {
         let started = Instant::now();
         let n = rows.len() as u64;
         let wal = self.wal.lock().expect("engine poisoned");
+        wal.writable()?;
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
         let mut versions = rows.iter().map(|(table, key, value)| {
             (table.as_str(), key.as_slice(), lsn, Some(value.as_slice()))
         });
-        let (id, summary) = self.install_run(1, n, &mut versions, &[], &[])?;
+        let (id, summary) = self.install_run(1, n, &mut versions, &[])?;
         // Publish while still holding the WAL lock: a snapshot pinned the
         // instant after this returns must see the whole batch.
         self.committed_lsn.store(lsn, Ordering::SeqCst);
@@ -782,6 +762,8 @@ impl Core {
     /// which is idempotent.
     fn checkpoint(&self) -> StorageResult<u64> {
         let _flush = self.flush_lock.lock().expect("engine poisoned");
+        // A poisoned engine flushes nothing until it is reopened.
+        self.wal.lock().expect("engine poisoned").writable()?;
         // A previous flush that failed after freezing left its memtable
         // parked in `frozen` (and its WAL in `wal.frozen`); retry it
         // first so data keeps moving toward the runs in order.
@@ -816,12 +798,11 @@ impl Core {
             .clone()
             .expect("flush_frozen called with nothing frozen");
         let flushed = snapshot.len() as u64;
-        // Every version and range tombstone is carried into the run —
-        // flushing must not change what any pinned snapshot sees; only
-        // compaction may fold, and only below the horizon. Versions
-        // stream borrowed: the frozen memtable is never copied.
-        let (id, summary) =
-            self.install_run(1, flushed, &mut snapshot.iter(), snapshot.ranges(), &[])?;
+        // Every version is carried into the run — flushing must not
+        // change what any pinned snapshot sees; only compaction may fold,
+        // and only below the horizon. Versions stream borrowed: the
+        // frozen memtable is never copied.
+        let (id, summary) = self.install_run(1, flushed, &mut snapshot.iter(), &[])?;
         // Retire the frozen memtable only once the run is in the view:
         // readers consult `frozen` before the view, so in between they
         // see its rows twice, never zero times.
@@ -851,9 +832,9 @@ impl Core {
     ///
     /// 1. Write `run-<id>.tmp` (removed again on error).
     /// 2. Rename it to `run-<id>.sst` and sync the directory, so the file
-    ///    is durable before anything names it. An output with neither
-    ///    entries nor range tombstones (a merge that folded everything
-    ///    away) is deleted instead and only the retirement commits.
+    ///    is durable before anything names it. An output with no entries
+    ///    (a merge that folded everything away) is deleted instead and
+    ///    only the retirement commits.
     /// 3. Under `structural`, rebuild the view from the *current* one —
     ///    runs installed since the caller planned stay; only `retired`
     ///    leave — plus the new run, in `(level asc, id desc)` order.
@@ -868,16 +849,15 @@ impl Core {
         level: u32,
         expected_entries: u64,
         versions: &mut impl Versions,
-        ranges: &[RangeTombstone],
         retired: &[u64],
     ) -> StorageResult<(u64, RunSummary)> {
         let id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
         let tmp = run_tmp_path(&self.dir, id);
-        let summary = sstable::write_run(&tmp, level, expected_entries, versions, ranges)
-            .inspect_err(|_| {
+        let summary =
+            sstable::write_run(&tmp, level, expected_entries, versions).inspect_err(|_| {
                 let _ = std::fs::remove_file(&tmp);
             })?;
-        let installed = if summary.entries == 0 && summary.range_tombstones == 0 {
+        let installed = if summary.entries == 0 {
             std::fs::remove_file(&tmp)?;
             None
         } else {
@@ -950,7 +930,7 @@ impl Core {
         let _guard = self.compact_lock.lock().expect("engine poisoned");
         let view = self.view();
         let single_foldable = match view.as_slice() {
-            [only] => only.run.tombstones() > 0 || !only.run.ranges().is_empty(),
+            [only] => only.run.tombstones() > 0,
             _ => false,
         };
         let Some(task) = compaction::full(&Self::catalog_of(&view), single_foldable) else {
@@ -986,29 +966,16 @@ impl Core {
             .registry
             .oldest()
             .unwrap_or_else(|| self.committed_lsn.load(Ordering::SeqCst));
-        let input_ranges: Vec<RangeTombstone> = inputs
-            .iter()
-            .flat_map(|h| h.run.ranges().iter().cloned())
-            .collect();
-        let out_ranges = compaction::fold_ranges(&input_ranges, task.drop_tombstones, horizon);
         let runs: Vec<&Run> = inputs.iter().map(|h| &h.run).collect();
-        let mut merge = compaction::Merge::new(&runs, task.drop_tombstones, horizon, input_ranges);
+        let mut merge = compaction::Merge::new(&runs, task.drop_tombstones, horizon);
         // `input_entries` over-counts the output (shadowed versions and
         // folded tombstones drop out) — fine for a bloom sizing bound.
-        let (out_id, summary) = self.install_run(
-            task.output_level,
-            input_entries,
-            &mut merge,
-            &out_ranges,
-            &task.inputs,
-        )?;
+        let (out_id, summary) =
+            self.install_run(task.output_level, input_entries, &mut merge, &task.inputs)?;
         for h in &inputs {
             let _ = std::fs::remove_file(manifest::run_path(&self.dir, h.id));
         }
         self.metrics.versions_folded.add(merge.versions_folded());
-        self.metrics
-            .range_tombstones_applied
-            .add(merge.range_tombstones_applied());
         self.metrics.compactions.inc();
         self.metrics.compaction_bytes.observe(input_bytes as f64);
         self.metrics
@@ -1138,37 +1105,37 @@ impl Engine {
         // 4. Replay committed WAL operations on top. A flush that died
         // between rotating the WAL and committing its run leaves a frozen
         // segment (`wal.frozen`) holding exactly the frozen memtable's
-        // transactions; it is strictly older than the live log, so it
-        // replays first.
+        // transactions, all older than the live log's. It replays into
+        // the frozen slot, where a failed flush parks its memtable, and
+        // is flushed below, before the engine starts.
         let wal_path = dir.join("wal.log");
         let frozen_wal_path = dir.join(WAL_FROZEN_FILE);
-        let had_frozen_wal = frozen_wal_path.exists();
-        let mut memtable = Memtable::new();
         let mut max_txid = 0u64;
         let mut replayed_ops = 0u64;
-        let mut live_committed_len = 0u64;
-        let segments: &[&Path] = if had_frozen_wal {
-            &[&frozen_wal_path, &wal_path]
-        } else {
-            &[&wal_path]
-        };
-        for seg in segments {
-            let replayed = wal::replay(seg)?;
+        let mut replay = |segment: &Path| -> StorageResult<(Memtable, u64)> {
+            let replayed = wal::replay(segment)?;
             if replayed.torn_tail {
                 metrics.torn_tail_discards.inc();
                 obs.trace(
                     "storage",
                     format!(
                         "torn WAL tail discarded during recovery of {}",
-                        seg.display()
+                        segment.display()
                     ),
                 );
             }
-            live_committed_len = replayed.committed_len;
+            let mut memtable = Memtable::new();
             let (ops, txid) = apply_committed(replayed.records, &mut memtable);
             replayed_ops += ops;
             max_txid = max_txid.max(txid);
-        }
+            Ok((memtable, replayed.committed_len))
+        };
+        let frozen = if frozen_wal_path.exists() {
+            Some(replay(&frozen_wal_path)?.0)
+        } else {
+            None
+        };
+        let (memtable, live_committed_len) = replay(&wal_path)?;
 
         // 5. Nothing so far has changed the directory. Now sweep temp
         // files and corrupt runs, persist the repaired catalog, and remove
@@ -1193,64 +1160,12 @@ impl Engine {
         let run_entries: u64 = handles.iter().map(|h| h.run.entries()).sum();
         metrics.recovered_snapshot_entries.add(run_entries);
 
-        // 6. Fold the two segments back into one live log so the steady-state
-        // invariant — exactly one WAL — holds before writers start. The
-        // recovered memtable holds their combined committed state *with
-        // per-version LSNs*; the rewrite emits one transaction per
-        // distinct LSN, ascending, each committed under its original
-        // LSN — so a crash-and-reopen cycle preserves the exact version
-        // history a pinned snapshot could later ask for. The frozen
-        // segment is deleted only after the rewrite is durable at the
-        // live path.
-        if had_frozen_wal {
-            let tmp = dir.join("wal.merge.tmp"); // swept at next open if we die here
-            let _ = std::fs::remove_file(&tmp);
-            {
-                let mut w = Wal::open(&tmp, options.fsync)?;
-                let mut by_lsn: BTreeMap<Lsn, Vec<BatchOp>> = BTreeMap::new();
-                for (table, key, lsn, value) in memtable.iter() {
-                    let (table, key) = (table.to_string(), key.to_vec());
-                    let op = match value {
-                        Some(v) => BatchOp::Put {
-                            table,
-                            key,
-                            value: v.to_vec(),
-                        },
-                        None => BatchOp::Delete { table, key },
-                    };
-                    by_lsn.entry(lsn).or_default().push(op);
-                }
-                for rt in memtable.ranges() {
-                    by_lsn
-                        .entry(rt.lsn)
-                        .or_default()
-                        .push(BatchOp::DeleteRange {
-                            table: rt.table.clone(),
-                            start: rt.start.clone(),
-                            end: rt.end.clone(),
-                        });
-                }
-                for (lsn, ops) in by_lsn {
-                    for op in &ops {
-                        w.append_op(op)?;
-                    }
-                    w.append(&WalRecord::Commit { txid: lsn })?;
-                }
-                w.sync()?;
-            }
-            std::fs::rename(&tmp, &wal_path)?;
-            manifest::sync_dir(dir)?;
-            std::fs::remove_file(&frozen_wal_path)?;
-            obs.trace(
-                "storage",
-                "frozen WAL segment from an interrupted flush folded into wal.log".to_string(),
-            );
-        } else if std::fs::metadata(&wal_path).map_or(0, |m| m.len()) > live_committed_len {
-            // Cut the live log back to its committed prefix before
-            // appending to it: a torn frame left in place would end the
-            // next replay early, hiding every commit acknowledged after
-            // this open, and operations whose commit never landed would
-            // be swept into the next one.
+        // 6. Cut the live log back to its committed prefix before
+        // appending to it: a torn frame left in place would end the next
+        // replay early, hiding every commit acknowledged after this open,
+        // and operations whose commit never landed — a torn batch, or one
+        // whose WAL write failed — would be swept into the next one.
+        if std::fs::metadata(&wal_path).map_or(0, |m| m.len()) > live_committed_len {
             let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
             file.set_len(live_committed_len)?;
             if options.fsync {
@@ -1293,13 +1208,14 @@ impl Engine {
             .unwrap_or(0)
             .max(max_txid);
         let background = options.compaction.background;
+        let parked_flush = frozen.is_some();
         let core = Arc::new(Core {
             dir: dir.to_path_buf(),
             obs,
             metrics,
             wal: Mutex::new(wal),
             mem: RwLock::new(memtable),
-            frozen: RwLock::new(None),
+            frozen: RwLock::new(frozen.map(Arc::new)),
             flush_lock: Mutex::new(()),
             runs: RwLock::new(Arc::new(handles)),
             structural: Mutex::new(()),
@@ -1314,6 +1230,13 @@ impl Engine {
             options,
         });
         core.update_run_gauges(&core.view());
+        // The frozen segment's memtable enters the tree through the same
+        // flush that retries a failed one. If it fails, so does the open,
+        // and `wal.frozen` stays for the next open to retry.
+        if parked_flush {
+            let _flush = core.flush_lock.lock().expect("engine poisoned");
+            core.flush_frozen()?;
+        }
         let worker = if background {
             let c = core.clone();
             Some(
@@ -1365,30 +1288,15 @@ impl Engine {
         .map(|_| ())
     }
 
-    /// Delete every key of `table` in `[start, end)` (`end = None` =
-    /// unbounded, so `delete_range(t, b"", None)` truncates the table)
-    /// as **one range tombstone**: O(1) WAL frames and memtable work no
-    /// matter how many keys the range covers. The tombstone shadows all
-    /// older versions on reads and is folded by compaction like a point
-    /// tombstone. Returns the commit's LSN.
-    pub fn delete_range(
-        &self,
-        table: &str,
-        start: &[u8],
-        end: Option<&[u8]>,
-    ) -> StorageResult<Lsn> {
-        self.apply_batch(vec![BatchOp::DeleteRange {
-            table: table.to_string(),
-            start: start.to_vec(),
-            end: end.map(<[u8]>::to_vec),
-        }])
-    }
-
     /// Apply a batch of operations atomically: either every operation is
     /// visible after a crash, or none is. Returns the batch's commit LSN
     /// (the current head LSN for an empty batch). A checkpoint the batch
     /// triggers is not part of the commit: its failure goes to the trace
-    /// ring, never to the caller of a batch that has landed.
+    /// ring, never to the caller of a batch that has landed. A failed WAL
+    /// write, flush or sync poisons the engine: this and every later
+    /// commit, bulk ingest and checkpoint fail
+    /// ([`StorageError::Poisoned`] after the first) until a reopen,
+    /// while reads and compaction keep working.
     pub fn apply_batch(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
         self.core.apply_batch(ops)
     }
@@ -2004,7 +1912,6 @@ mod tests {
         assert!(text.contains("preserva_storage_snapshots_pinned 0"));
         assert!(text.contains("preserva_storage_oldest_snapshot_lag 0"));
         assert!(text.contains("preserva_storage_compaction_versions_folded_total 0"));
-        assert!(text.contains("preserva_storage_range_tombstones_applied_total 0"));
     }
 
     #[test]
@@ -2076,83 +1983,6 @@ mod tests {
             e.as_of(Lsn::MAX).get("t", b"k").unwrap().as_deref(),
             Some(&b"v5"[..])
         );
-    }
-
-    #[test]
-    fn delete_range_is_one_commit_and_hides_the_range() {
-        let dir = tmpdir("delrange");
-        let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-        for i in 0..100u32 {
-            e.put("t", &i.to_be_bytes(), b"v").unwrap();
-        }
-        e.put("u", b"other", b"kept").unwrap();
-        e.checkpoint().unwrap();
-        let appends = e
-            .metrics_registry()
-            .counter("preserva_storage_wal_appends_total", "");
-        let before = appends.get();
-        let snap = e.snapshot();
-        e.delete_range("t", b"", None).unwrap();
-        assert_eq!(
-            appends.get(),
-            before + 2,
-            "one DeleteRange frame + one Commit frame, independent of row count"
-        );
-        assert_eq!(e.head().count("t").unwrap(), 0);
-        assert_eq!(e.head().scan_all("t").unwrap(), vec![]);
-        assert_eq!(e.head().get("t", &5u32.to_be_bytes()).unwrap(), None);
-        assert_eq!(
-            e.head().get("u", b"other").unwrap().as_deref(),
-            Some(&b"kept"[..])
-        );
-        assert_eq!(e.head().tables().unwrap(), vec!["u".to_string()]);
-        // The pre-delete snapshot still sees everything.
-        assert_eq!(snap.count("t").unwrap(), 100);
-        // Writes after the tombstone are visible again.
-        e.put("t", &7u32.to_be_bytes(), b"back").unwrap();
-        assert_eq!(
-            e.head().get("t", &7u32.to_be_bytes()).unwrap().as_deref(),
-            Some(&b"back"[..])
-        );
-        assert_eq!(e.head().count("t").unwrap(), 1);
-        // Bounded variant.
-        e.delete_range("t", &0u32.to_be_bytes(), Some(&100u32.to_be_bytes()))
-            .unwrap();
-        assert_eq!(e.head().count("t").unwrap(), 0);
-    }
-
-    #[test]
-    fn delete_range_survives_flush_compaction_and_recovery() {
-        let dir = tmpdir("delrangedur");
-        let opts = EngineOptions {
-            compaction: CompactionOptions {
-                background: false,
-                max_runs_per_level: 100,
-            },
-            ..EngineOptions::default()
-        };
-        {
-            let e = Engine::open(&dir, opts.clone()).unwrap();
-            for i in 0..50u32 {
-                e.put("t", &i.to_be_bytes(), b"v").unwrap();
-            }
-            e.checkpoint().unwrap(); // rows now live in a run
-            e.delete_range("t", b"", None).unwrap();
-            e.checkpoint().unwrap(); // tombstone now lives in a run too
-            assert_eq!(e.head().count("t").unwrap(), 0);
-        }
-        // Recovery: the tombstone reloads from the run footer section.
-        let e = Engine::open(&dir, opts).unwrap();
-        assert_eq!(e.head().count("t").unwrap(), 0);
-        assert_eq!(e.head().get("t", &10u32.to_be_bytes()).unwrap(), None);
-        // Full compaction folds rows and tombstone away entirely.
-        assert!(e.compact().unwrap());
-        assert_eq!(e.runs_per_level(), vec![]);
-        assert_eq!(e.head().count("t").unwrap(), 0);
-        let applied = e
-            .metrics_registry()
-            .counter("preserva_storage_range_tombstones_applied_total", "");
-        assert!(applied.get() > 0, "folding counted RT applications");
     }
 
     #[test]
@@ -2369,7 +2199,6 @@ mod tests {
             1,
             2,
             &mut sstable::borrowed(&[entry(b"del", None), entry(b"k", Some(b"new"))]),
-            &[],
         )
         .unwrap();
         // Stale compaction output: higher id, level 2.
@@ -2378,7 +2207,6 @@ mod tests {
             2,
             2,
             &mut sstable::borrowed(&[entry(b"del", Some(b"zombie")), entry(b"k", Some(b"old"))]),
-            &[],
         )
         .unwrap();
     }
@@ -2523,11 +2351,13 @@ mod tests {
             .collect()
     }
 
-    /// The three on-disk forms older builds wrote — a `snap-*.sst`, a v1
-    /// `PRUN` run (catalogued, and found by the manifest-fallback scan)
-    /// and a tag-4 WAL frame — each fail the open as `Unsupported` and
-    /// leave every file byte-identical: no temp sweep, no corrupt-run or
-    /// orphan deletion, no manifest rewrite, no WAL fold.
+    /// The on-disk forms older builds wrote — a `snap-*.sst`, a v1
+    /// `PRUN` run (catalogued, and found by the manifest-fallback scan),
+    /// a catalogued run holding a range tombstone, and a live WAL ending
+    /// in a tag-4 or a tag-5 (range tombstone) frame — each fail the open
+    /// as `Unsupported`, naming the file, and leave every file
+    /// byte-identical: no temp sweep, no corrupt-run or orphan deletion,
+    /// no manifest rewrite, no WAL cut, no flush.
     #[test]
     fn legacy_formats_fail_open_and_stay_on_disk() {
         let base = |tag: &str| {
@@ -2543,6 +2373,17 @@ mod tests {
             std::fs::write(manifest::run_path(&dir, 900), b"orphan").unwrap();
             dir
         };
+        let catalogue = |dir: &Path, run: &[u8]| {
+            std::fs::write(manifest::run_path(dir, 50), run).unwrap();
+            let mut catalog = manifest::load(dir).unwrap().unwrap();
+            catalog.push(RunEntry { id: 50, level: 1 });
+            manifest::store(dir, &catalog).unwrap();
+        };
+        let append_to_wal = |dir: &Path, frame: &[u8]| {
+            let mut log = std::fs::read(dir.join("wal.log")).unwrap();
+            log.extend(frame);
+            std::fs::write(dir.join("wal.log"), &log).unwrap();
+        };
         let mut v1_run = vec![0u8; 64];
         crate::codec::put_u32(&mut v1_run, 0x5052_554E); // "PRUN"
         let mut tag4 = vec![4u8];
@@ -2551,31 +2392,48 @@ mod tests {
         crate::codec::put_u32(&mut tag4_frame, tag4.len() as u32);
         crate::codec::put_u32(&mut tag4_frame, crate::crc32::checksum(&tag4));
         tag4_frame.extend(tag4);
+        // A delete of `t` `[a, z)`, framed by an earlier build's encoder.
+        let tag5_frame = crate::codec::from_hex("08000000eceff50d050174016101017a");
+        // A run an earlier build's `write_run` wrote: one entry (`t/gone`
+        // = `v` at LSN 7) and one range tombstone (`t` `[a, z)` at LSN 8).
+        let range_run = crate::codec::from_hex(concat!(
+            "000700000000000000017404676f6e65017601000000000000000000000012000000f1afacb7",
+            "017404676f6e65010000000174016101017a08000000000000004000000000000000070000",
+            "00041040008100020812000000000000002d00000000000000400000000000000001000000",
+            "000000000000000000000000080000000000000001000000fc3921f5324e5250",
+        ));
 
         let snap = base("legacy-snap");
         std::fs::write(snap.join("snap-0000000000000003.sst"), b"old snapshot").unwrap();
 
         let catalogued = base("legacy-v1-catalogued");
-        std::fs::write(manifest::run_path(&catalogued, 50), &v1_run).unwrap();
-        let mut catalog = manifest::load(&catalogued).unwrap().unwrap();
-        catalog.push(RunEntry { id: 50, level: 1 });
-        manifest::store(&catalogued, &catalog).unwrap();
+        catalogue(&catalogued, &v1_run);
 
         let scanned = base("legacy-v1-scanned");
         std::fs::write(manifest::run_path(&scanned, 50), &v1_run).unwrap();
         std::fs::remove_file(manifest::manifest_path(&scanned)).unwrap();
 
-        let wal = base("legacy-wal");
-        let mut log = std::fs::read(wal.join("wal.log")).unwrap();
-        log.extend(&tag4_frame);
-        std::fs::write(wal.join("wal.log"), &log).unwrap();
+        let range_tombstones = base("legacy-range-run");
+        catalogue(&range_tombstones, &range_run);
 
-        for dir in [snap, catalogued, scanned, wal] {
+        let tag4_wal = base("legacy-wal");
+        append_to_wal(&tag4_wal, &tag4_frame);
+
+        let tag5_wal = base("legacy-range-wal");
+        append_to_wal(&tag5_wal, &tag5_frame);
+
+        let cases = [
+            (snap.join("snap-0000000000000003.sst"), snap),
+            (manifest::run_path(&catalogued, 50), catalogued),
+            (manifest::run_path(&scanned, 50), scanned),
+            (manifest::run_path(&range_tombstones, 50), range_tombstones),
+            (tag4_wal.join("wal.log"), tag4_wal),
+            (tag5_wal.join("wal.log"), tag5_wal),
+        ];
+        for (file, dir) in cases {
             let before = dir_bytes(&dir);
             match Engine::open(&dir, EngineOptions::default()) {
-                Err(StorageError::Unsupported { path, .. }) => {
-                    assert!(path.starts_with(&dir), "{path:?}")
-                }
+                Err(StorageError::Unsupported { path, .. }) => assert_eq!(path, file),
                 other => panic!("{dir:?}: expected Unsupported, got {other:?}"),
             }
             assert_eq!(dir_bytes(&dir), before, "{dir:?} changed by a failed open");

@@ -30,15 +30,20 @@ pub enum StorageError {
     /// A transaction was used after commit/abort.
     TransactionClosed,
     /// A file in an on-disk format this build does not read: a
-    /// `snap-*.sst` single-snapshot file, a v1 (`PRUN`) run, or a WAL
-    /// frame that passes its CRC but does not decode. Open fails and the
-    /// file stays where it is, byte for byte.
+    /// `snap-*.sst` single-snapshot file, a v1 (`PRUN`) run, a run
+    /// holding range tombstones, or a WAL frame that passes its CRC but
+    /// does not decode. Open fails and the file stays where it is, byte
+    /// for byte.
     Unsupported {
         /// The file in that format.
         path: PathBuf,
         /// Which format, and where in the file.
         reason: String,
     },
+    /// An earlier WAL write, flush or sync failed, so the engine refuses
+    /// every commit, bulk ingest and checkpoint until it is reopened.
+    /// Reads and compaction keep working.
+    Poisoned,
 }
 
 impl StorageError {
@@ -66,6 +71,12 @@ impl fmt::Display for StorageError {
             StorageError::TransactionClosed => write!(f, "transaction already closed"),
             StorageError::Unsupported { path, reason } => {
                 write!(f, "unsupported format in {}: {reason}", path.display())
+            }
+            StorageError::Poisoned => {
+                write!(
+                    f,
+                    "writes refused after a failed WAL write; reopen the engine"
+                )
             }
         }
     }

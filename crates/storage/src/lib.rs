@@ -18,10 +18,13 @@
 //!   of each run;
 //! * [`compaction`] merges runs level by level in the background,
 //!   folding tombstones at the bottom of the tree;
-//! * [`engine::Engine`] ties these together with atomic multi-key commits,
-//!   range scans and crash recovery (manifest + runs + WAL replay; a file
-//!   in a format older builds wrote fails the open as
-//!   [`StorageError::Unsupported`] and stays on disk);
+//! * [`engine::Engine`] ties these together with atomic multi-key commits
+//!   of point versions (puts and point deletes), range scans and crash
+//!   recovery (manifest + runs + WAL replay; a file in a format older
+//!   builds wrote, range tombstones included, fails the open as
+//!   [`StorageError::Unsupported`] and stays on disk); a failed WAL write
+//!   poisons the engine, refusing writes with [`StorageError::Poisoned`]
+//!   until a reopen;
 //! * [`table::TableStore`] layers named tables and secondary indexes on
 //!   top of the flat key space;
 //! * the engine has exactly two write paths: the WAL commit
@@ -70,7 +73,6 @@ pub use compaction::CompactionOptions;
 pub use engine::{Engine, EngineOptions, EngineStats, Snapshot};
 pub use error::{StorageError, StorageResult};
 pub use journal::{JournalEntry, ROW_DELETED, ROW_UPSERTED};
-pub use memtable::RangeTombstone;
 pub use snapshot::{Lsn, SnapshotRegistry};
 pub use table::{
     is_search_table, CommitReceipt, IndexDef, TableStore, WriteSession, SEARCH_PREFIX,

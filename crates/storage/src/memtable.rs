@@ -7,13 +7,11 @@
 //! pinned at any LSN still finds the version it saw at pin time. The
 //! map owns the bytes a commit hands it — table, key and value move in
 //! from the batch, so a committed value is held once. Deletions are
-//! retained as tombstones (`None`); range deletions are one
-//! [`RangeTombstone`] record each, shadowing every smaller-LSN version
-//! of any covered key. Versions are only folded later, by compaction,
-//! below the oldest pinned snapshot. A point read seeks straight to its
-//! pin; a range scan steps over each key's other versions one by one, a
-//! walk the flush threshold bounds, since a flush moves every version
-//! into a run.
+//! retained as tombstones (`None`). Versions are only folded later, by
+//! compaction, below the oldest pinned snapshot. A point read seeks
+//! straight to its pin; a range scan steps over each key's other
+//! versions one by one, a walk the flush threshold bounds, since a flush
+//! moves every version into a run.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -30,39 +28,10 @@ pub type NsKey = (String, Vec<u8>);
 /// value)`, where a `None` value is a point tombstone.
 pub type VersionRef<'a> = (&'a str, &'a [u8], Lsn, Option<&'a [u8]>);
 
-/// A committed range deletion: shadows every version with a smaller LSN
-/// of any key in `[start, end)` of `table` (`end = None` = unbounded).
-/// One O(1) record regardless of how many rows it covers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeTombstone {
-    /// Table the deletion applies to.
-    pub table: String,
-    /// Inclusive start key.
-    pub start: Vec<u8>,
-    /// Exclusive end key; `None` means unbounded (to the table's end).
-    pub end: Option<Vec<u8>>,
-    /// Commit LSN of the deletion.
-    pub lsn: Lsn,
-}
-
-impl RangeTombstone {
-    /// Whether `key` of `table` falls inside this tombstone's range
-    /// (ignoring LSNs — the caller compares those).
-    pub fn covers(&self, table: &str, key: &[u8]) -> bool {
-        self.table == table
-            && key >= self.start.as_slice()
-            && match &self.end {
-                Some(end) => key < end.as_slice(),
-                None => true,
-            }
-    }
-}
-
 /// The mutable, ordered, multi-version write buffer of the engine.
 #[derive(Debug, Default, Clone)]
 pub struct Memtable {
     entries: BTreeMap<(NsKey, Reverse<Lsn>), Option<Vec<u8>>>,
-    ranges: Vec<RangeTombstone>,
     /// Point writes applied, including a batch's repeated write of one
     /// key that the map keeps once. The flush sizes its run's bloom
     /// filter from this count, so run bytes depend on it.
@@ -99,33 +68,16 @@ impl Memtable {
         self.entries.insert(((table, key), Reverse(lsn)), value);
     }
 
-    /// Record a range deletion `[start, end)` of `table` at `lsn` —
-    /// O(1) in the number of rows covered.
-    pub fn delete_range(&mut self, table: &str, start: &[u8], end: Option<&[u8]>, lsn: Lsn) {
-        self.approx_bytes += table.len() + start.len() + end.map_or(0, <[u8]>::len) + 8;
-        self.ranges.push(RangeTombstone {
-            table: table.to_string(),
-            start: start.to_vec(),
-            end: end.map(<[u8]>::to_vec),
-            lsn,
-        });
-    }
-
     /// Apply one committed batch operation at `lsn`, moving its bytes in.
     pub fn apply(&mut self, op: BatchOp, lsn: Lsn) {
         match op {
             BatchOp::Put { table, key, value } => self.put(table, key, value, lsn),
             BatchOp::Delete { table, key } => self.delete(table, key, lsn),
-            BatchOp::DeleteRange { table, start, end } => {
-                self.delete_range(&table, &start, end.as_deref(), lsn)
-            }
         }
     }
 
-    /// Newest *point* version of a key at or below `max_lsn`. `None`
-    /// means "no version visible here"; `Some((lsn, None))` is a
-    /// tombstone. Range tombstones are NOT resolved — the caller
-    /// compares against [`max_covering_rt`](Self::max_covering_rt).
+    /// Newest version of a key at or below `max_lsn`. `None` means "no
+    /// version visible here"; `Some((lsn, None))` is a tombstone.
     pub fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> Option<(Lsn, Option<&[u8]>)> {
         let nskey = (table.to_string(), key.to_vec());
         self.entries
@@ -135,20 +87,9 @@ impl Memtable {
             .map(|((_, Reverse(lsn)), v)| (*lsn, v.as_deref()))
     }
 
-    /// Largest range-tombstone LSN at or below `max_lsn` covering
-    /// `(table, key)`, if any.
-    pub fn max_covering_rt(&self, table: &str, key: &[u8], max_lsn: Lsn) -> Option<Lsn> {
-        self.ranges
-            .iter()
-            .filter(|rt| rt.lsn <= max_lsn && rt.covers(table, key))
-            .map(|rt| rt.lsn)
-            .max()
-    }
-
-    /// Iterate the newest visible point version (at or below `max_lsn`)
-    /// of every key of `table` in `[start, end)` (an empty `end` means
-    /// unbounded). Tombstones are included; range tombstones are not
-    /// applied (the caller overlays [`ranges`](Self::ranges)).
+    /// Iterate the newest visible version (at or below `max_lsn`) of
+    /// every key of `table` in `[start, end)` (`end = None` means
+    /// unbounded). Tombstones are included.
     pub fn range<'a>(
         &'a self,
         table: &str,
@@ -199,12 +140,7 @@ impl Memtable {
             .map(|(((t, k), Reverse(lsn)), v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
     }
 
-    /// The buffered range tombstones, in commit order.
-    pub fn ranges(&self) -> &[RangeTombstone] {
-        &self.ranges
-    }
-
-    /// Number of point versions (including tombstones) inserted across
+    /// Number of versions (including tombstones) inserted across
     /// all keys — the memory-amplification numerator. A batch writing
     /// one key twice counts twice, though only its last write stays.
     pub fn len(&self) -> usize {
@@ -220,14 +156,14 @@ impl Memtable {
             .count()
     }
 
-    /// True when nothing is buffered (no versions, no range tombstones).
+    /// True when no version is buffered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.ranges.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Estimated bytes buffered: table + key + value + 8 per version or
-    /// range tombstone. Drives checkpoint scheduling; it leaves out the
-    /// map's own per-entry overhead.
+    /// Estimated bytes buffered: table + key + value + 8 per version.
+    /// Drives checkpoint scheduling; it leaves out the map's own
+    /// per-entry overhead.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
@@ -239,11 +175,9 @@ impl Memtable {
         self.versions(None)
     }
 
-    /// Largest LSN of any buffered version or range tombstone.
+    /// Largest LSN of any buffered version.
     pub fn max_lsn(&self) -> Option<Lsn> {
-        let point = self.entries.keys().map(|(_, Reverse(lsn))| *lsn).max();
-        let range = self.ranges.iter().map(|rt| rt.lsn).max();
-        point.max(range)
+        self.entries.keys().map(|(_, Reverse(lsn))| *lsn).max()
     }
 }
 
@@ -329,23 +263,6 @@ mod tests {
         let got: Vec<_> = m.range("t", b"", None, LATEST).collect();
         assert_eq!(got.len(), 2);
         assert_eq!(got[1].2, None);
-    }
-
-    #[test]
-    fn range_tombstone_covers_and_reports_lsn() {
-        let mut m = Memtable::new();
-        m.put("t", b"b", b"1".to_vec(), 1);
-        m.delete_range("t", b"a", Some(b"c"), 5);
-        m.put("t", b"b", b"2".to_vec(), 7);
-        assert_eq!(m.max_covering_rt("t", b"b", LATEST), Some(5));
-        assert_eq!(m.max_covering_rt("t", b"c", LATEST), None, "end exclusive");
-        assert_eq!(m.max_covering_rt("t", b"b", 4), None, "pinned before");
-        assert_eq!(m.max_covering_rt("u", b"b", LATEST), None, "table scoped");
-        // Unbounded end covers everything from start on.
-        m.delete_range("t", b"x", None, 6);
-        assert_eq!(m.max_covering_rt("t", b"zzz", LATEST), Some(6));
-        assert_eq!(m.ranges().len(), 2);
-        assert!(!m.is_empty());
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! One format lives here: the **tiered run** (`run-*.sst`, magic
 //! `PRN2`), the immutable multi-version unit of the leveled store. A run
-//! is a sequence of ~4 KiB data blocks, a block index, a range-tombstone
-//! section, a bloom filter and a fixed-size footer:
+//! is a sequence of ~4 KiB data blocks, a block index, a retired
+//! range-tombstone section, a bloom filter and a fixed-size footer:
 //!
 //! ```text
 //! [data block]*                 -- versions sorted by (table, key) asc,
 //!                                  then lsn desc
 //! [index]                       -- per-block offset/len/crc + first key
-//! [range tombstones]            -- count | (table|start|flag[|end]|lsn)*
+//! [range tombstones]            -- count u32, always 0
 //! [bloom]                       -- FNV-1a double-hashed bit array
 //! [footer: index_off u64 | rt_off u64 | bloom_off u64 | entries u64 |
 //!          tombstones u64 | max_lsn u64 | level u32 | tail_crc u32 |
@@ -17,15 +17,16 @@
 //! ```
 //!
 //! Each entry is `tag u8 | lsn u64 | table | key | [value]` with
-//! length-prefixed byte strings; point tombstones and range tombstones
-//! round-trip so deletions shadow older runs until compaction folds them
-//! out at the bottom level, below the oldest pinned snapshot. The footer
+//! length-prefixed byte strings; tombstones round-trip so deletions
+//! shadow older runs until compaction folds them out at the bottom
+//! level, below the oldest pinned snapshot. The footer
 //! records the run's **level** so recovery can rebuild correct read
 //! precedence — `(level asc, id desc)` — even when the manifest is lost,
 //! and its **max_lsn** so recovery can restore the engine's LSN clock
 //! after the WAL segment holding those commits was deleted by a flush.
-//! Opening a run reads only index + range tombstones + bloom (`tail_crc`
-//! covers exactly that region), so open cost is O(index), not O(data);
+//! Opening a run reads only index + range-tombstone count + bloom
+//! (`tail_crc` covers exactly that region), so open cost is O(index),
+//! not O(data);
 //! each data block carries its own CRC, verified on every read — no
 //! block is cached.
 //!
@@ -43,9 +44,12 @@
 //! whichever layer holds it; compaction applies its fold rules to the
 //! same stream and hands the survivors to [`write_run`] borrowed.
 //!
-//! A file ending in the older v1 magic (`PRUN`, single-version entries
-//! without LSNs) opens as [`StorageError::Unsupported`], never as
-//! corruption, so recovery leaves it on disk instead of deleting it.
+//! Two forms only older builds wrote open as
+//! [`StorageError::Unsupported`], never as corruption, so recovery leaves
+//! them on disk instead of deleting them: a file ending in the v1 magic
+//! (`PRUN`, single-version entries without LSNs), and a run whose
+//! range-tombstone count is not zero (range deletes are retired; this
+//! build writes every run with a zero count, so its bytes are unchanged).
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -54,9 +58,9 @@ use std::path::Path;
 
 use crate::codec;
 use crate::crc32;
-use crate::cursor::{Layer, MergeCursor, RawVersion, Span};
+use crate::cursor::{RawVersion, Span};
 use crate::error::{StorageError, StorageResult};
-use crate::memtable::{NsKey, RangeTombstone, VersionRef};
+use crate::memtable::{NsKey, VersionRef};
 use crate::snapshot::Lsn;
 
 const TAG_LIVE: u8 = 0;
@@ -101,13 +105,11 @@ impl<'a, I: Iterator<Item = VersionRef<'a>>> Versions for I {
 /// What a run writer reports back: enough for manifests and metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
-    /// Point versions written (live + tombstones).
+    /// Versions written (live + tombstones).
     pub entries: u64,
-    /// Point tombstones among them.
+    /// Tombstones among them.
     pub tombstones: u64,
-    /// Range tombstone records written.
-    pub range_tombstones: u64,
-    /// Largest LSN of any version or range tombstone (0 when empty).
+    /// Largest LSN of any version (0 when empty).
     pub max_lsn: Lsn,
     /// Total file size in bytes.
     pub bytes: u64,
@@ -275,61 +277,11 @@ fn decode_entry(block: &[u8], pos: usize) -> StorageResult<(Entry, usize)> {
     ))
 }
 
-fn encode_range_tombstones(out: &mut Vec<u8>, ranges: &[RangeTombstone]) {
-    codec::put_u32(out, ranges.len() as u32);
-    for rt in ranges {
-        codec::put_bytes(out, rt.table.as_bytes());
-        codec::put_bytes(out, &rt.start);
-        match &rt.end {
-            Some(end) => {
-                out.push(1);
-                codec::put_bytes(out, end);
-            }
-            None => out.push(0),
-        }
-        codec::put_u64(out, rt.lsn);
-    }
-}
-
-fn decode_range_tombstones(buf: &[u8]) -> StorageResult<(Vec<RangeTombstone>, usize)> {
-    let (count, mut pos) = codec::get_u32(buf)?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let (table, n) = codec::get_bytes(&buf[pos..])?;
-        pos += n;
-        let (start, n) = codec::get_bytes(&buf[pos..])?;
-        pos += n;
-        let end = match buf.get(pos) {
-            Some(0) => {
-                pos += 1;
-                None
-            }
-            Some(1) => {
-                pos += 1;
-                let (end, n) = codec::get_bytes(&buf[pos..])?;
-                pos += n;
-                Some(end.to_vec())
-            }
-            _ => return Err(StorageError::Decode("bad range-tombstone end flag".into())),
-        };
-        let (lsn, n) = codec::get_u64(&buf[pos..])?;
-        pos += n;
-        out.push(RangeTombstone {
-            table: String::from_utf8(table.to_vec())
-                .map_err(|_| StorageError::Decode("non-utf8 table in run".into()))?,
-            start: start.to_vec(),
-            end,
-            lsn,
-        });
-    }
-    Ok((out, pos))
-}
-
 /// Write `versions` (already sorted ascending by `NsKey`, then LSN
-/// *descending* within a key) plus `ranges` as a tiered run at
-/// `path`, recorded as living at `level`. Streaming: memory use is
-/// bounded by one block plus the index/bloom/range sections, never by
-/// the data set — the bloom filter is sized up front from
+/// *descending* within a key) as a tiered run at `path`, recorded as
+/// living at `level`. Streaming: memory use is bounded by one block
+/// plus the index and bloom sections, never by the data set — the bloom
+/// filter is sized up front from
 /// `expected_entries` (an upper bound the caller always knows: the
 /// memtable version count for a flush, the summed input entry counts for
 /// a merge) and its bits are set as entries stream through. Overshooting
@@ -341,7 +293,6 @@ pub fn write_run(
     level: u32,
     expected_entries: u64,
     versions: &mut impl Versions,
-    ranges: &[RangeTombstone],
 ) -> StorageResult<RunSummary> {
     let file = File::create(path)?;
     let mut w = BufWriter::new(file);
@@ -351,7 +302,7 @@ pub fn write_run(
     let mut offset = 0u64;
     let mut entry_count = 0u64;
     let mut tombstone_count = 0u64;
-    let mut max_lsn: Lsn = ranges.iter().map(|rt| rt.lsn).max().unwrap_or(0);
+    let mut max_lsn: Lsn = 0;
     let mut bloom = Bloom::with_capacity(expected_entries);
 
     let flush_block = |w: &mut BufWriter<File>,
@@ -417,7 +368,7 @@ pub fn write_run(
         codec::put_bytes(&mut tail, &meta.first.1);
     }
     let rt_off = index_off + tail.len() as u64;
-    encode_range_tombstones(&mut tail, ranges);
+    codec::put_u32(&mut tail, 0);
     let bloom_off = index_off + tail.len() as u64;
     bloom.encode(&mut tail);
     let tail_crc = crc32::checksum(&tail);
@@ -439,7 +390,6 @@ pub fn write_run(
     Ok(RunSummary {
         entries: entry_count,
         tombstones: tombstone_count,
-        range_tombstones: ranges.len() as u64,
         max_lsn,
         bytes,
     })
@@ -477,10 +427,6 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
     f.read_exact(buf)
 }
 
-/// Callback for [`Run::scan_range`]: borrowed key, commit LSN and value
-/// (`None` = tombstone).
-pub type ScanVisitor<'a> = dyn FnMut(&[u8], Lsn, Option<&[u8]>) + 'a;
-
 /// Result of a point lookup inside one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunLookup {
@@ -497,15 +443,13 @@ pub enum RunLookup {
     Value(Lsn, Vec<u8>),
 }
 
-/// An open, immutable tiered run. Cheap to open (index + range
-/// tombstones + bloom only) and safe to share across threads: all reads
-/// are positional.
+/// An open, immutable tiered run. Cheap to open (index + bloom only)
+/// and safe to share across threads: all reads are positional.
 #[derive(Debug)]
 pub struct Run {
     file: File,
     index: Vec<BlockMeta>,
     bloom: Bloom,
-    ranges: Vec<RangeTombstone>,
     entries: u64,
     tombstones: u64,
     max_lsn: Lsn,
@@ -516,8 +460,8 @@ pub struct Run {
 impl Run {
     /// Open a run file, checking the trailing magic and verifying the
     /// index/bloom CRC. Data blocks are verified lazily, on first read. A
-    /// v1 (`PRUN`) file is [`StorageError::Unsupported`]; any other wrong
-    /// magic is corruption.
+    /// v1 (`PRUN`) file or a run holding range tombstones is
+    /// [`StorageError::Unsupported`]; any other wrong magic is corruption.
     pub fn open(path: &Path) -> StorageResult<Run> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -614,8 +558,16 @@ impl Run {
                 "run index length mismatch",
             ));
         }
-        let (ranges, consumed) = decode_range_tombstones(&tail[pos..])?;
-        pos += consumed;
+        let (range_tombstones, n) = codec::get_u32(&tail[pos..])?;
+        pos += n;
+        if range_tombstones != 0 {
+            return Err(StorageError::Unsupported {
+                path: path.to_path_buf(),
+                reason: format!(
+                    "run holds {range_tombstones} range tombstone(s), a retired format"
+                ),
+            });
+        }
         if pos != (bloom_off - index_off) as usize {
             return Err(StorageError::corrupt(
                 index_off,
@@ -627,7 +579,6 @@ impl Run {
             file,
             index,
             bloom,
-            ranges,
             entries,
             tombstones,
             max_lsn,
@@ -636,19 +587,14 @@ impl Run {
         })
     }
 
-    /// Point versions recorded in the footer (live + tombstones).
+    /// Versions recorded in the footer (live + tombstones).
     pub fn entries(&self) -> u64 {
         self.entries
     }
 
-    /// Point tombstones recorded in the footer.
+    /// Tombstones recorded in the footer.
     pub fn tombstones(&self) -> u64 {
         self.tombstones
-    }
-
-    /// Range tombstones carried by the run.
-    pub fn ranges(&self) -> &[RangeTombstone] {
-        &self.ranges
     }
 
     /// Largest commit LSN in the run (0 when empty). Feeds the
@@ -668,16 +614,6 @@ impl Run {
     /// Total file size in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Largest range-tombstone LSN at or below `max_lsn` covering
-    /// `(table, key)`, if any.
-    pub fn max_covering_rt(&self, table: &str, key: &[u8], max_lsn: Lsn) -> Option<Lsn> {
-        self.ranges
-            .iter()
-            .filter(|rt| rt.lsn <= max_lsn && rt.covers(table, key))
-            .map(|rt| rt.lsn)
-            .max()
     }
 
     /// Read one data block into `buf`, which the caller reuses from block
@@ -739,9 +675,7 @@ impl Run {
 
     /// Point lookup of the newest version at or below `max_lsn`: bloom
     /// check, index binary search, one block read (more only when the
-    /// key's versions spill across block boundaries). Range tombstones
-    /// are NOT resolved here — the caller overlays
-    /// [`max_covering_rt`](Self::max_covering_rt).
+    /// key's versions spill across block boundaries).
     pub fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> StorageResult<RunLookup> {
         if !self.bloom.may_contain(table.as_bytes(), key) {
             return Ok(RunLookup::BloomSkip);
@@ -759,24 +693,6 @@ impl Run {
                 });
             }
         }
-    }
-
-    /// Visit the newest version at or below `max_lsn` of every key of
-    /// `table` in `[start, end)` (`end = None` meaning unbounded),
-    /// including tombstones, in key order. The callback borrows from the
-    /// block buffer so callers copy only what they keep. Range tombstones
-    /// are not applied (the caller overlays [`ranges`](Self::ranges)).
-    pub fn scan_range(
-        &self,
-        table: &str,
-        start: &[u8],
-        end: Option<&[u8]>,
-        max_lsn: Lsn,
-        f: &mut ScanVisitor<'_>,
-    ) -> StorageResult<()> {
-        let span = Span::range(table, start, end);
-        MergeCursor::new(vec![Layer::Run(self.cursor(Some(span)))])
-            .for_each_newest(max_lsn, |(_, k, lsn, v)| f(k, lsn, v))
     }
 }
 
@@ -850,7 +766,7 @@ impl RunCursor<'_> {
 }
 
 /// One owned run entry, as tests write them: namespaced key, commit
-/// LSN, value or point tombstone.
+/// LSN, value or tombstone.
 #[cfg(test)]
 pub(crate) type VersionedEntry = (NsKey, Lsn, Option<Vec<u8>>);
 
@@ -865,6 +781,7 @@ pub(crate) fn borrowed(entries: &[VersionedEntry]) -> impl Iterator<Item = Versi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::{Layer, MergeCursor};
     use std::path::PathBuf;
 
     fn tmpfile(name: &str) -> PathBuf {
@@ -889,6 +806,25 @@ mod tests {
         out
     }
 
+    /// The newest version at or below `max_lsn` of each key of `table`
+    /// in `[start, end)`, tombstones included, read as a one-layer merge.
+    fn newest(
+        run: &Run,
+        table: &str,
+        start: &[u8],
+        end: Option<&[u8]>,
+        max_lsn: Lsn,
+    ) -> Vec<(Vec<u8>, Lsn, Option<Vec<u8>>)> {
+        let mut out = Vec::new();
+        let span = Span::range(table, start, end);
+        MergeCursor::new(vec![Layer::Run(run.cursor(Some(span)))])
+            .for_each_newest(max_lsn, |(_, k, lsn, v)| {
+                out.push((k.to_vec(), lsn, v.map(<[u8]>::to_vec)))
+            })
+            .unwrap();
+        out
+    }
+
     fn write_sample_run(path: &Path, n: u32) -> RunSummary {
         let entries: Vec<VersionedEntry> = (0..n)
             .map(|i| {
@@ -902,7 +838,7 @@ mod tests {
             })
             .collect();
         let mut versions = borrowed(&entries);
-        write_run(path, 1, u64::from(n), &mut versions, &[]).unwrap()
+        write_run(path, 1, u64::from(n), &mut versions).unwrap()
     }
 
     #[test]
@@ -960,7 +896,7 @@ mod tests {
             (("t".to_string(), b"k".to_vec()), 2, Some(b"v2".to_vec())),
             (("t".to_string(), b"z".to_vec()), 7, Some(b"z7".to_vec())),
         ];
-        write_run(&path, 1, 4, &mut borrowed(&entries), &[]).unwrap();
+        write_run(&path, 1, 4, &mut borrowed(&entries)).unwrap();
         let run = Run::open(&path).unwrap();
         assert_eq!(run.get("t", b"k", LATEST).unwrap(), RunLookup::Tombstone(9));
         assert_eq!(
@@ -973,13 +909,8 @@ mod tests {
         );
         assert_eq!(run.get("t", b"k", 1).unwrap(), RunLookup::Absent);
         // Scans emit one version per key — the newest visible.
-        let mut got = Vec::new();
-        run.scan_range("t", b"", None, 8, &mut |k, lsn, v| {
-            got.push((k.to_vec(), lsn, v.map(<[u8]>::to_vec)));
-        })
-        .unwrap();
         assert_eq!(
-            got,
+            newest(&run, "t", b"", None, 8),
             vec![
                 (b"k".to_vec(), 5, Some(b"v5".to_vec())),
                 (b"z".to_vec(), 7, Some(b"z7".to_vec())),
@@ -1008,7 +939,7 @@ mod tests {
             n + 1,
             Some(b"end".to_vec()),
         ));
-        write_run(&path, 1, n + 1, &mut borrowed(&entries), &[]).unwrap();
+        write_run(&path, 1, n + 1, &mut borrowed(&entries)).unwrap();
         let run = Run::open(&path).unwrap();
         assert!(run.index.len() > 1, "chain must cross blocks");
         // The oldest version lives blocks away from where block_for lands.
@@ -1028,67 +959,20 @@ mod tests {
     }
 
     #[test]
-    fn range_tombstones_roundtrip_and_cover() {
-        let path = tmpfile("run-rt");
-        let ranges = vec![
-            RangeTombstone {
-                table: "t".into(),
-                start: b"a".to_vec(),
-                end: Some(b"m".to_vec()),
-                lsn: 40,
-            },
-            RangeTombstone {
-                table: "u".into(),
-                start: Vec::new(),
-                end: None,
-                lsn: 50,
-            },
-        ];
-        let entries = vec![(("t".to_string(), b"b".to_vec()), 10, Some(b"v".to_vec()))];
-        let summary = write_run(&path, 2, 1, &mut borrowed(&entries), &ranges).unwrap();
-        assert_eq!(summary.range_tombstones, 2);
-        assert_eq!(summary.max_lsn, 50, "range tombstone LSNs count");
-        let run = Run::open(&path).unwrap();
-        assert_eq!(run.ranges(), ranges.as_slice());
-        assert_eq!(run.max_covering_rt("t", b"b", LATEST), Some(40));
-        assert_eq!(run.max_covering_rt("t", b"b", 39), None);
-        assert_eq!(run.max_covering_rt("t", b"m", LATEST), None);
-        assert_eq!(run.max_covering_rt("u", b"anything", LATEST), Some(50));
-        assert_eq!(run.level(), 2);
-    }
-
-    #[test]
     fn run_scan_range_respects_bounds_and_tombstones() {
         let path = tmpfile("run-scan");
         write_sample_run(&path, 500);
         let run = Run::open(&path).unwrap();
-        let mut got = Vec::new();
-        run.scan_range(
-            "records",
-            b"k000100",
-            Some(b"k000110"),
-            LATEST,
-            &mut |k, _, v| {
-                got.push((k.to_vec(), v.map(|x| x.to_vec())));
-            },
-        )
-        .unwrap();
+        let got = newest(&run, "records", b"k000100", Some(b"k000110"), LATEST);
         assert_eq!(got.len(), 10);
         assert_eq!(got[0].0, b"k000100".to_vec());
-        assert!(got.iter().any(|(_, v)| v.is_none()), "tombstones included");
+        assert!(
+            got.iter().any(|(_, _, v)| v.is_none()),
+            "tombstones included"
+        );
         // Inverted and empty ranges.
-        let mut none = 0;
-        run.scan_range(
-            "records",
-            b"k000110",
-            Some(b"k000100"),
-            LATEST,
-            &mut |_, _, _| none += 1,
-        )
-        .unwrap();
-        run.scan_range("absent", b"", None, LATEST, &mut |_, _, _| none += 1)
-            .unwrap();
-        assert_eq!(none, 0);
+        assert!(newest(&run, "records", b"k000110", Some(b"k000100"), LATEST).is_empty());
+        assert!(newest(&run, "absent", b"", None, LATEST).is_empty());
     }
 
     #[test]
@@ -1168,7 +1052,7 @@ mod tests {
     #[test]
     fn empty_run_roundtrips() {
         let path = tmpfile("run-empty");
-        let summary = write_run(&path, 1, 0, &mut std::iter::empty(), &[]).unwrap();
+        let summary = write_run(&path, 1, 0, &mut std::iter::empty()).unwrap();
         assert_eq!(summary.entries, 0);
         let run = Run::open(&path).unwrap();
         assert_eq!(all(&run).len(), 0);
@@ -1184,7 +1068,7 @@ mod tests {
         let entries: Vec<VersionedEntry> = (0..10u8)
             .map(|i| (("t".to_string(), vec![i]), Lsn::from(i) + 1, Some(vec![i])))
             .collect();
-        write_run(&path, 3, 10, &mut borrowed(&entries), &[]).unwrap();
+        write_run(&path, 3, 10, &mut borrowed(&entries)).unwrap();
         assert_eq!(Run::open(&path).unwrap().level(), 3);
     }
 
@@ -1202,7 +1086,7 @@ mod tests {
                 )
             })
             .collect();
-        write_run(&path, 1, 1, &mut borrowed(&entries), &[]).unwrap();
+        write_run(&path, 1, 1, &mut borrowed(&entries)).unwrap();
         let run = Run::open(&path).unwrap();
         for i in 0..500u32 {
             assert_eq!(

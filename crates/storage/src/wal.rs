@@ -5,15 +5,21 @@
 //! truncated or whose CRC fails marks the logical end of the log (a "torn
 //! tail", the expected result of a crash mid-append); replay stops there.
 //!
-//! Record payloads encode the engine's [`BatchOp`]s — `Put`, `Delete`
-//! and `DeleteRange` (one O(1) frame however many rows it covers) — and
-//! `Commit` (transaction boundary; its txid is the batch's LSN). A
+//! Record payloads encode the engine's [`BatchOp`]s — `Put` and `Delete`
+//! — and `Commit` (transaction boundary; its txid is the batch's LSN). A
 //! commit frames each op straight from the borrowed batch
 //! ([`Wal::append_op`]) into one buffer the log reuses. A frame that
-//! passes its CRC but does not decode — the retired tag-4 checkpoint
-//! frame, or any tag this build does not know — is not a torn tail:
-//! replay fails with [`StorageError::Unsupported`] rather than drop the
-//! acknowledged commits after it.
+//! passes its CRC but does not decode — the retired tag-4 checkpoint and
+//! tag-5 range-tombstone frames, or any tag this build does not know —
+//! is not a torn tail: replay fails with [`StorageError::Unsupported`]
+//! rather than drop the acknowledged commits after it.
+//!
+//! A failed write, flush or sync poisons the log: the frames still
+//! buffered are dropped unwritten, and every later append, sync and
+//! rotation fails with [`StorageError::Poisoned`]. Retrying would land
+//! the failed batch's frames, its `Commit` frame included, ahead of the
+//! next commit's, so a batch its caller was told had failed would come
+//! back after a reopen.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -43,16 +49,6 @@ pub enum BatchOp {
         /// Key to delete.
         key: Vec<u8>,
     },
-    /// Delete every key of `table` in `[start, end)` as one O(1) range
-    /// tombstone.
-    DeleteRange {
-        /// Target table.
-        table: String,
-        /// First key covered (inclusive).
-        start: Vec<u8>,
-        /// End of the range (exclusive); `None` = unbounded.
-        end: Option<Vec<u8>>,
-    },
 }
 
 /// Logical records of the WAL: batch operations and the commit frames
@@ -71,8 +67,8 @@ pub enum WalRecord {
 const TAG_PUT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-// Tag 4 was the retired checkpoint frame; it is never reused.
-const TAG_DELETE_RANGE: u8 = 5;
+// Tags 4 (checkpoint) and 5 (range tombstone) are retired formats and
+// never reused: a frame carrying one fails replay as unsupported.
 
 fn encode_op(out: &mut Vec<u8>, op: &BatchOp) {
     match op {
@@ -86,19 +82,6 @@ fn encode_op(out: &mut Vec<u8>, op: &BatchOp) {
             out.push(TAG_DELETE);
             codec::put_bytes(out, table.as_bytes());
             codec::put_bytes(out, key);
-        }
-        BatchOp::DeleteRange { table, start, end } => {
-            out.push(TAG_DELETE_RANGE);
-            codec::put_bytes(out, table.as_bytes());
-            codec::put_bytes(out, start);
-            // A flag byte disambiguates "unbounded" from an empty end key.
-            match end {
-                Some(e) => {
-                    out.push(1);
-                    codec::put_bytes(out, e);
-                }
-                None => out.push(0),
-            }
         }
     }
 }
@@ -151,20 +134,6 @@ impl WalRecord {
                     key: key.to_vec(),
                 }
             }
-            TAG_DELETE_RANGE => {
-                let (table, n) = codec::get_bytes(rest)?;
-                let (start, m) = codec::get_bytes(&rest[n..])?;
-                let end = match rest.get(n + m) {
-                    Some(0) => None,
-                    Some(1) => Some(codec::get_bytes(&rest[n + m + 1..])?.0.to_vec()),
-                    _ => return Err(StorageError::Decode("bad delete-range end flag".into())),
-                };
-                BatchOp::DeleteRange {
-                    table: table_name(table)?,
-                    start: start.to_vec(),
-                    end,
-                }
-            }
             TAG_COMMIT => {
                 let (txid, _) = codec::get_u64(rest)?;
                 return Ok(WalRecord::Commit { txid });
@@ -179,7 +148,9 @@ impl WalRecord {
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    writer: BufWriter<File>,
+    /// `None` once a write, flush or sync has failed: the log is
+    /// poisoned and its buffered frames are gone.
+    writer: Option<BufWriter<File>>,
     /// Bytes durably framed so far (logical length).
     len: u64,
     /// Whether `fsync` is issued on every [`Wal::sync`].
@@ -202,7 +173,7 @@ impl Wal {
         let len = file.metadata()?.len();
         Ok(Wal {
             path: path.to_path_buf(),
-            writer: BufWriter::new(file),
+            writer: Some(BufWriter::new(file)),
             len,
             fsync,
             frame: Vec::new(),
@@ -224,6 +195,27 @@ impl Wal {
         self.len == 0
     }
 
+    /// `Err(`[`StorageError::Poisoned`]`)` once a failed write, flush or
+    /// sync has poisoned the log.
+    pub fn writable(&self) -> StorageResult<()> {
+        match self.writer {
+            Some(_) => Ok(()),
+            None => Err(StorageError::Poisoned),
+        }
+    }
+
+    /// Pass `result` on, poisoning the log when it failed: the frames
+    /// still buffered are dropped unwritten, so neither a later sync or
+    /// rotation nor dropping the handle can land them.
+    fn poison_on<T>(&mut self, result: std::io::Result<T>) -> StorageResult<T> {
+        if result.is_err() {
+            if let Some(writer) = self.writer.take() {
+                drop(writer.into_parts());
+            }
+        }
+        Ok(result?)
+    }
+
     /// Append one framed record. The record is buffered; call [`Wal::sync`]
     /// to make it durable.
     pub fn append(&mut self, record: &WalRecord) -> StorageResult<()> {
@@ -239,31 +231,40 @@ impl Wal {
     /// Encode a payload behind room for its header, then fill in the
     /// header and hand the whole frame to the writer.
     fn write_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> StorageResult<()> {
+        let Some(writer) = self.writer.as_mut() else {
+            return Err(StorageError::Poisoned);
+        };
         let frame = &mut self.frame;
         frame.clear();
         frame.extend_from_slice(&[0; 8]);
         encode(frame);
-        let len = u32::try_from(frame.len() - 8).map_err(|_| {
-            StorageError::Io(std::io::Error::new(
+        let written = match u32::try_from(frame.len() - 8) {
+            Ok(len) => {
+                let crc = crc32::checksum(&frame[8..]);
+                frame[..4].copy_from_slice(&len.to_le_bytes());
+                frame[4..8].copy_from_slice(&crc.to_le_bytes());
+                writer.write_all(frame)
+            }
+            Err(_) => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "WAL record larger than 4 GiB",
-            ))
-        })?;
-        let crc = crc32::checksum(&frame[8..]);
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.writer.write_all(frame)?;
-        self.len += frame.len() as u64;
+            )),
+        };
+        self.poison_on(written)?;
+        self.len += self.frame.len() as u64;
         Ok(())
     }
 
     /// Flush buffered frames to the OS (and to disk when fsync is enabled).
     pub fn sync(&mut self) -> StorageResult<()> {
-        self.writer.flush()?;
-        if self.fsync {
-            self.writer.get_ref().sync_data()?;
+        let Some(writer) = self.writer.as_mut() else {
+            return Err(StorageError::Poisoned);
+        };
+        let mut synced = writer.flush();
+        if self.fsync && synced.is_ok() {
+            synced = writer.get_ref().sync_data();
         }
-        Ok(())
+        self.poison_on(synced)
     }
 
     /// Rotate the log: move the current file to `frozen` and continue
@@ -275,10 +276,7 @@ impl Wal {
     /// fresh segment cannot be opened the rename is rolled back so the
     /// handle and the path stay in agreement.
     pub fn rotate_to(&mut self, frozen: &Path) -> StorageResult<()> {
-        self.writer.flush()?;
-        if self.fsync {
-            self.writer.get_ref().sync_data()?;
-        }
+        self.sync()?;
         std::fs::rename(&self.path, frozen)?;
         match OpenOptions::new()
             .create(true)
@@ -287,7 +285,7 @@ impl Wal {
             .open(&self.path)
         {
             Ok(file) => {
-                self.writer = BufWriter::new(file);
+                self.writer = Some(BufWriter::new(file));
                 self.len = 0;
                 Ok(())
             }
@@ -398,22 +396,6 @@ mod tests {
                 key: b"k1".to_vec(),
             }),
             WalRecord::Commit { txid: 42 },
-            WalRecord::Op(BatchOp::DeleteRange {
-                table: "records".into(),
-                start: b"a".to_vec(),
-                end: Some(b"z".to_vec()),
-            }),
-            WalRecord::Op(BatchOp::DeleteRange {
-                table: "records".into(),
-                start: Vec::new(),
-                end: None,
-            }),
-            WalRecord::Op(BatchOp::DeleteRange {
-                table: "records".into(),
-                start: b"m".to_vec(),
-                // An *empty* bounded end is distinct from unbounded.
-                end: Some(Vec::new()),
-            }),
         ];
         for r in &records {
             assert_eq!(&WalRecord::decode(&r.encode()).unwrap(), r);
@@ -554,10 +536,11 @@ mod tests {
         assert!(!rep.torn_tail);
     }
 
-    /// The fixed op list framed by the parent build (a 40-byte value
+    /// The fixed op list framed by an earlier build (a 40-byte value
     /// spans five slicing-by-8 words; every payload ends in a partial
-    /// word). Any change to the frame layout, the op encoding or the
-    /// checksum breaks this.
+    /// word): a put, a delete, two range-tombstone (tag-5) frames at
+    /// bytes [`TAG5_FRAMES`], and a commit. Any change to the frame
+    /// layout, the op encoding or the checksum breaks this.
     const GOLDEN_HEX: &str = "\
         3e000000c4aa053901077265636f7264730b464e4a562d303030303031285a7f1035cee384\
         59721728cde6bb5c710a2fc0e5be53740922c798bd566b0c21fa9fb0556e0324f92e000000\
@@ -567,6 +550,11 @@ mod tests {
         706f7374696e67730c737065636965730068796c610009000000271a6a1f03080706050403\
         0201";
 
+    /// Where [`GOLDEN_HEX`]'s two retired tag-5 frames sit.
+    const TAG5_FRAMES: std::ops::Range<usize> = 124..207;
+
+    /// The golden ops this build still frames: the put, the delete and
+    /// the commit.
     fn golden_records() -> Vec<WalRecord> {
         let value: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
         vec![
@@ -578,16 +566,6 @@ mod tests {
             WalRecord::Op(BatchOp::Delete {
                 table: "__idx:records:species".into(),
                 key: b"hyla faber\0FNJV-000001".to_vec(),
-            }),
-            WalRecord::Op(BatchOp::DeleteRange {
-                table: "records".into(),
-                start: b"FNJV-000100".to_vec(),
-                end: Some(b"FNJV-000200".to_vec()),
-            }),
-            WalRecord::Op(BatchOp::DeleteRange {
-                table: "__search:postings".into(),
-                start: b"species\0hyla".to_vec(),
-                end: None,
             }),
             WalRecord::Commit {
                 txid: 0x0102_0304_0506_0708,
@@ -608,12 +586,10 @@ mod tests {
             }
         }
         wal.sync().unwrap();
-        let hex: String = std::fs::read(&path)
-            .unwrap()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(hex, GOLDEN_HEX);
+        let golden = codec::from_hex(GOLDEN_HEX);
+        let mut want = golden.clone();
+        want.drain(TAG5_FRAMES);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
         let rep = replay(&path).unwrap();
         assert_eq!(rep.records, records);
         assert_eq!(rep.committed_len, wal.len());
@@ -629,5 +605,52 @@ mod tests {
             std::fs::read(&again).unwrap(),
             std::fs::read(&path).unwrap()
         );
+        // The whole golden log, tag-5 frames included, fails replay at the
+        // first of them and stays as it was.
+        std::fs::write(&path, &golden).unwrap();
+        match replay(&path) {
+            Err(StorageError::Unsupported { path: p, reason }) => {
+                assert_eq!(p, path);
+                assert!(
+                    reason.contains(&format!("offset {}", TAG5_FRAMES.start)),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), golden, "log unchanged");
+    }
+
+    /// A failed write poisons the log: the frames still buffered are
+    /// dropped, never written by a later sync or by dropping the handle,
+    /// and every later append, sync and rotation is refused.
+    #[test]
+    fn failed_write_poisons_and_drops_buffered_frames() {
+        let path = tmpfile("poison");
+        let frozen = path.with_file_name("wal.frozen");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, false).unwrap();
+        wal.append(&put("t", b"a", b"1")).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
+        wal.sync().unwrap();
+        let committed = std::fs::read(&path).unwrap();
+        wal.append(&put("t", b"b", b"2")).unwrap();
+        wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
+        // Fail the next write as a full disk would.
+        let failed = wal.poison_on::<()>(Err(std::io::Error::other("disk full")));
+        assert!(matches!(failed, Err(StorageError::Io(_))));
+        assert!(matches!(wal.writable(), Err(StorageError::Poisoned)));
+        assert!(matches!(
+            wal.append(&put("t", b"c", b"3")),
+            Err(StorageError::Poisoned)
+        ));
+        assert!(matches!(wal.sync(), Err(StorageError::Poisoned)));
+        assert!(matches!(
+            wal.rotate_to(&frozen),
+            Err(StorageError::Poisoned)
+        ));
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), committed, "nothing landed");
+        assert!(!frozen.exists());
     }
 }

@@ -223,42 +223,6 @@ fn bulk_load_empty_and_duplicate_batches() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// -------------------------------------------------- range-tombstone-only run
-
-#[test]
-fn range_tombstone_only_flush_reopen_and_compaction() {
-    let dir = tmpdir("rtonly");
-    {
-        let engine = Engine::open(&dir, foreground()).unwrap();
-        for i in 0..50u8 {
-            engine.put("t", &[i], b"v").unwrap();
-        }
-        engine.checkpoint().unwrap();
-        // The memtable now holds ONLY a range tombstone; flushing it must
-        // produce a valid (entry-less) run.
-        engine.delete_range("t", &[0], None).unwrap();
-        let id = engine.checkpoint().unwrap();
-        assert!(id > 0, "range-tombstone-only memtable still flushes");
-        assert_eq!(engine.head().count("t").unwrap(), 0);
-    }
-    // Reopen validates the zero-entry run's bloom/index/footer geometry.
-    let engine = Engine::open(&dir, foreground()).unwrap();
-    assert_eq!(engine.head().count("t").unwrap(), 0);
-    // Compaction folds the covered rows and the tombstone away.
-    assert!(engine.compact().unwrap());
-    assert_eq!(engine.head().count("t").unwrap(), 0);
-    assert_eq!(
-        engine
-            .runs_per_level()
-            .iter()
-            .map(|(_, n)| n)
-            .sum::<usize>(),
-        0,
-        "nothing lives below a whole-table range tombstone"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 // ------------------------------------------------------ journal cursor edges
 
 #[test]

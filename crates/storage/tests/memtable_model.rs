@@ -1,11 +1,11 @@
 //! `Memtable` against a naive model: a list of every write in order.
 //!
 //! Three tables whose names share prefixes, keys over a tiny alphabet
-//! (so keys share prefixes too), and puts, deletes and range deletes at
-//! non-decreasing LSNs — an LSN repeats the way a batch shares one.
-//! At random pins the memtable must answer `get`, bounded, unbounded
-//! and inverted `range` and `max_covering_rt` exactly as the model
-//! does; its flush iterator must list every surviving version in
+//! (so keys share prefixes too), and puts and deletes at non-decreasing
+//! LSNs — an LSN repeats the way a batch shares one. At random pins the
+//! memtable must answer `get` and bounded, unbounded and inverted
+//! `range` exactly as the model does; its flush iterator must list
+//! every surviving version in
 //! `(key asc, lsn desc)` order; `len` and `approx_bytes` must count
 //! what was written.
 
@@ -22,7 +22,6 @@ const TABLES: [&str; 3] = ["t", "t2", "tt"];
 enum Op {
     Put(usize, Vec<u8>, Vec<u8>),
     Delete(usize, Vec<u8>),
-    DeleteRange(usize, Vec<u8>, Option<Vec<u8>>),
 }
 
 fn key() -> impl Strategy<Value = Vec<u8>> {
@@ -34,21 +33,16 @@ fn op() -> impl Strategy<Value = Op> {
         5 => (0..3usize, key(), proptest::collection::vec(any::<u8>(), 0..6))
             .prop_map(|(t, k, v)| Op::Put(t, k, v)),
         2 => (0..3usize, key()).prop_map(|(t, k)| Op::Delete(t, k)),
-        1 => (0..3usize, key(), proptest::option::of(key()))
-            .prop_map(|(t, s, e)| Op::DeleteRange(t, s, e)),
     ]
 }
 
 /// `(table, key, lsn, value)`; a `None` value is a tombstone.
 type Point = (String, Vec<u8>, Lsn, Option<Vec<u8>>);
-/// `(table, start, end, lsn)`; a `None` end is unbounded.
-type Range = (String, Vec<u8>, Option<Vec<u8>>, Lsn);
 
 /// Every write, in order, at its LSN.
 #[derive(Default)]
 struct Model {
     points: Vec<Point>,
-    ranges: Vec<Range>,
     bytes: usize,
 }
 
@@ -85,19 +79,6 @@ impl Model {
         keys.into_iter()
             .filter_map(|k| self.get(table, k, pin).map(|(lsn, v)| (k.clone(), lsn, v)))
             .collect()
-    }
-
-    fn max_covering_rt(&self, table: &str, key: &[u8], pin: Lsn) -> Option<Lsn> {
-        self.ranges
-            .iter()
-            .filter(|(t, s, e, lsn)| {
-                t == table
-                    && *lsn <= pin
-                    && key >= s.as_slice()
-                    && e.as_ref().is_none_or(|e| key < e.as_slice())
-            })
-            .map(|(.., lsn)| *lsn)
-            .max()
     }
 
     /// The surviving versions in flush order: `(key asc, lsn desc)`.
@@ -138,11 +119,6 @@ proptest! {
                     model.points.push((TABLES[t].to_string(), k.clone(), lsn, None));
                     mem.delete(TABLES[t], k, lsn);
                 }
-                Op::DeleteRange(t, s, e) => {
-                    model.bytes += TABLES[t].len() + s.len() + e.as_ref().map_or(0, Vec::len) + 8;
-                    mem.delete_range(TABLES[t], &s, e.as_deref(), lsn);
-                    model.ranges.push((TABLES[t].to_string(), s, e, lsn));
-                }
             }
         }
         prop_assert_eq!(mem.len(), model.points.len());
@@ -165,7 +141,6 @@ proptest! {
                 for k in &probes {
                     let got = mem.get(table, k, pin).map(|(l, v)| (l, v.map(<[u8]>::to_vec)));
                     prop_assert_eq!(got, model.get(table, k, pin));
-                    prop_assert_eq!(mem.max_covering_rt(table, k, pin), model.max_covering_rt(table, k, pin));
                 }
                 for (a, b) in &bounds {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };

@@ -1,6 +1,6 @@
 //! MVCC integration battery for DESIGN.md §13: snapshot repeatability
-//! under churn, crash-tearing WAL segments that carry RANGE_TOMBSTONE
-//! frames, O(1) range deletes, and head readers that pin nothing.
+//! under churn, crash-tearing a WAL segment that carries a multi-key
+//! delete batch, and head readers that pin nothing.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -40,7 +40,6 @@ fn foreground_compaction() -> EngineOptions {
 enum Op {
     Put(Vec<u8>, Vec<u8>),
     Delete(Vec<u8>),
-    DeleteRange(Vec<u8>, Option<Vec<u8>>),
     Checkpoint,
     Compact,
 }
@@ -50,8 +49,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         5 => (proptest::collection::vec(0u8..8, 1..4), proptest::collection::vec(any::<u8>(), 0..12))
             .prop_map(|(k, v)| Op::Put(k, v)),
         2 => proptest::collection::vec(0u8..8, 1..4).prop_map(Op::Delete),
-        2 => (proptest::collection::vec(0u8..8, 0..3), proptest::option::of(proptest::collection::vec(0u8..8, 1..3)))
-            .prop_map(|(s, e)| Op::DeleteRange(s, e)),
         1 => Just(Op::Checkpoint),
         1 => Just(Op::Compact),
     ]
@@ -65,16 +62,6 @@ fn apply_to_model(model: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: &Op) {
         Op::Delete(k) => {
             model.remove(k);
         }
-        Op::DeleteRange(start, end) => {
-            let doomed: Vec<Vec<u8>> = model
-                .keys()
-                .filter(|k| **k >= *start && end.as_ref().is_none_or(|e| **k < *e))
-                .cloned()
-                .collect();
-            for k in doomed {
-                model.remove(&k);
-            }
-        }
         Op::Checkpoint | Op::Compact => {}
     }
 }
@@ -86,9 +73,6 @@ fn apply_to_engine(e: &Engine, op: &Op) {
         }
         Op::Delete(k) => {
             e.delete("t", k).unwrap();
-        }
-        Op::DeleteRange(start, end) => {
-            e.delete_range("t", start, end.as_deref()).unwrap();
         }
         Op::Checkpoint => {
             e.checkpoint().unwrap();
@@ -106,8 +90,8 @@ proptest! {
     /// `scan_all` no matter what commits, flushes and compactions land
     /// after the pin — and the live view still matches a reference model.
     /// Bounded `[start, end)` scans and key listings at the pin match the
-    /// model too, whichever runs, point and range tombstones the merge
-    /// walks at the time.
+    /// model too, whichever runs and tombstones the merge walks at the
+    /// time.
     #[test]
     fn pinned_snapshot_scan_all_is_repeatable_under_churn(
         before in proptest::collection::vec(op_strategy(), 0..20),
@@ -174,15 +158,15 @@ fn clone_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Crash battery: a WAL segment holding a RANGE_TOMBSTONE commit and a
+/// Crash battery: a WAL segment holding a three-key delete batch and a
 /// follow-up put is torn at EVERY byte. Recovery must land on exactly
-/// the longest fully-committed prefix — never a half-applied range
-/// delete, never a resurrected row.
+/// the longest fully-committed prefix — never a half-applied delete
+/// batch, never a resurrected row.
 #[test]
-fn wal_tear_battery_over_range_tombstone_frames() {
+fn wal_tear_battery_over_a_point_delete_batch() {
     let src = tmpdir("tear-src");
     let wal = src.join("wal.log");
-    let (len_baseline, len_rt, len_full);
+    let (len_baseline, len_deletes, len_full);
     {
         let e = Engine::open(&src, EngineOptions::default()).unwrap();
         // Baseline commit: five rows in one batch.
@@ -197,14 +181,22 @@ fn wal_tear_battery_over_range_tombstone_frames() {
         )
         .unwrap();
         len_baseline = std::fs::metadata(&wal).unwrap().len();
-        // Commit A: one RANGE_TOMBSTONE frame + one commit frame.
-        e.delete_range("t", &[1], Some(&[4])).unwrap();
-        len_rt = std::fs::metadata(&wal).unwrap().len();
-        // Commit B: a put after the range delete.
+        // Commit A: three point deletes + one commit frame.
+        e.apply_batch(
+            (1..4u8)
+                .map(|i| BatchOp::Delete {
+                    table: "t".into(),
+                    key: vec![i],
+                })
+                .collect(),
+        )
+        .unwrap();
+        len_deletes = std::fs::metadata(&wal).unwrap().len();
+        // Commit B: a put after the deletes.
         e.put("t", &[2], b"back").unwrap();
         len_full = std::fs::metadata(&wal).unwrap().len();
     }
-    assert!(len_baseline < len_rt && len_rt < len_full);
+    assert!(len_baseline < len_deletes && len_deletes < len_full);
 
     let scratch = tmpdir("tear-dst");
     for cut in len_baseline..=len_full {
@@ -220,8 +212,8 @@ fn wal_tear_battery_over_range_tombstone_frames() {
         let got: BTreeMap<Vec<u8>, Vec<u8>> = e.head().scan_all("t").unwrap().into_iter().collect();
         let mut want: BTreeMap<Vec<u8>, Vec<u8>> =
             (0..5u8).map(|i| (vec![i], vec![b'v', i])).collect();
-        if cut >= len_rt {
-            // Commit A's frame set is fully on disk: [1, 4) is gone.
+        if cut >= len_deletes {
+            // Commit A's frame set is fully on disk: keys 1, 2, 3 are gone.
             want.remove(&vec![1u8]);
             want.remove(&vec![2u8]);
             want.remove(&vec![3u8]);
@@ -231,49 +223,12 @@ fn wal_tear_battery_over_range_tombstone_frames() {
         }
         assert_eq!(
             got, want,
-            "recovery at cut {cut} (baseline {len_baseline}, rt {len_rt}, full {len_full}) \
+            "recovery at cut {cut} (baseline {len_baseline}, deletes {len_deletes}, full {len_full}) \
              must be the longest committed prefix"
         );
     }
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
-}
-
-/// Acceptance: deleting a 100k-row table is TWO WAL frames (one
-/// RANGE_TOMBSTONE + one commit), independent of row count.
-#[test]
-fn delete_range_of_100k_rows_commits_in_o1_wal_frames() {
-    let dir = tmpdir("delrange-100k");
-    let e = Engine::open(&dir, EngineOptions::default()).unwrap();
-    for chunk in (0..100_000u32).collect::<Vec<_>>().chunks(10_000) {
-        e.apply_batch(
-            chunk
-                .iter()
-                .map(|i| BatchOp::Put {
-                    table: "big".into(),
-                    key: i.to_be_bytes().to_vec(),
-                    value: b"row".to_vec(),
-                })
-                .collect(),
-        )
-        .unwrap();
-    }
-    e.checkpoint().unwrap();
-    assert_eq!(e.head().count("big").unwrap(), 100_000);
-
-    let appends = e
-        .metrics_registry()
-        .counter("preserva_storage_wal_appends_total", "");
-    let before = appends.get();
-    e.delete_range("big", b"", None).unwrap();
-    assert_eq!(
-        appends.get(),
-        before + 2,
-        "range delete of 100k rows must cost O(1) WAL frames"
-    );
-    assert_eq!(e.head().count("big").unwrap(), 0);
-    assert_eq!(e.head().get("big", &77_777u32.to_be_bytes()).unwrap(), None);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The CI `mvcc-smoke` workload: pin a snapshot, churn 10k commits from

@@ -297,9 +297,9 @@ fn stray_files_of_every_kind_are_cleaned_up() {
 /// A flush that dies between rotating the live WAL to `wal.frozen` and
 /// committing its run leaves a frozen segment holding the frozen
 /// memtable's transactions, plus a live log with whatever committed after
-/// the rotation. Recovery must replay both — frozen first — fold them
-/// back into a single live log, and lose nothing, whatever byte the live
-/// log is torn at.
+/// the rotation. Recovery must replay both — frozen first — flush the
+/// frozen segment into a run so a single live log remains, and lose
+/// nothing, whatever byte the live log is torn at.
 #[test]
 fn frozen_wal_segment_with_torn_live_tail_recovers_and_folds() {
     use preserva::storage::wal::{BatchOp, Wal, WalRecord};
