@@ -5,7 +5,7 @@
 //! transfer for the change feed.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// Total bytes of request line + headers we will buffer before refusing.
@@ -238,8 +238,18 @@ pub fn write_response(stream: &mut TcpStream, r: &Response, close: bool) -> io::
         r.body.len(),
         if close { "close" } else { "keep-alive" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&r.body)?;
+    // Head and body leave in one write: the socket is TCP_NODELAY, so
+    // two writes would cost two syscalls and two segments.
+    let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(&r.body)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 

@@ -454,54 +454,66 @@ impl Core {
 
     fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> StorageResult<Option<Vec<u8>>> {
         self.metrics.gets.inc();
-        // Walk layers newest → oldest; the first layer holding a version
-        // at or below the read LSN settles the verdict. Layer
-        // LSN-disjointness makes that exact: no older layer can hold a
-        // newer version.
-        let found = |value: Option<&[u8]>| {
-            let value = value.map(<[u8]>::to_vec);
-            if let Some(v) = &value {
-                self.metrics.value_bytes_read.add(v.len() as u64);
-            }
-            value
+        // Walk layers newest → oldest, keeping the newest version at or
+        // below the read LSN found so far. A layer whose every version is
+        // at or below that one cannot hold a newer one and is skipped, so
+        // a read the memtable answers costs one comparison per run. The
+        // walk cannot stop at the first layer that answers: a bulk run
+        // ([`Core::ingest_run`]) commits at a fresh LSN straight into
+        // level 1, above versions still in the memtable, and after the
+        // next flush those older versions sit in a run consulted before
+        // it.
+        let mut best: Option<(Lsn, Option<Vec<u8>>)> = None;
+        let newer = |best: &Option<(Lsn, Option<Vec<u8>>)>, lsn: Lsn| {
+            best.as_ref().is_none_or(|(found, _)| lsn > *found)
         };
         // Memtable first.
         {
             let mem = self.mem.read().expect("engine poisoned");
-            if let Some((_, value)) = mem.get(table, key, max_lsn) {
-                return Ok(found(value));
+            if let Some((lsn, value)) = mem.get(table, key, max_lsn) {
+                best = Some((lsn, value.map(<[u8]>::to_vec)));
             }
         }
         // Then the frozen memtable, if a flush is in flight. Data moves
         // active → frozen → runs and we probe in that same order, so a
         // version can never slip past us mid-flush.
         let frozen = self.frozen.read().expect("engine poisoned").clone();
-        if let Some((_, value)) = frozen.as_ref().and_then(|f| f.get(table, key, max_lsn)) {
-            return Ok(found(value));
-        }
-        // Then runs in precedence order, newest data first. Reading the
-        // view last is safe: a flush that races us only moves data from a
-        // memtable into a run we are about to consult.
-        for handle in self.view().iter() {
-            match handle.run.get(table, key, max_lsn)? {
-                RunLookup::BloomSkip => {
-                    self.metrics.bloom_misses.inc();
-                }
-                RunLookup::Absent => {
-                    self.metrics.bloom_hits.inc();
-                }
-                RunLookup::Tombstone(_) => {
-                    self.metrics.bloom_hits.inc();
-                    return Ok(None);
-                }
-                RunLookup::Value(_, v) => {
-                    self.metrics.bloom_hits.inc();
-                    self.metrics.value_bytes_read.add(v.len() as u64);
-                    return Ok(Some(v));
+        if let Some(frozen) = frozen.filter(|f| f.max_lsn().is_some_and(|l| newer(&best, l))) {
+            if let Some((lsn, value)) = frozen.get(table, key, max_lsn) {
+                if newer(&best, lsn) {
+                    best = Some((lsn, value.map(<[u8]>::to_vec)));
                 }
             }
         }
-        Ok(None)
+        // Then runs in precedence order. Reading the view last is safe: a
+        // flush that races us only moves data from a memtable into a run
+        // we are about to consult.
+        for handle in self.view().iter() {
+            if !newer(&best, handle.run.max_lsn()) {
+                continue;
+            }
+            let (lsn, value) = match handle.run.get(table, key, max_lsn)? {
+                RunLookup::BloomSkip => {
+                    self.metrics.bloom_misses.inc();
+                    continue;
+                }
+                RunLookup::Absent => {
+                    self.metrics.bloom_hits.inc();
+                    continue;
+                }
+                RunLookup::Tombstone(lsn) => (lsn, None),
+                RunLookup::Value(lsn, v) => (lsn, Some(v)),
+            };
+            self.metrics.bloom_hits.inc();
+            if newer(&best, lsn) {
+                best = Some((lsn, value));
+            }
+        }
+        let value = best.and_then(|(_, value)| value);
+        if let Some(v) = &value {
+            self.metrics.value_bytes_read.add(v.len() as u64);
+        }
+        Ok(value)
     }
 
     /// Visit each live row of `range` — of every table when `None` — at

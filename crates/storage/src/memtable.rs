@@ -37,6 +37,8 @@ pub struct Memtable {
     /// filter from this count, so run bytes depend on it.
     versions: usize,
     approx_bytes: usize,
+    /// Largest LSN of any buffered version.
+    max_lsn: Option<Lsn>,
 }
 
 impl Memtable {
@@ -65,6 +67,7 @@ impl Memtable {
     fn insert(&mut self, table: String, key: Vec<u8>, value: Option<Vec<u8>>, lsn: Lsn) {
         self.approx_bytes += table.len() + key.len() + value.as_ref().map_or(0, Vec::len) + 8;
         self.versions += 1;
+        self.max_lsn = self.max_lsn.max(Some(lsn));
         self.entries.insert(((table, key), Reverse(lsn)), value);
     }
 
@@ -177,7 +180,7 @@ impl Memtable {
 
     /// Largest LSN of any buffered version.
     pub fn max_lsn(&self) -> Option<Lsn> {
-        self.entries.keys().map(|(_, Reverse(lsn))| *lsn).max()
+        self.max_lsn
     }
 }
 

@@ -453,9 +453,10 @@ impl TableStore {
     ///
     /// Rows are sorted and deduplicated here (last write per key wins,
     /// one journal event per key — the same batch semantics as a
-    /// session). The keys must be FRESH: a bulk row shadows an existing
-    /// row version correctly, but stale index entries of an overwritten
-    /// row are not retracted — use sessions for updates.
+    /// session). The keys must be FRESH: a bulk row shadows every older
+    /// version of its key, in the memtable or in a run, for point reads
+    /// and scans alike, but stale index entries of an overwritten row are
+    /// not retracted — use sessions for updates.
     ///
     /// An empty `rows` is a clean no-op returning an empty receipt at
     /// the current head LSN.

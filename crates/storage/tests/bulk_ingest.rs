@@ -92,6 +92,73 @@ fn ingest_run_is_visible_durable_and_time_travels() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A bulk run commits at a fresh LSN straight into level 1, above
+/// versions of the same keys still in the memtable (one live, one a
+/// tombstone). Point reads must agree with scans on the bulk rows after
+/// the ingest, after a checkpoint moves the older versions into a run
+/// that precedes the bulk run, and after a reopen; a snapshot pinned
+/// before the ingest keeps reading the older versions throughout.
+#[test]
+fn bulk_rows_shadow_memtable_versions_through_get() {
+    let dir = tmpdir("shadow");
+    let expect_bulk = |engine: &Engine, when: &str| {
+        assert_eq!(
+            engine.head().get("t", b"k").unwrap().as_deref(),
+            Some(&b"bulk"[..]),
+            "get of an overwritten key {when}"
+        );
+        assert_eq!(
+            engine.head().get("t", b"gone").unwrap().as_deref(),
+            Some(&b"back"[..]),
+            "get of a deleted key {when}"
+        );
+        assert_eq!(
+            engine.head().get("t", b"mem").unwrap().as_deref(),
+            Some(&b"kept"[..]),
+            "get of a key the run does not hold {when}"
+        );
+        assert_eq!(
+            engine.head().scan_all("t").unwrap(),
+            vec![
+                (b"gone".to_vec(), b"back".to_vec()),
+                (b"k".to_vec(), b"bulk".to_vec()),
+                (b"mem".to_vec(), b"kept".to_vec()),
+            ],
+            "scan_all {when}"
+        );
+    };
+    {
+        let engine = Engine::open(&dir, foreground()).unwrap();
+        engine.put("t", b"k", b"old").unwrap();
+        engine.put("t", b"gone", b"x").unwrap();
+        engine.delete("t", b"gone").unwrap();
+        engine.put("t", b"mem", b"kept").unwrap();
+        let before = engine.snapshot();
+        engine
+            .ingest_run(vec![
+                ("t".to_string(), b"gone".to_vec(), b"back".to_vec()),
+                ("t".to_string(), b"k".to_vec(), b"bulk".to_vec()),
+            ])
+            .unwrap();
+        let expect_old = |when: &str| {
+            assert_eq!(
+                before.get("t", b"k").unwrap().as_deref(),
+                Some(&b"old"[..]),
+                "pinned get {when}"
+            );
+            assert_eq!(before.get("t", b"gone").unwrap(), None, "pinned get {when}");
+        };
+        expect_bulk(&engine, "after the ingest");
+        expect_old("after the ingest");
+        engine.checkpoint().unwrap();
+        expect_bulk(&engine, "after a checkpoint");
+        expect_old("after a checkpoint");
+    }
+    let engine = Engine::open(&dir, foreground()).unwrap();
+    expect_bulk(&engine, "after a reopen");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ingest_run_rejects_unsorted_and_duplicate_rows() {
     let dir = tmpdir("unsorted");
