@@ -22,6 +22,7 @@ use preserva_quality::metric::AssessmentContext;
 use preserva_quality::model::QualityModel;
 use preserva_storage::engine::Engine;
 use preserva_storage::table::TableStore;
+use preserva_storage::StorageError;
 use preserva_taxonomy::service::{ColService, ServiceConfig};
 
 use crate::args::Args;
@@ -109,12 +110,17 @@ fn open_collection(dir: &Path) -> Result<Collection, Box<dyn Error>> {
     Ok(Collection::open(dir, cli_options())?)
 }
 
+/// A `meta` row as JSON; a row that does not decode names its key.
+fn meta_json(key: &str, row: &[u8]) -> Result<serde_json::Value, StorageError> {
+    serde_json::from_slice(row).map_err(|e| StorageError::codec(META_TABLE, key, e))
+}
+
 fn load_config(store: &TableStore) -> Result<GeneratorConfig, Box<dyn Error>> {
     let row = store
         .head()
         .get(META_TABLE, b"ingest")?
         .ok_or("no collection ingested here yet (run `preserva ingest` first)")?;
-    let v: serde_json::Value = serde_json::from_slice(&row)?;
+    let v = meta_json("ingest", &row)?;
     Ok(GeneratorConfig {
         records: v["records"].as_u64().unwrap_or(0) as usize,
         distinct_species: v["species"].as_u64().unwrap_or(0) as usize,
@@ -205,7 +211,7 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
     // already holds exactly what this invocation would write: replay the
     // recorded output instead of re-staging every row.
     if let Some(raw) = store.head().get(META_TABLE, b"ingest-cache")? {
-        let v: serde_json::Value = serde_json::from_slice(&raw)?;
+        let v = meta_json("ingest-cache", &raw)?;
         if v["params"] == params && v["head"].as_u64() == Some(store.journal_head()) {
             if let Some(text) = v["output"].as_str() {
                 print!("{text}");
@@ -357,7 +363,7 @@ fn stats_report(coll: &Collection) -> Result<String, Box<dyn Error>> {
     let head = store.journal_head();
     let panel = match snap.get(META_TABLE, b"stats-cache")? {
         Some(raw) => {
-            let v: serde_json::Value = serde_json::from_slice(&raw)?;
+            let v = meta_json("stats-cache", &raw)?;
             // The collection panel only changes when the change journal
             // moves; while the head is unchanged, serve the cached
             // render instead of scanning every record again.

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use preserva_obs::Registry;
-use preserva_search::{Indexer, SearchConfig, SearchError};
+use preserva_search::{Indexer, SearchConfig};
 use preserva_storage::{CompactionOptions, Engine, EngineOptions, StorageError, TableStore};
 use preserva_wfms::model::Workflow;
 use preserva_wfms::sink::SinkError;
@@ -44,7 +44,7 @@ use crate::prov_index::{ProvIndex, RefreshOutcome};
 use crate::provenance_manager::{ProvenanceError, ProvenanceManager};
 use crate::quality_manager::DataQualityManager;
 use crate::reassess::{ReassessError, Reassessor};
-use crate::retrieval::{CatalogError, RecordCatalog};
+use crate::retrieval::RecordCatalog;
 
 /// Default table the record catalog lives on.
 pub const RECORDS_TABLE: &str = "records";
@@ -130,14 +130,11 @@ impl CollectionOptions {
 /// Anything the lifecycle can trip over.
 #[derive(Debug)]
 pub enum CollectionError {
-    /// Engine / table store failure.
+    /// Engine, table store, catalog or search index failure, including
+    /// a stored row that would not encode or decode.
     Storage(StorageError),
-    /// Record catalog failure.
-    Catalog(CatalogError),
     /// Reassessor failure.
     Reassess(ReassessError),
-    /// Search index failure.
-    Search(SearchError),
     /// Provenance index failure.
     Provenance(ProvenanceError),
     /// Capture batcher flush failure.
@@ -155,9 +152,7 @@ impl fmt::Display for CollectionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CollectionError::Storage(e) => write!(f, "storage: {e}"),
-            CollectionError::Catalog(e) => write!(f, "catalog: {e}"),
             CollectionError::Reassess(e) => write!(f, "reassess: {e}"),
-            CollectionError::Search(e) => write!(f, "search: {e}"),
             CollectionError::Provenance(e) => write!(f, "provenance: {e}"),
             CollectionError::Sink(e) => write!(f, "capture flush: {e}"),
             CollectionError::Spec(e) => write!(f, "workflow spec: {e}"),
@@ -176,11 +171,6 @@ impl From<StorageError> for CollectionError {
         CollectionError::Storage(e)
     }
 }
-impl From<CatalogError> for CollectionError {
-    fn from(e: CatalogError) -> Self {
-        CollectionError::Catalog(e)
-    }
-}
 impl From<ReassessError> for CollectionError {
     fn from(e: ReassessError) -> Self {
         CollectionError::Reassess(e)
@@ -189,11 +179,6 @@ impl From<ReassessError> for CollectionError {
 impl From<ProvenanceError> for CollectionError {
     fn from(e: ProvenanceError) -> Self {
         CollectionError::Provenance(e)
-    }
-}
-impl From<SearchError> for CollectionError {
-    fn from(e: SearchError) -> Self {
-        CollectionError::Search(e)
     }
 }
 impl From<SinkError> for CollectionError {

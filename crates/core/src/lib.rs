@@ -48,5 +48,5 @@ pub mod roles;
 pub use collection::{Collection, CollectionError, CollectionOptions, MaintenanceReport};
 pub use preservation::PreservationModel;
 pub use reassess::{ReassessOutcome, Reassessor};
-pub use repository::{CodecError, Repository, RepositoryError};
+pub use repository::Repository;
 pub use roles::{EndUser, ProcessDesigner};

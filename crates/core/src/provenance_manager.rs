@@ -14,14 +14,14 @@ use preserva_opm::serialize as opm_ser;
 use preserva_opm::template as opm_template;
 use preserva_opm::validate as opm_validate;
 use preserva_storage::table::{TableStore, WriteSession};
-use preserva_storage::StorageError;
+use preserva_storage::{StorageError, StorageResult};
 use preserva_wfms::model::Workflow;
 use preserva_wfms::opm_export;
 use preserva_wfms::sink::{ProvenanceSink, SinkError};
 use preserva_wfms::trace::ExecutionTrace;
 use serde::{Deserialize, Serialize};
 
-use crate::repository::{CodecError, Repository, RepositoryError};
+use crate::repository::Repository;
 
 /// Table holding OPM graphs, keyed by run id. Rows are either a
 /// template reference (a shared skeleton plus per-run bindings) or a
@@ -52,15 +52,16 @@ struct TemplatedRow {
 }
 
 /// Serialize with table/key context on failure — the error surfaces as
-/// [`ProvenanceError::Codec`], never as a bogus duplicate verdict.
-fn encode_json<T: Serialize>(table: &str, key: &str, value: &T) -> Result<String, ProvenanceError> {
-    serde_json::to_string(value).map_err(|e| ProvenanceError::Codec(CodecError::new(table, key, e)))
+/// a [`StorageError::Codec`], never as a bogus duplicate verdict.
+fn encode_json<T: Serialize>(table: &str, key: &str, value: &T) -> StorageResult<String> {
+    serde_json::to_string(value).map_err(|e| StorageError::codec(table, key, e))
 }
 
 /// Errors from the provenance manager.
 #[derive(Debug)]
 pub enum ProvenanceError {
-    /// Underlying storage failure.
+    /// Underlying storage failure, or a stored graph or trace that
+    /// failed to (de)serialize.
     Storage(StorageError),
     /// The merged graph failed OPM legality validation.
     IllegalGraph(String),
@@ -70,8 +71,6 @@ pub enum ProvenanceError {
     /// overwriting it would destroy provenance; the id-minting side is
     /// broken and must be fixed, not papered over.
     DuplicateRun(String),
-    /// A stored graph or trace failed to (de)serialize.
-    Codec(CodecError),
 }
 
 impl std::fmt::Display for ProvenanceError {
@@ -84,7 +83,6 @@ impl std::fmt::Display for ProvenanceError {
                 f,
                 "run {r:?} already captured with a different trace; refusing to overwrite"
             ),
-            ProvenanceError::Codec(e) => write!(f, "provenance codec: {e}"),
         }
     }
 }
@@ -93,7 +91,6 @@ impl std::error::Error for ProvenanceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProvenanceError::Storage(e) => Some(e),
-            ProvenanceError::Codec(e) => Some(e),
             ProvenanceError::IllegalGraph(_)
             | ProvenanceError::UnknownRun(_)
             | ProvenanceError::DuplicateRun(_) => None,
@@ -104,21 +101,6 @@ impl std::error::Error for ProvenanceError {
 impl From<StorageError> for ProvenanceError {
     fn from(e: StorageError) -> Self {
         ProvenanceError::Storage(e)
-    }
-}
-
-impl From<CodecError> for ProvenanceError {
-    fn from(e: CodecError) -> Self {
-        ProvenanceError::Codec(e)
-    }
-}
-
-impl From<RepositoryError> for ProvenanceError {
-    fn from(e: RepositoryError) -> Self {
-        match e {
-            RepositoryError::Storage(e) => ProvenanceError::Storage(e),
-            RepositoryError::Codec(e) => ProvenanceError::Codec(e),
-        }
     }
 }
 
@@ -341,7 +323,7 @@ impl ProvenanceManager {
         trace: &ExecutionTrace,
     ) -> Result<Option<(OpmGraph, usize)>, ProvenanceError> {
         let run_id = trace.run_id.clone();
-        // Serialize up front: a codec failure surfaces as Codec here and
+        // Serialize up front: a codec failure surfaces here and
         // can never be mistaken for (or mask) a duplicate-run verdict.
         let trace_json = encode_json(TRACES_TABLE, &run_id, trace)?;
         let existing_json = match in_batch.get(&run_id) {
@@ -458,8 +440,8 @@ impl ProvenanceManager {
     /// (the pre-template format, still written by
     /// [`stage_graph`](Self::stage_graph) and the extraction fallback).
     fn decode_graph_row(&self, run_id: &str, bytes: Vec<u8>) -> Result<OpmGraph, ProvenanceError> {
-        let s =
-            String::from_utf8(bytes).map_err(|e| CodecError::new(PROVENANCE_TABLE, run_id, e))?;
+        let s = String::from_utf8(bytes)
+            .map_err(|e| StorageError::codec(PROVENANCE_TABLE, run_id, e))?;
         if let Ok(row) = serde_json::from_str::<TemplatedRow>(&s) {
             if row.fmt == TEMPLATED_FMT {
                 let tpl = self
@@ -467,20 +449,20 @@ impl ProvenanceManager {
                     .head()
                     .get(TEMPLATES_TABLE, row.template.as_bytes())?
                     .ok_or_else(|| {
-                        ProvenanceError::Codec(CodecError::new(
+                        StorageError::codec(
                             TEMPLATES_TABLE,
                             run_id,
                             format!("missing template skeleton {}", row.template),
-                        ))
+                        )
                     })?;
                 let tpl = String::from_utf8(tpl)
-                    .map_err(|e| CodecError::new(TEMPLATES_TABLE, run_id, e))?;
+                    .map_err(|e| StorageError::codec(TEMPLATES_TABLE, run_id, e))?;
                 let skeleton = opm_ser::from_json(&tpl)
-                    .map_err(|e| CodecError::new(TEMPLATES_TABLE, run_id, e))?;
+                    .map_err(|e| StorageError::codec(TEMPLATES_TABLE, run_id, e))?;
                 return Ok(opm_template::rehydrate(&skeleton, &row.bindings));
             }
         }
-        opm_ser::from_json(&s).map_err(|e| CodecError::new(PROVENANCE_TABLE, run_id, e).into())
+        opm_ser::from_json(&s).map_err(|e| StorageError::codec(PROVENANCE_TABLE, run_id, e).into())
     }
 
     /// Load a stored OPM graph, transparently rehydrating template rows.
@@ -733,9 +715,9 @@ mod tests {
     }
 
     /// Satellite 2 regression: a (de)serialization failure inside the
-    /// duplicate comparison surfaces as `Codec`, never as a bogus
-    /// `DuplicateRun` verdict (the old path collapsed errors into the
-    /// equality bool with `unwrap_or(false)`), and never as a silent
+    /// duplicate comparison surfaces as `StorageError::Codec`, never as a
+    /// bogus `DuplicateRun` verdict (the old path collapsed errors into
+    /// the equality bool with `unwrap_or(false)`), and never as a silent
     /// overwrite of the damaged row.
     #[test]
     fn corrupt_stored_trace_surfaces_codec_not_duplicate() {
@@ -747,7 +729,7 @@ mod tests {
             .unwrap();
         let err = pm.capture(&w, &t).unwrap_err();
         match err {
-            ProvenanceError::Codec(c) => assert_eq!(c.table, TRACES_TABLE),
+            ProvenanceError::Storage(StorageError::Codec(c)) => assert_eq!(c.table, TRACES_TABLE),
             other => panic!("expected Codec, got {other}"),
         }
         // The damaged row is surfaced for repair, not overwritten.

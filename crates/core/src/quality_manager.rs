@@ -21,7 +21,7 @@ use preserva_wfms::annotation;
 use preserva_wfms::model::Workflow;
 
 use crate::provenance_manager::{ProvenanceError, ProvenanceManager};
-use crate::repository::{CodecError, Repository, RepositoryError};
+use crate::repository::Repository;
 use crate::roles::EndUser;
 
 /// Table holding published quality reports, keyed by `run_id/subject`.
@@ -32,10 +32,9 @@ pub const REPORTS_TABLE: &str = "quality_reports";
 pub enum QualityManagerError {
     /// Provenance lookup failed.
     Provenance(ProvenanceError),
-    /// Underlying storage failure.
+    /// Underlying storage failure, or a stored report that failed to
+    /// (de)serialize.
     Storage(preserva_storage::StorageError),
-    /// A stored report failed to (de)serialize.
-    Codec(CodecError),
 }
 
 impl std::fmt::Display for QualityManagerError {
@@ -43,7 +42,6 @@ impl std::fmt::Display for QualityManagerError {
         match self {
             QualityManagerError::Provenance(e) => write!(f, "quality manager: {e}"),
             QualityManagerError::Storage(e) => write!(f, "quality manager storage: {e}"),
-            QualityManagerError::Codec(e) => write!(f, "quality manager codec: {e}"),
         }
     }
 }
@@ -53,7 +51,6 @@ impl std::error::Error for QualityManagerError {
         match self {
             QualityManagerError::Provenance(e) => Some(e),
             QualityManagerError::Storage(e) => Some(e),
-            QualityManagerError::Codec(e) => Some(e),
         }
     }
 }
@@ -67,15 +64,6 @@ impl From<ProvenanceError> for QualityManagerError {
 impl From<preserva_storage::StorageError> for QualityManagerError {
     fn from(e: preserva_storage::StorageError) -> Self {
         QualityManagerError::Storage(e)
-    }
-}
-
-impl From<RepositoryError> for QualityManagerError {
-    fn from(e: RepositoryError) -> Self {
-        match e {
-            RepositoryError::Storage(e) => QualityManagerError::Storage(e),
-            RepositoryError::Codec(e) => QualityManagerError::Codec(e),
-        }
     }
 }
 

@@ -41,7 +41,6 @@ use preserva_taxonomy::name::ScientificName;
 use preserva_taxonomy::service::ColService;
 
 use crate::provenance_manager::{ProvenanceError, ProvenanceManager};
-use crate::repository::CodecError;
 
 /// Table holding the reassessment cursor/state and the serialized ledger.
 pub const REASSESS_META_TABLE: &str = "reassess_meta";
@@ -59,10 +58,9 @@ const CHECK_ATTEMPTS: u32 = 3;
 /// Errors from the reassessment layer.
 #[derive(Debug)]
 pub enum ReassessError {
-    /// Underlying storage failure.
+    /// Underlying storage failure, or a persisted row that failed to
+    /// (de)serialize.
     Storage(StorageError),
-    /// A persisted row failed to (de)serialize.
-    Codec(CodecError),
     /// Staging the run's OPM graph failed.
     Provenance(ProvenanceError),
 }
@@ -71,7 +69,6 @@ impl std::fmt::Display for ReassessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReassessError::Storage(e) => write!(f, "reassess storage: {e}"),
-            ReassessError::Codec(e) => write!(f, "reassess codec: {e}"),
             ReassessError::Provenance(e) => write!(f, "reassess provenance: {e}"),
         }
     }
@@ -81,7 +78,6 @@ impl std::error::Error for ReassessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReassessError::Storage(e) => Some(e),
-            ReassessError::Codec(e) => Some(e),
             ReassessError::Provenance(e) => Some(e),
         }
     }
@@ -90,12 +86,6 @@ impl std::error::Error for ReassessError {
 impl From<StorageError> for ReassessError {
     fn from(e: StorageError) -> Self {
         ReassessError::Storage(e)
-    }
-}
-
-impl From<CodecError> for ReassessError {
-    fn from(e: CodecError) -> Self {
-        ReassessError::Codec(e)
     }
 }
 
@@ -185,7 +175,7 @@ impl ReassessOutcome {
 fn decode_ledger(row: Option<Vec<u8>>) -> Result<ContributionLedger, ReassessError> {
     match row {
         Some(row) => serde_json::from_slice(&row)
-            .map_err(|e| CodecError::new(REASSESS_META_TABLE, "ledger", e).into()),
+            .map_err(|e| StorageError::codec(REASSESS_META_TABLE, "ledger", e).into()),
         None => Ok(ContributionLedger::new()),
     }
 }
@@ -195,7 +185,7 @@ fn stage_ledger(
     ledger: &ContributionLedger,
 ) -> Result<(), ReassessError> {
     let bytes = serde_json::to_vec(ledger)
-        .map_err(|e| CodecError::new(REASSESS_META_TABLE, "ledger", e))?;
+        .map_err(|e| StorageError::codec(REASSESS_META_TABLE, "ledger", e))?;
     session.put(REASSESS_META_TABLE, LEDGER_KEY, &bytes)?;
     Ok(())
 }
@@ -329,10 +319,10 @@ impl DerivedView for ReassessView<'_> {
         let mut gone: BTreeSet<String> = plan.deleted_records.clone();
         for id in touched.keys() {
             match snap.get(self.records_table, id.as_bytes())? {
-                Some(row) => match serde_json::from_slice::<Record>(&row) {
-                    Ok(r) => records.push(r),
-                    Err(e) => return Err(CodecError::new(self.records_table, id.clone(), e).into()),
-                },
+                Some(row) => records.push(
+                    serde_json::from_slice::<Record>(&row)
+                        .map_err(|e| StorageError::codec(self.records_table, id.clone(), e))?,
+                ),
                 None => {
                     gone.insert(id.clone());
                 }
@@ -372,7 +362,7 @@ impl DerivedView for ReassessView<'_> {
             }
             if before != after {
                 let bytes = serde_json::to_vec(after)
-                    .map_err(|e| CodecError::new(self.records_table, after.id.clone(), e))?;
+                    .map_err(|e| StorageError::codec(self.records_table, after.id.clone(), e))?;
                 session.put(self.records_table, after.id.as_bytes(), &bytes)?;
             }
         }

@@ -5,100 +5,19 @@
 //! behind the data, workflow and provenance repositories. This module is
 //! the code-level analogue: a [`Repository<T>`] binds a table name, a key
 //! extractor and the JSON codec, so managers speak in domain types and
-//! never touch raw bytes or `serde_json` themselves. Writes that must be
-//! atomic across repositories stage into one
-//! [`preserva_storage::table::WriteSession`] and commit as a single
+//! never touch raw bytes or `serde_json` themselves. A row that will not
+//! encode or decode fails as a [`StorageError::Codec`] naming its table
+//! and key. Writes that must be atomic across repositories stage into
+//! one [`preserva_storage::table::WriteSession`] and commit as a single
 //! storage batch.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use preserva_storage::table::{CommitReceipt, TableSnapshot, TableStore, WriteSession};
-use preserva_storage::StorageError;
+use preserva_storage::{StorageError, StorageResult};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-
-/// A payload failed to encode or decode, with the table/key context a
-/// curator needs to find the damaged row.
-#[derive(Debug)]
-pub struct CodecError {
-    /// Table the payload lives in.
-    pub table: String,
-    /// Row key involved.
-    pub key: String,
-    /// The underlying codec failure.
-    pub source: Box<dyn std::error::Error + Send + Sync>,
-}
-
-impl CodecError {
-    /// Build from any underlying error.
-    pub fn new(
-        table: &str,
-        key: impl Into<String>,
-        source: impl Into<Box<dyn std::error::Error + Send + Sync>>,
-    ) -> Self {
-        CodecError {
-            table: table.to_string(),
-            key: key.into(),
-            source: source.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "codec failure at {}/{}: {}",
-            self.table, self.key, self.source
-        )
-    }
-}
-
-impl std::error::Error for CodecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(self.source.as_ref())
-    }
-}
-
-/// Errors from a [`Repository`].
-#[derive(Debug)]
-pub enum RepositoryError {
-    /// Underlying storage failure.
-    Storage(StorageError),
-    /// A payload failed to (de)serialize.
-    Codec(CodecError),
-}
-
-impl std::fmt::Display for RepositoryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RepositoryError::Storage(e) => write!(f, "repository storage: {e}"),
-            RepositoryError::Codec(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RepositoryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RepositoryError::Storage(e) => Some(e),
-            RepositoryError::Codec(e) => Some(e),
-        }
-    }
-}
-
-impl From<StorageError> for RepositoryError {
-    fn from(e: StorageError) -> Self {
-        RepositoryError::Storage(e)
-    }
-}
-
-impl From<CodecError> for RepositoryError {
-    fn from(e: CodecError) -> Self {
-        RepositoryError::Codec(e)
-    }
-}
 
 /// Decode a raw table row into a domain type, `None` on damage. Index
 /// extractors use this so row parsing stays inside the repository layer.
@@ -143,35 +62,35 @@ impl<T: Serialize + DeserializeOwned> Repository<T> {
         &self.store
     }
 
-    fn encode(&self, value: &T) -> Result<(String, Vec<u8>), RepositoryError> {
+    fn encode(&self, value: &T) -> StorageResult<(String, Vec<u8>)> {
         let key = (self.key_of)(value);
-        let bytes =
-            serde_json::to_vec(value).map_err(|e| CodecError::new(&self.table, key.clone(), e))?;
+        let bytes = serde_json::to_vec(value)
+            .map_err(|e| StorageError::codec(&self.table, key.clone(), e))?;
         Ok((key, bytes))
     }
 
-    fn decode(&self, key: &[u8], row: &[u8]) -> Result<T, RepositoryError> {
+    fn decode(&self, key: &[u8], row: &[u8]) -> StorageResult<T> {
         serde_json::from_slice(row)
-            .map_err(|e| CodecError::new(&self.table, String::from_utf8_lossy(key), e).into())
+            .map_err(|e| StorageError::codec(&self.table, String::from_utf8_lossy(key), e))
     }
 
     /// Persist one value (its own commit). The returned receipt carries
     /// the journal sequence numbers assigned to the write when the table
     /// is journaled (empty receipt otherwise).
-    pub fn save(&self, value: &T) -> Result<CommitReceipt, RepositoryError> {
+    pub fn save(&self, value: &T) -> StorageResult<CommitReceipt> {
         let mut session = self.store.session();
         self.stage(&mut session, value)?;
-        Ok(session.commit()?)
+        session.commit()
     }
 
     /// Persist many values in ONE storage commit (a single session),
     /// returning the journal sequence range the batch was assigned.
-    pub fn save_all(&self, values: &[T]) -> Result<CommitReceipt, RepositoryError> {
+    pub fn save_all(&self, values: &[T]) -> StorageResult<CommitReceipt> {
         let mut session = self.store.session();
         for value in values {
             self.stage(&mut session, value)?;
         }
-        Ok(session.commit()?)
+        session.commit()
     }
 
     /// Persist many FRESH values through the storage bulk-load fast
@@ -182,18 +101,18 @@ impl<T: Serialize + DeserializeOwned> Repository<T> {
     /// keys must not already exist — bulk rows shadow old versions
     /// without retracting their index entries. Updates belong in
     /// sessions.
-    pub fn bulk_save_all(&self, values: &[T]) -> Result<CommitReceipt, RepositoryError> {
+    pub fn bulk_save_all(&self, values: &[T]) -> StorageResult<CommitReceipt> {
         let mut rows = Vec::with_capacity(values.len());
         for value in values {
             let (key, bytes) = self.encode(value)?;
             rows.push((key.into_bytes(), bytes));
         }
-        Ok(self.store.bulk_load(&self.table, rows)?)
+        self.store.bulk_load(&self.table, rows)
     }
 
     /// Stage one value into a caller-owned session, so a write can commit
     /// atomically with writes to other repositories.
-    pub fn stage(&self, session: &mut WriteSession<'_>, value: &T) -> Result<(), RepositoryError> {
+    pub fn stage(&self, session: &mut WriteSession<'_>, value: &T) -> StorageResult<()> {
         let (key, bytes) = self.encode(value)?;
         session.put(&self.table, key.as_bytes(), &bytes)?;
         Ok(())
@@ -201,7 +120,7 @@ impl<T: Serialize + DeserializeOwned> Repository<T> {
 
     /// Load one value by key, read through `snap`: a pinned snapshot,
     /// or the store's head reader.
-    pub fn get(&self, snap: &TableSnapshot, key: &str) -> Result<Option<T>, RepositoryError> {
+    pub fn get(&self, snap: &TableSnapshot, key: &str) -> StorageResult<Option<T>> {
         match snap.get(&self.table, key.as_bytes())? {
             Some(row) => Ok(Some(self.decode(key.as_bytes(), &row)?)),
             None => Ok(None),
@@ -212,7 +131,7 @@ impl<T: Serialize + DeserializeOwned> Repository<T> {
     /// repositories reading through the SAME pinned snapshot see one
     /// consistent cross-table state, no matter what commits land
     /// meanwhile.
-    pub fn load_all(&self, snap: &TableSnapshot) -> Result<Vec<T>, RepositoryError> {
+    pub fn load_all(&self, snap: &TableSnapshot) -> StorageResult<Vec<T>> {
         snap.scan(&self.table)?
             .into_iter()
             .map(|(k, row)| self.decode(&k, &row))
@@ -220,8 +139,8 @@ impl<T: Serialize + DeserializeOwned> Repository<T> {
     }
 
     /// Number of values read through `snap`.
-    pub fn len(&self, snap: &TableSnapshot) -> Result<usize, RepositoryError> {
-        Ok(snap.count(&self.table)?)
+    pub fn len(&self, snap: &TableSnapshot) -> StorageResult<usize> {
+        snap.count(&self.table)
     }
 }
 

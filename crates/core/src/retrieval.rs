@@ -14,56 +14,14 @@ use preserva_metadata::value::Value;
 use preserva_storage::table::{
     CommitReceipt, IndexDef, IndexKeys, TableSnapshot, TableStore, WriteSession,
 };
-use preserva_storage::StorageError;
+use preserva_storage::StorageResult;
 use preserva_taxonomy::name::ScientificName;
 
-use crate::repository::{decode_row, CodecError, Repository, RepositoryError};
+use crate::repository::{decode_row, Repository};
 
 /// Table holding catalog records (shares the architecture's data
 /// repository naming).
 pub const CATALOG_TABLE: &str = "catalog";
-
-/// Errors from the catalog.
-#[derive(Debug)]
-pub enum CatalogError {
-    /// Underlying storage failure.
-    Storage(StorageError),
-    /// A stored record failed to (de)serialize.
-    Codec(CodecError),
-}
-
-impl std::fmt::Display for CatalogError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CatalogError::Storage(e) => write!(f, "catalog storage: {e}"),
-            CatalogError::Codec(e) => write!(f, "catalog codec: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CatalogError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CatalogError::Storage(e) => Some(e),
-            CatalogError::Codec(e) => Some(e),
-        }
-    }
-}
-
-impl From<StorageError> for CatalogError {
-    fn from(e: StorageError) -> Self {
-        CatalogError::Storage(e)
-    }
-}
-
-impl From<RepositoryError> for CatalogError {
-    fn from(e: RepositoryError) -> Self {
-        match e {
-            RepositoryError::Storage(e) => CatalogError::Storage(e),
-            RepositoryError::Codec(e) => CatalogError::Codec(e),
-        }
-    }
-}
 
 fn decode(row: &[u8]) -> Option<Record> {
     decode_row(row)
@@ -246,13 +204,13 @@ impl RecordCatalog {
     /// Open the catalog over a store (table [`CATALOG_TABLE`]),
     /// (re-)registering its indexes and backfilling them from existing
     /// rows.
-    pub fn open(store: Arc<TableStore>) -> Result<RecordCatalog, CatalogError> {
+    pub fn open(store: Arc<TableStore>) -> StorageResult<RecordCatalog> {
         Self::open_on(store, CATALOG_TABLE)
     }
 
     /// Open the catalog over a caller-chosen table (e.g. the
     /// architecture's `records` data repository).
-    pub fn open_on(store: Arc<TableStore>, table: &str) -> Result<RecordCatalog, CatalogError> {
+    pub fn open_on(store: Arc<TableStore>, table: &str) -> StorageResult<RecordCatalog> {
         let names = Index::ALL.map(Index::name);
         store.create_index(table, IndexDef::group(&names, index_keys))?;
         // The data repository is the change-feed's source of truth: every
@@ -274,15 +232,15 @@ impl RecordCatalog {
 
     /// Insert or update a record (indexes maintained atomically). The
     /// receipt carries the journal sequence number the write was assigned.
-    pub fn insert(&self, record: &Record) -> Result<CommitReceipt, CatalogError> {
-        Ok(self.repo.save(record)?)
+    pub fn insert(&self, record: &Record) -> StorageResult<CommitReceipt> {
+        self.repo.save(record)
     }
 
     /// Bulk insert: all records land in ONE storage commit, index
     /// maintenance included. The receipt spans the whole batch's journal
     /// sequence range.
-    pub fn insert_all(&self, records: &[Record]) -> Result<CommitReceipt, CatalogError> {
-        Ok(self.repo.save_all(records)?)
+    pub fn insert_all(&self, records: &[Record]) -> StorageResult<CommitReceipt> {
+        self.repo.save_all(records)
     }
 
     /// Bulk insert FRESH records through the direct-run fast path: the
@@ -293,49 +251,54 @@ impl RecordCatalog {
     /// catalog are not supported on this path (use
     /// [`insert_all`](Self::insert_all), which retracts stale index
     /// entries).
-    pub fn insert_all_bulk(&self, records: &[Record]) -> Result<CommitReceipt, CatalogError> {
-        Ok(self.repo.bulk_save_all(records)?)
+    pub fn insert_all_bulk(&self, records: &[Record]) -> StorageResult<CommitReceipt> {
+        self.repo.bulk_save_all(records)
     }
 
     /// Stage a record into a caller-owned session so it commits
     /// atomically with writes to other repositories.
-    pub fn stage(
-        &self,
-        session: &mut WriteSession<'_>,
-        record: &Record,
-    ) -> Result<(), CatalogError> {
-        Ok(self.repo.stage(session, record)?)
+    pub fn stage(&self, session: &mut WriteSession<'_>, record: &Record) -> StorageResult<()> {
+        self.repo.stage(session, record)
     }
 
     /// Load one record by id.
-    pub fn get(&self, id: &str) -> Result<Option<Record>, CatalogError> {
-        Ok(self.repo.get(self.store().head(), id)?)
+    pub fn get(&self, id: &str) -> StorageResult<Option<Record>> {
+        self.get_at(self.store().head(), id)
+    }
+
+    /// Load one record by id as of a pinned snapshot. A stored row that
+    /// does not decode is a [`StorageError::Codec`] naming the table and
+    /// id, not a missing record.
+    ///
+    /// [`StorageError::Codec`]: preserva_storage::StorageError::Codec
+    pub fn get_at(&self, snap: &TableSnapshot, id: &str) -> StorageResult<Option<Record>> {
+        self.repo.get(snap, id)
     }
 
     /// Every record, in id order.
-    pub fn all(&self) -> Result<Vec<Record>, CatalogError> {
+    pub fn all(&self) -> StorageResult<Vec<Record>> {
         self.all_at(self.store().head())
     }
 
     /// Every record as of a pinned snapshot, in id order — one consistent
     /// view even while writers keep committing.
-    pub fn all_at(&self, snap: &TableSnapshot) -> Result<Vec<Record>, CatalogError> {
-        Ok(self.repo.load_all(snap)?)
+    pub fn all_at(&self, snap: &TableSnapshot) -> StorageResult<Vec<Record>> {
+        self.repo.load_all(snap)
     }
 
     /// Number of records.
-    pub fn len(&self) -> Result<usize, CatalogError> {
+    pub fn len(&self) -> StorageResult<usize> {
         self.len_at(self.store().head())
     }
 
     /// Number of records as of a pinned snapshot, counted without
     /// reading a value byte.
-    pub fn len_at(&self, snap: &TableSnapshot) -> Result<usize, CatalogError> {
-        Ok(self.repo.len(snap)?)
+    pub fn len_at(&self, snap: &TableSnapshot) -> StorageResult<usize> {
+        self.repo.len(snap)
     }
 
     /// True when the catalog is empty.
-    pub fn is_empty(&self) -> Result<bool, CatalogError> {
+    pub fn is_empty(&self) -> StorageResult<bool> {
         Ok(self.len()? == 0)
     }
 
@@ -350,7 +313,7 @@ impl RecordCatalog {
         probes: &[Probe],
         pred: impl Fn(&Record) -> bool,
         limit: usize,
-    ) -> Result<Page, CatalogError> {
+    ) -> StorageResult<Page> {
         let mut page = Page::default();
         let mut keep = |r: Record| {
             if pred(&r) {
@@ -377,11 +340,7 @@ impl RecordCatalog {
     }
 
     /// Primary keys in every probe's postings at `snap`, in key order.
-    fn postings(
-        &self,
-        snap: &TableSnapshot,
-        probes: &[Probe],
-    ) -> Result<Vec<Vec<u8>>, CatalogError> {
+    fn postings(&self, snap: &TableSnapshot, probes: &[Probe]) -> StorageResult<Vec<Vec<u8>>> {
         let mut lists = Vec::with_capacity(probes.len());
         for (ix, key) in probes {
             let mut pks = snap.lookup(self.table(), ix.name(), key)?;
@@ -408,11 +367,11 @@ impl RecordCatalog {
         snap: &TableSnapshot,
         listing: &Listing,
         limit: usize,
-    ) -> Result<Page, CatalogError> {
+    ) -> StorageResult<Page> {
         self.select(snap, &listing.probes(), |r| listing.matches(r), limit)
     }
 
-    fn by_key(&self, index: Index, key: Option<Vec<u8>>) -> Result<Vec<Record>, CatalogError> {
+    fn by_key(&self, index: Index, key: Option<Vec<u8>>) -> StorageResult<Vec<Record>> {
         let Some(key) = key else {
             return Ok(Vec::new());
         };
@@ -425,12 +384,12 @@ impl RecordCatalog {
 
     /// Records of one species (index lookup; dirty spellings included via
     /// canonical indexing).
-    pub fn by_species(&self, name: &str) -> Result<Vec<Record>, CatalogError> {
+    pub fn by_species(&self, name: &str) -> StorageResult<Vec<Record>> {
         self.by_key(Index::Species, species_key(name))
     }
 
     /// Records collected in `year` (typed dates only).
-    pub fn by_year(&self, year: i32) -> Result<Vec<Record>, CatalogError> {
+    pub fn by_year(&self, year: i32) -> StorageResult<Vec<Record>> {
         self.by_key(Index::Year, Some(year_key(year)))
     }
 
@@ -438,19 +397,19 @@ impl RecordCatalog {
     /// species/genus/state equality is among its conjuncts, a full scan
     /// otherwise. The complete filter is always re-applied to
     /// candidates; `total` ignores the query's limit.
-    pub fn query_at(&self, snap: &TableSnapshot, query: &Query) -> Result<Page, CatalogError> {
+    pub fn query_at(&self, snap: &TableSnapshot, query: &Query) -> StorageResult<Page> {
         let filter = &query.filter;
         let limit = query.limit.unwrap_or(usize::MAX);
         self.select(snap, &filter_probes(filter), |r| filter.matches(r), limit)
     }
 
     /// Run a query at the latest commit.
-    pub fn query(&self, query: &Query) -> Result<Vec<Record>, CatalogError> {
+    pub fn query(&self, query: &Query) -> StorageResult<Vec<Record>> {
         Ok(self.query_at(&self.store().snapshot(), query)?.records)
     }
 
     /// Count matches (at most the query's limit).
-    pub fn count(&self, query: &Query) -> Result<usize, CatalogError> {
+    pub fn count(&self, query: &Query) -> StorageResult<usize> {
         let unpaged = Query {
             limit: Some(0),
             ..query.clone()

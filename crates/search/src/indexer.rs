@@ -15,12 +15,12 @@ use preserva_metadata::record::Record;
 use preserva_obs::{Counter, Registry};
 use preserva_storage::table::{TableSnapshot, TableStore, WriteSession};
 use preserva_storage::view::{stage_count_delta, DerivedView, ViewDriver, ViewRun, ViewSpec};
-use preserva_storage::{JournalEntry, Lsn, ROW_DELETED, ROW_UPSERTED};
+use preserva_storage::{JournalEntry, Lsn, StorageError, StorageResult, ROW_DELETED, ROW_UPSERTED};
 use preserva_taxonomy::ngram::grams;
 
 use crate::doc::DocState;
 use crate::query::SearchReader;
-use crate::{join_key, tables, SearchConfig, SearchError};
+use crate::{join_key, tables, SearchConfig};
 
 /// What one [`Indexer::run`] did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub struct IndexView<'a> {
 
 impl DerivedView for IndexView<'_> {
     type Outcome = IndexOutcome;
-    type Error = SearchError;
+    type Error = StorageError;
     const SPEC: ViewSpec = ViewSpec {
         name: "search",
         meta_table: tables::META,
@@ -83,7 +83,7 @@ impl DerivedView for IndexView<'_> {
         snap: &TableSnapshot,
         entries: &[JournalEntry],
         session: &mut WriteSession<'_>,
-    ) -> Result<IndexOutcome, SearchError> {
+    ) -> StorageResult<IndexOutcome> {
         let mut outcome = IndexOutcome::default();
         // The set of records to re-derive; the journal's op kinds don't
         // matter because the new truth is read from the pinned snapshot.
@@ -96,17 +96,17 @@ impl DerivedView for IndexView<'_> {
         let mut facet_delta: BTreeMap<(String, String), i64> = BTreeMap::new();
         let mut name_delta: BTreeMap<String, i64> = BTreeMap::new();
         for &pk in &touched {
+            let codec = |table: &str, e| StorageError::codec(table, String::from_utf8_lossy(pk), e);
             let old = match snap.get(tables::DOCS, pk)? {
-                Some(row) => serde_json::from_slice::<DocState>(&row).map_err(|e| {
-                    SearchError::codec(tables::DOCS, String::from_utf8_lossy(pk), e)
-                })?,
+                Some(row) => {
+                    serde_json::from_slice::<DocState>(&row).map_err(|e| codec(tables::DOCS, e))?
+                }
                 None => DocState::default(),
             };
             let new = match snap.get(self.records_table, pk)? {
                 Some(row) => {
-                    let record = serde_json::from_slice::<Record>(&row).map_err(|e| {
-                        SearchError::codec(tables::DOCS, String::from_utf8_lossy(pk), e)
-                    })?;
+                    let record = serde_json::from_slice::<Record>(&row)
+                        .map_err(|e| codec(self.records_table, e))?;
                     Some(DocState::extract(&record, self.config))
                 }
                 None => None,
@@ -158,9 +158,7 @@ impl DerivedView for IndexView<'_> {
 
             match &new {
                 Some(d) => {
-                    let bytes = serde_json::to_vec(d).map_err(|e| {
-                        SearchError::codec(tables::DOCS, String::from_utf8_lossy(pk), e)
-                    })?;
+                    let bytes = serde_json::to_vec(d).map_err(|e| codec(tables::DOCS, e))?;
                     session.put(tables::DOCS, pk, &bytes)?;
                     outcome.docs_indexed += 1;
                 }
@@ -267,14 +265,14 @@ impl Indexer {
     }
 
     /// Journal sequence number already folded into the index.
-    pub fn cursor(&self) -> Result<u64, SearchError> {
+    pub fn cursor(&self) -> StorageResult<u64> {
         Ok(self.driver.state()?.cursor)
     }
 
     /// Journal entries committed but not yet indexed — the lag the
     /// `preserva_search_index_lag` gauge reports.
-    pub fn journal_lag(&self) -> Result<u64, SearchError> {
-        Ok(self.driver.lag()?)
+    pub fn journal_lag(&self) -> StorageResult<u64> {
+        self.driver.lag()
     }
 
     fn view(&self) -> IndexView<'_> {
@@ -303,7 +301,7 @@ impl Indexer {
     /// the search tables, committing everything — postings, n-grams,
     /// facet counters, doc states, cursor — in ONE write session. An
     /// empty feed commits nothing.
-    pub fn run(&self) -> Result<IndexOutcome, SearchError> {
+    pub fn run(&self) -> StorageResult<IndexOutcome> {
         let run = self.driver.run(&mut self.view(), None, None)?;
         Ok(self.finish(run))
     }
@@ -311,8 +309,35 @@ impl Indexer {
     /// Drop every search table and re-derive the index by replaying the
     /// journal from zero: one wipe commit (resetting the cursor with
     /// it), then a normal run.
-    pub fn rebuild(&self) -> Result<IndexOutcome, SearchError> {
+    pub fn rebuild(&self) -> StorageResult<IndexOutcome> {
         let run = self.driver.rebuild(&mut self.view())?;
         Ok(self.finish(run))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use preserva_storage::engine::{Engine, EngineOptions};
+
+    #[test]
+    fn an_undecodable_record_is_named_by_its_own_table_and_key() {
+        let dir = std::env::temp_dir().join(format!(
+            "preserva-search-indexer-{}-damaged",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::open(&dir, EngineOptions::default()).unwrap();
+        let store = Arc::new(TableStore::new(Arc::new(engine)).unwrap());
+        store.mark_journaled("records").unwrap();
+        store.put("records", b"BAD-1", b"{not json").unwrap();
+
+        match Indexer::new(store, "records").run() {
+            Err(StorageError::Codec(c)) => {
+                assert_eq!((c.table.as_str(), c.key.as_str()), ("records", "BAD-1"));
+            }
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,10 +8,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use preserva_storage::table::TableSnapshot;
+use preserva_storage::StorageResult;
 use preserva_taxonomy::fuzzy;
 use preserva_taxonomy::ngram::{candidate_threshold, grams};
 
-use crate::{join_key, tables, SearchConfig, SearchError, SEP};
+use crate::{join_key, tables, SearchConfig, SEP};
 use preserva_storage::view::ViewState;
 
 /// Exclusive upper bound for a prefix scan: the prefix with its last
@@ -68,7 +69,7 @@ impl SearchReader {
 
     /// The indexer cursor as of `snap` — pair with `snap.lsn()` to
     /// report exactly how fresh an answer is.
-    pub fn cursor_at(&self, snap: &TableSnapshot) -> Result<u64, SearchError> {
+    pub fn cursor_at(&self, snap: &TableSnapshot) -> StorageResult<u64> {
         Ok(ViewState::load_at(snap, tables::META)?.cursor)
     }
 
@@ -79,7 +80,7 @@ impl SearchReader {
         snap: &TableSnapshot,
         field: &str,
         token: &str,
-    ) -> Result<BTreeSet<Vec<u8>>, SearchError> {
+    ) -> StorageResult<BTreeSet<Vec<u8>>> {
         let mut prefix = join_key(&[field.as_bytes(), token.as_bytes()]);
         prefix.push(SEP);
         let end = prefix_end(&prefix);
@@ -100,7 +101,7 @@ impl SearchReader {
         field: Option<&str>,
         terms: &str,
         limit: usize,
-    ) -> Result<SearchHits, SearchError> {
+    ) -> StorageResult<SearchHits> {
         let tokens = crate::tokenize(terms);
         if tokens.is_empty() {
             return Ok(SearchHits::default());
@@ -135,11 +136,7 @@ impl SearchReader {
 
     /// Facet breakdowns from the counter rows alone — the record table
     /// is never touched. `facet` restricts to one facet name.
-    pub fn facets(
-        &self,
-        snap: &TableSnapshot,
-        facet: Option<&str>,
-    ) -> Result<FacetCounts, SearchError> {
+    pub fn facets(&self, snap: &TableSnapshot, facet: Option<&str>) -> StorageResult<FacetCounts> {
         let rows = match facet {
             Some(f) => {
                 let mut prefix = f.as_bytes().to_vec();
@@ -162,7 +159,7 @@ impl SearchReader {
 
     /// Every indexed species name, in key order (the fallback scan set
     /// and the delta≡full comparison baseline).
-    pub fn names(&self, snap: &TableSnapshot) -> Result<Vec<String>, SearchError> {
+    pub fn names(&self, snap: &TableSnapshot) -> StorageResult<Vec<String>> {
         Ok(snap
             .scan_keys(tables::NAMES)?
             .into_iter()
@@ -179,7 +176,7 @@ impl SearchReader {
         snap: &TableSnapshot,
         query: &str,
         max_distance: usize,
-    ) -> Result<Vec<String>, SearchError> {
+    ) -> StorageResult<Vec<String>> {
         let g = self.config.gram;
         let q = grams(query, g);
         let threshold = match candidate_threshold(q.len(), g, max_distance) {
@@ -210,7 +207,7 @@ impl SearchReader {
         snap: &TableSnapshot,
         query: &str,
         max_distance: usize,
-    ) -> Result<Option<FuzzyHit>, SearchError> {
+    ) -> StorageResult<Option<FuzzyHit>> {
         let candidates = self.fuzzy_candidates(snap, query, max_distance)?;
         let scored = candidates.len();
         Ok(

@@ -106,7 +106,11 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     let mut line = String::new();
     loop {
         line.clear();
-        let n = match reader.read_line(&mut line) {
+        // Each line is read through what is left of the head budget, plus
+        // two bytes for the blank line's CRLF, so a line that never ends
+        // stops at the budget instead of being buffered whole.
+        let budget = (MAX_HEAD_BYTES - head.len() + 2) as u64;
+        let n = match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(n) => n,
             Err(e)
                 if head.is_empty()

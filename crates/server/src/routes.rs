@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use preserva_core::collection::Collection;
-use preserva_core::repository::decode_row;
 use preserva_core::retrieval::Listing;
 use preserva_metadata::record::Record;
 
@@ -65,21 +64,21 @@ fn tenant_route(state: &ServerState, req: &Request, tenant: &str, rest: &[&str])
     }
 }
 
+/// One record at the request's pinned snapshot. A stored row that does
+/// not decode answers 500 naming its table and key: the record exists
+/// and is damaged, which is not the same as missing.
 fn get_record(coll: &Arc<Collection>, id: &str) -> Response {
     let snap = coll.store().snapshot();
-    let row = match snap.get(coll.options().records_table.as_str(), id.as_bytes()) {
-        Ok(r) => r,
-        Err(e) => return Response::error(500, &e.to_string()),
-    };
-    match row.as_deref().and_then(decode_row::<Record>) {
-        Some(record) => Response::json(
+    match coll.catalog().get_at(&snap, id) {
+        Ok(Some(record)) => Response::json(
             200,
             serde_json::json!({
                 "record": record,
                 "as_of_lsn": snap.lsn(),
             }),
         ),
-        None => Response::error(404, "no such record"),
+        Ok(None) => Response::error(404, "no such record"),
+        Err(e) => Response::error(500, &e.to_string()),
     }
 }
 

@@ -21,8 +21,13 @@ pub enum StorageError {
         /// What failed (CRC, framing, magic…).
         reason: String,
     },
-    /// A value could not be decoded into the expected shape.
+    /// One of storage's own formats (a WAL frame, a journal entry, a run
+    /// block, a view's state row) could not be decoded into the expected
+    /// shape.
     Decode(String),
+    /// A stored row failed to encode or decode through the codec of
+    /// the layer that owns its table.
+    Codec(Box<CodecError>),
     /// The engine directory is already locked by another live instance.
     Locked(String),
     /// A table name contained the reserved separator byte.
@@ -46,7 +51,32 @@ pub enum StorageError {
     Poisoned,
 }
 
+/// A row that would not encode or decode, with the table and key a
+/// curator needs to find it.
+#[derive(Debug)]
+pub struct CodecError {
+    /// Table the row lives in.
+    pub table: String,
+    /// Row key (lossy UTF-8).
+    pub key: String,
+    /// The codec's own failure.
+    pub source: Box<dyn std::error::Error + Send + Sync>,
+}
+
 impl StorageError {
+    /// A [`StorageError::Codec`] for the row `key` of `table`.
+    pub fn codec(
+        table: &str,
+        key: impl Into<String>,
+        source: impl Into<Box<dyn std::error::Error + Send + Sync>>,
+    ) -> StorageError {
+        StorageError::Codec(Box::new(CodecError {
+            table: table.to_string(),
+            key: key.into(),
+            source: source.into(),
+        }))
+    }
+
     /// Shorthand for a [`StorageError::Corrupt`] at `offset`.
     pub fn corrupt(offset: u64, reason: impl Into<String>) -> StorageError {
         StorageError::Corrupt {
@@ -64,6 +94,9 @@ impl fmt::Display for StorageError {
                 write!(f, "corruption at offset {offset}: {reason}")
             }
             StorageError::Decode(msg) => write!(f, "decode error: {msg}"),
+            StorageError::Codec(c) => {
+                write!(f, "codec failure at {}/{}: {}", c.table, c.key, c.source)
+            }
             StorageError::Locked(path) => write!(f, "engine directory locked: {path}"),
             StorageError::InvalidTableName(name) => {
                 write!(f, "invalid table name (reserved byte): {name:?}")
@@ -86,6 +119,7 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StorageError::Io(e) => Some(e),
+            StorageError::Codec(c) => Some(c.source.as_ref()),
             _ => None,
         }
     }
@@ -120,6 +154,18 @@ mod tests {
         };
         assert!(u.to_string().contains("dir/snap-1.sst"));
         assert!(u.to_string().contains("single-snapshot file"));
+    }
+
+    #[test]
+    fn codec_names_table_and_key_and_keeps_its_source() {
+        let err = StorageError::codec("records", "BAD-1", io::Error::other("expected `,`"));
+        assert_eq!(
+            err.to_string(),
+            "codec failure at records/BAD-1: expected `,`"
+        );
+        let source = std::error::Error::source(&err).expect("codec source");
+        assert_eq!(source.to_string(), "expected `,`");
+        assert_eq!(std::mem::size_of::<StorageError>(), 48);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod wal;
 
 pub use compaction::CompactionOptions;
 pub use engine::{Engine, EngineOptions, EngineStats, Snapshot};
-pub use error::{StorageError, StorageResult};
+pub use error::{CodecError, StorageError, StorageResult};
 pub use journal::{JournalEntry, ROW_DELETED, ROW_UPSERTED};
 pub use snapshot::{Lsn, SnapshotRegistry};
 pub use table::{

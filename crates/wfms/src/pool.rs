@@ -112,6 +112,22 @@ impl PoolInner {
     }
 }
 
+/// Counts one running job in `active` for as long as it lives.
+struct ActiveGuard<'a>(&'a AtomicUsize);
+
+impl<'a> ActiveGuard<'a> {
+    fn enter(active: &'a AtomicUsize) -> ActiveGuard<'a> {
+        active.fetch_add(1, Ordering::SeqCst);
+        ActiveGuard(active)
+    }
+}
+
+impl Drop for ActiveGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 impl std::fmt::Debug for TaskPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskPool")
@@ -135,9 +151,10 @@ impl TaskPool {
                 let inner = inner.clone();
                 std::thread::spawn(move || {
                     while let Some(job) = inner.next_job() {
-                        inner.active.fetch_add(1, Ordering::SeqCst);
-                        job();
-                        inner.active.fetch_sub(1, Ordering::SeqCst);
+                        let _active = ActiveGuard::enter(&inner.active);
+                        // A panicking job ends itself, not the worker: the
+                        // guard restores `active` as the panic unwinds.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                     }
                 })
             })
@@ -297,5 +314,21 @@ mod tests {
         }
         drop(pool); // joins the worker, job already queued still runs
         assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn task_pool_worker_survives_a_panicking_job() {
+        use std::time::{Duration, Instant};
+        let pool = TaskPool::new(1);
+        assert!(pool.execute(|| panic!("job panics on purpose")));
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(pool.execute(move || tx.send(7).unwrap()));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        // The guard drops just after the job returns.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.active() != 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.active(), 0, "the panic left `active` counted");
     }
 }

@@ -5,9 +5,12 @@
 //! tree-based codec this one replaced produced for the cases in
 //! [`cases`], captured by running that codec on the same inputs: output
 //! strings for encoded values, and the decoded value's `Debug` (or
-//! `error`) for each input rule. A change to the codec that moves a
-//! single byte of stored or served JSON fails here. The property tests
-//! at the end round-trip random records through both directions.
+//! `error`) for each input rule. The `in.depth.*` rules are the one
+//! exception: that codec had no nesting limit, and recursed until the
+//! stack overflowed, so their expected strings state the 128-level limit
+//! instead. A change to the codec that moves a single byte of stored or
+//! served JSON fails here. The property tests at the end round-trip
+//! random records through both directions.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -206,6 +209,32 @@ fn enc<T: serde::Serialize + ?Sized>(value: &T) -> String {
 
 fn pretty<T: serde::Serialize + ?Sized>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("serializes")
+}
+
+/// `depth` empty arrays, each inside the last.
+fn nested(depth: usize) -> String {
+    "[".repeat(depth) + &"]".repeat(depth)
+}
+
+/// How many arrays and objects nest in `v`, counting `v` itself.
+fn depth_of(v: &Json) -> usize {
+    match v {
+        Json::Array(items) => 1 + items.iter().map(depth_of).max().unwrap_or(0),
+        Json::Object(map) => 1 + map.values().map(depth_of).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// A `Date` whose unknown field `x` holds `depth` nested arrays, so
+/// the document nests `depth + 1` levels.
+fn date_with_unknown_depth(depth: usize) -> String {
+    format!(r#"{{"year":2000,"x":{},"month":1,"day":2}}"#, nested(depth))
+}
+
+/// A record body with an unknown field 100,000 arrays deep: 200,027
+/// bytes, under the server's 1 MiB body limit.
+fn deep_record() -> String {
+    format!(r#"{{"id":"a","fields":{{}},"x":{}}}"#, nested(100_000))
 }
 
 /// Every pinned case: `(name, what the codec produces)`.
@@ -493,6 +522,26 @@ fn cases() -> Vec<(String, String)> {
             "in.bytes_invalid_utf8",
             decoded(serde_json::from_slice::<String>(b"\"\xff\"")),
         ),
+        (
+            "in.depth.128_value",
+            decoded(serde_json::from_str::<Json>(&nested(128)).map(|v| depth_of(&v))),
+        ),
+        (
+            "in.depth.129_value",
+            decoded(serde_json::from_str::<Json>(&nested(129))),
+        ),
+        (
+            "in.depth.128_unknown_field",
+            decoded(serde_json::from_str::<Date>(&date_with_unknown_depth(127))),
+        ),
+        (
+            "in.depth.129_unknown_field",
+            decoded(serde_json::from_str::<Date>(&date_with_unknown_depth(128))),
+        ),
+        (
+            "in.depth.100000_record",
+            decoded(serde_json::from_str::<Record>(&deep_record())),
+        ),
     ]
     .into_iter()
     .map(|(name, out)| (name.to_string(), out))
@@ -773,6 +822,14 @@ const GOLDEN: &[(&str, &str)] = &[
         r##"Record { id: "R-\"q\"\\ção", fields: {"big": Float(1e20), "empty": Text(""), "max": Integer(9223372036854775807), "min": Integer(-9223372036854775808), "notes": Text("line\nbreak\ttab \u{1} \u{1f} 🐸 日本"), "tiny": Float(1.5e-7)} }"##,
     ),
     ("in.bytes_invalid_utf8", r##"error"##),
+    ("in.depth.128_value", r##"128"##),
+    ("in.depth.129_value", r##"error"##),
+    (
+        "in.depth.128_unknown_field",
+        r##"Date { year: 2000, month: 1, day: 2 }"##,
+    ),
+    ("in.depth.129_unknown_field", r##"error"##),
+    ("in.depth.100000_record", r##"error"##),
     ("in.bad.0", r##"error"##),
     ("in.bad.1", r##"error"##),
     ("in.bad.2", r##"error"##),
@@ -859,6 +916,22 @@ fn pinned_rows_decode_to_what_was_encoded() {
         serde_json::to_string_pretty(&pretty).expect("serializes"),
         golden["pretty.nested"]
     );
+}
+
+#[test]
+fn nesting_past_128_levels_fails_at_the_opening_bracket() {
+    let err = serde_json::from_str::<Json>(&nested(129)).unwrap_err();
+    assert_eq!(err.to_string(), "recursion limit exceeded at byte 128");
+    let err = serde_json::from_str::<Date>(&date_with_unknown_depth(128)).unwrap_err();
+    assert_eq!(err.to_string(), "recursion limit exceeded at byte 144");
+    let body = deep_record();
+    assert_eq!(body.len(), 200_027);
+    let err = serde_json::from_slice::<Record>(body.as_bytes()).unwrap_err();
+    assert_eq!(err.to_string(), "recursion limit exceeded at byte 153");
+    // Closing a level gives it back: siblings at the limit still decode.
+    let siblings = format!("[{},{}]", nested(127), nested(127));
+    let v: Json = serde_json::from_str(&siblings).expect("decodes");
+    assert_eq!(depth_of(&v), 128);
 }
 
 /// Text with quotes, backslashes, control characters and non-ASCII.

@@ -353,7 +353,7 @@ struct Search {
 }
 
 impl Subject for Search {
-    type Error = preserva::search::SearchError;
+    type Error = preserva::storage::StorageError;
     type View<'a> = IndexView<'a>;
 
     fn bind(store: Arc<TableStore>) -> Self {
