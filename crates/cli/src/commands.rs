@@ -21,8 +21,8 @@ use preserva_metadata::value::Date;
 use preserva_quality::metric::AssessmentContext;
 use preserva_quality::model::QualityModel;
 use preserva_storage::engine::Engine;
+use preserva_storage::rows;
 use preserva_storage::table::TableStore;
-use preserva_storage::StorageError;
 use preserva_taxonomy::service::{ColService, ServiceConfig};
 
 use crate::args::Args;
@@ -110,17 +110,9 @@ fn open_collection(dir: &Path) -> Result<Collection, Box<dyn Error>> {
     Ok(Collection::open(dir, cli_options())?)
 }
 
-/// A `meta` row as JSON; a row that does not decode names its key.
-fn meta_json(key: &str, row: &[u8]) -> Result<serde_json::Value, StorageError> {
-    serde_json::from_slice(row).map_err(|e| StorageError::codec(META_TABLE, key, e))
-}
-
 fn load_config(store: &TableStore) -> Result<GeneratorConfig, Box<dyn Error>> {
-    let row = store
-        .head()
-        .get(META_TABLE, b"ingest")?
+    let v: serde_json::Value = rows::get(store.head(), META_TABLE, b"ingest")?
         .ok_or("no collection ingested here yet (run `preserva ingest` first)")?;
-    let v = meta_json("ingest", &row)?;
     Ok(GeneratorConfig {
         records: v["records"].as_u64().unwrap_or(0) as usize,
         distinct_species: v["species"].as_u64().unwrap_or(0) as usize,
@@ -210,8 +202,7 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
     // Identical parameters and an unmoved journal head mean the store
     // already holds exactly what this invocation would write: replay the
     // recorded output instead of re-staging every row.
-    if let Some(raw) = store.head().get(META_TABLE, b"ingest-cache")? {
-        let v = meta_json("ingest-cache", &raw)?;
+    if let Some(v) = rows::get::<serde_json::Value>(store.head(), META_TABLE, b"ingest-cache")? {
         if v["params"] == params && v["head"].as_u64() == Some(store.journal_head()) {
             if let Some(text) = v["output"].as_str() {
                 print!("{text}");
@@ -224,16 +215,11 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
     // write session — a single WAL commit and fsync for the whole ingest.
     let commits_before = store.engine().stats().commits;
     let mut session = store.session();
-    session.put(
-        META_TABLE,
-        b"ingest",
-        serde_json::json!({
-            "records": records, "species": species,
-            "outdated": outdated, "seed": seed,
-        })
-        .to_string()
-        .as_bytes(),
-    )?;
+    let row = serde_json::json!({
+        "records": records, "species": species,
+        "outdated": outdated, "seed": seed,
+    });
+    rows::stage(&mut session, META_TABLE, b"ingest", &row)?;
     if backbone_year != 0 {
         session.put(
             META_TABLE,
@@ -257,14 +243,13 @@ fn ingest(args: &Args, dir: &Path) -> CliResult {
         commits,
         commits as f64 / (records.max(1)) as f64
     );
+    let cache = serde_json::json!({
+        "params": params, "head": store.journal_head(), "output": output,
+    });
     store.put(
         META_TABLE,
         b"ingest-cache",
-        serde_json::json!({
-            "params": params, "head": store.journal_head(), "output": output,
-        })
-        .to_string()
-        .as_bytes(),
+        &rows::encode(META_TABLE, "ingest-cache", &cache)?,
     )?;
     print!("{output}");
     Ok(())
@@ -291,16 +276,11 @@ fn ingest_bulk(config: &GeneratorConfig, dir: &Path, backbone_year: i32) -> CliR
     // the generator deterministically; the records go through the run
     // builder.
     let mut session = store.session();
-    session.put(
-        META_TABLE,
-        b"ingest",
-        serde_json::json!({
-            "records": config.records, "species": config.distinct_species,
-            "outdated": config.outdated_names, "seed": config.seed,
-        })
-        .to_string()
-        .as_bytes(),
-    )?;
+    let row = serde_json::json!({
+        "records": config.records, "species": config.distinct_species,
+        "outdated": config.outdated_names, "seed": config.seed,
+    });
+    rows::stage(&mut session, META_TABLE, b"ingest", &row)?;
     if backbone_year != 0 {
         session.put(
             META_TABLE,
@@ -361,9 +341,8 @@ fn stats_report(coll: &Collection) -> Result<String, Box<dyn Error>> {
     // stay live by design.
     let snap = store.snapshot();
     let head = store.journal_head();
-    let panel = match snap.get(META_TABLE, b"stats-cache")? {
-        Some(raw) => {
-            let v = meta_json("stats-cache", &raw)?;
+    let panel = match rows::get::<serde_json::Value>(&snap, META_TABLE, b"stats-cache")? {
+        Some(v) => {
             // The collection panel only changes when the change journal
             // moves; while the head is unchanged, serve the cached
             // render instead of scanning every record again.
@@ -380,13 +359,9 @@ fn stats_report(coll: &Collection) -> Result<String, Box<dyn Error>> {
         None => {
             let records = catalog.all_at(&snap)?;
             let text = CollectionStats::compute(&records).render();
-            store.put(
-                META_TABLE,
-                b"stats-cache",
-                serde_json::json!({ "head": head, "panel": text })
-                    .to_string()
-                    .as_bytes(),
-            )?;
+            let cache = serde_json::json!({ "head": head, "panel": text });
+            let row = rows::encode(META_TABLE, "stats-cache", &cache)?;
+            store.put(META_TABLE, b"stats-cache", &row)?;
             text
         }
     };
@@ -738,7 +713,7 @@ fn search(args: &Args, dir: &Path) -> CliResult {
     );
     for id in &hits.ids {
         match snap.get(coll.options().records_table.as_str(), id.as_bytes())? {
-            Some(raw) => match preserva_core::repository::decode_row::<Record>(&raw) {
+            Some(raw) => match rows::decode_row::<Record>(&raw) {
                 Some(r) => println!(
                     "  {}  {}  {} {}",
                     r.id,

@@ -13,15 +13,16 @@ use preserva_opm::graph::OpmGraph;
 use preserva_opm::serialize as opm_ser;
 use preserva_opm::template as opm_template;
 use preserva_opm::validate as opm_validate;
+use preserva_storage::rows;
 use preserva_storage::table::{TableStore, WriteSession};
-use preserva_storage::{StorageError, StorageResult};
+use preserva_storage::StorageError;
 use preserva_wfms::model::Workflow;
 use preserva_wfms::opm_export;
 use preserva_wfms::sink::{ProvenanceSink, SinkError};
 use preserva_wfms::trace::ExecutionTrace;
 use serde::{Deserialize, Serialize};
 
-use crate::repository::Repository;
+use crate::repository::{decode_row, Repository};
 
 /// Table holding OPM graphs, keyed by run id. Rows are either a
 /// template reference (a shared skeleton plus per-run bindings) or a
@@ -49,12 +50,6 @@ struct TemplatedRow {
     template: String,
     /// Per-run residue to rehydrate with.
     bindings: opm_template::Bindings,
-}
-
-/// Serialize with table/key context on failure — the error surfaces as
-/// a [`StorageError::Codec`], never as a bogus duplicate verdict.
-fn encode_json<T: Serialize>(table: &str, key: &str, value: &T) -> StorageResult<String> {
-    serde_json::to_string(value).map_err(|e| StorageError::codec(table, key, e))
 }
 
 /// Errors from the provenance manager.
@@ -276,7 +271,7 @@ impl ProvenanceManager {
         let mut session = self.store.session();
         // run id -> serialized trace staged earlier in THIS batch, so
         // intra-batch duplicates get the same verdicts as stored ones.
-        let mut in_batch: std::collections::HashMap<String, String> =
+        let mut in_batch: std::collections::HashMap<String, Vec<u8>> =
             std::collections::HashMap::new();
         let mut results: Vec<Result<OpmGraph, ProvenanceError>> = Vec::with_capacity(runs.len());
         // (index, graph, stored row bytes, trace steps) per freshly
@@ -318,18 +313,18 @@ impl ProvenanceManager {
     fn stage_capture(
         &self,
         session: &mut WriteSession<'_>,
-        in_batch: &mut std::collections::HashMap<String, String>,
+        in_batch: &mut std::collections::HashMap<String, Vec<u8>>,
         workflow: &Workflow,
         trace: &ExecutionTrace,
     ) -> Result<Option<(OpmGraph, usize)>, ProvenanceError> {
         let run_id = trace.run_id.clone();
         // Serialize up front: a codec failure surfaces here and
         // can never be mistaken for (or mask) a duplicate-run verdict.
-        let trace_json = encode_json(TRACES_TABLE, &run_id, trace)?;
+        let trace_json = rows::encode(TRACES_TABLE, &run_id, trace)?;
         let existing_json = match in_batch.get(&run_id) {
             Some(j) => Some(j.clone()),
             None => match self.traces.get(self.store.head(), &run_id)? {
-                Some(existing) => Some(encode_json(TRACES_TABLE, &run_id, &existing)?),
+                Some(existing) => Some(rows::encode(TRACES_TABLE, &run_id, &existing)?),
                 None => None,
             },
         };
@@ -372,7 +367,7 @@ impl ProvenanceManager {
                 } else {
                     self.metrics.template_hits.inc();
                 }
-                encode_json(
+                rows::encode(
                     PROVENANCE_TABLE,
                     &run_id,
                     &TemplatedRow {
@@ -382,9 +377,9 @@ impl ProvenanceManager {
                     },
                 )?
             }
-            None => opm_ser::to_json(&graph),
+            None => opm_ser::to_json(&graph).into_bytes(),
         };
-        session.put(PROVENANCE_TABLE, run_id.as_bytes(), row.as_bytes())?;
+        session.put(PROVENANCE_TABLE, run_id.as_bytes(), &row)?;
         self.traces.stage(session, trace)?;
         in_batch.insert(run_id, trace_json);
         Ok(Some((graph, row.len())))
@@ -440,9 +435,7 @@ impl ProvenanceManager {
     /// (the pre-template format, still written by
     /// [`stage_graph`](Self::stage_graph) and the extraction fallback).
     fn decode_graph_row(&self, run_id: &str, bytes: Vec<u8>) -> Result<OpmGraph, ProvenanceError> {
-        let s = String::from_utf8(bytes)
-            .map_err(|e| StorageError::codec(PROVENANCE_TABLE, run_id, e))?;
-        if let Ok(row) = serde_json::from_str::<TemplatedRow>(&s) {
+        if let Some(row) = decode_row::<TemplatedRow>(&bytes) {
             if row.fmt == TEMPLATED_FMT {
                 let tpl = self
                     .store
@@ -462,6 +455,8 @@ impl ProvenanceManager {
                 return Ok(opm_template::rehydrate(&skeleton, &row.bindings));
             }
         }
+        let s = String::from_utf8(bytes)
+            .map_err(|e| StorageError::codec(PROVENANCE_TABLE, run_id, e))?;
         opm_ser::from_json(&s).map_err(|e| StorageError::codec(PROVENANCE_TABLE, run_id, e).into())
     }
 

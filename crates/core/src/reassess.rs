@@ -26,12 +26,12 @@ use preserva_curation::log::CurationLog;
 use preserva_curation::outdated::{NameCheckOutcome, OutdatedNameDetector, OutdatedNameReport};
 use preserva_curation::pipeline::CurationPipeline;
 use preserva_curation::review::ReviewQueue;
-use preserva_metadata::record::Record;
 use preserva_obs::{Counter, Registry};
 use preserva_opm::edge::Edge;
 use preserva_opm::graph::OpmGraph;
 use preserva_opm::model::{Agent, Artifact, Process};
 use preserva_quality::ledger::{Contribution, ContributionLedger};
+use preserva_storage::rows;
 use preserva_storage::table::{CommitReceipt, TableSnapshot, TableStore, WriteSession};
 use preserva_storage::view::{stage_count_delta, DerivedView, ViewDriver, ViewSpec};
 use preserva_storage::{JournalEntry, Lsn, StorageError};
@@ -172,24 +172,6 @@ impl ReassessOutcome {
     }
 }
 
-fn decode_ledger(row: Option<Vec<u8>>) -> Result<ContributionLedger, ReassessError> {
-    match row {
-        Some(row) => serde_json::from_slice(&row)
-            .map_err(|e| StorageError::codec(REASSESS_META_TABLE, "ledger", e).into()),
-        None => Ok(ContributionLedger::new()),
-    }
-}
-
-fn stage_ledger(
-    session: &mut WriteSession<'_>,
-    ledger: &ContributionLedger,
-) -> Result<(), ReassessError> {
-    let bytes = serde_json::to_vec(ledger)
-        .map_err(|e| StorageError::codec(REASSESS_META_TABLE, "ledger", e))?;
-    session.put(REASSESS_META_TABLE, LEDGER_KEY, &bytes)?;
-    Ok(())
-}
-
 fn check_name(service: &ColService, name: &str) -> Option<Contribution> {
     let parsed = ScientificName::parse(name)?;
     match OutdatedNameDetector::new(service, CHECK_ATTEMPTS).check(&parsed) {
@@ -319,10 +301,7 @@ impl DerivedView for ReassessView<'_> {
         let mut gone: BTreeSet<String> = plan.deleted_records.clone();
         for id in touched.keys() {
             match snap.get(self.records_table, id.as_bytes())? {
-                Some(row) => records.push(
-                    serde_json::from_slice::<Record>(&row)
-                        .map_err(|e| StorageError::codec(self.records_table, id.clone(), e))?,
-                ),
+                Some(row) => records.push(rows::decode(self.records_table, id.as_bytes(), &row)?),
                 None => {
                     gone.insert(id.clone());
                 }
@@ -361,9 +340,7 @@ impl DerivedView for ReassessView<'_> {
                 }
             }
             if before != after {
-                let bytes = serde_json::to_vec(after)
-                    .map_err(|e| StorageError::codec(self.records_table, after.id.clone(), e))?;
-                session.put(self.records_table, after.id.as_bytes(), &bytes)?;
+                rows::stage(session, self.records_table, after.id.as_bytes(), after)?;
             }
         }
         for id in &gone {
@@ -376,7 +353,8 @@ impl DerivedView for ReassessView<'_> {
             }
         }
 
-        let mut ledger = decode_ledger(snap.get(REASSESS_META_TABLE, LEDGER_KEY)?)?;
+        let mut ledger: ContributionLedger =
+            rows::get(snap, REASSESS_META_TABLE, LEDGER_KEY)?.unwrap_or_default();
         let mut candidates: BTreeSet<String> = plan.changed_names.clone();
         candidates.extend(ref_delta.keys().cloned());
         let mut names_rechecked = 0usize;
@@ -401,7 +379,7 @@ impl DerivedView for ReassessView<'_> {
                 ledger.set(name, c);
             }
         }
-        stage_ledger(session, &ledger)?;
+        rows::stage(session, REASSESS_META_TABLE, LEDGER_KEY, &ledger)?;
 
         // The O(k) the acceptance metric asserts: records whose passes
         // re-ran, plus records referencing a status-changed name.
@@ -484,7 +462,7 @@ impl Reassessor {
 
     /// The persisted quality ledger (empty before the first run/seed).
     pub fn ledger(&self) -> Result<ContributionLedger, ReassessError> {
-        decode_ledger(self.store.head().get(REASSESS_META_TABLE, LEDGER_KEY)?)
+        Ok(rows::get(self.store.head(), REASSESS_META_TABLE, LEDGER_KEY)?.unwrap_or_default())
     }
 
     /// Journal sequence number already reassessed.
@@ -548,7 +526,7 @@ impl Reassessor {
                     count.to_string().as_bytes(),
                 )?;
             }
-            stage_ledger(session, &ledger)
+            rows::stage(session, REASSESS_META_TABLE, LEDGER_KEY, &ledger)
         })?;
         self.driver.metrics_registry().trace(
             "reassess",
@@ -676,6 +654,7 @@ mod tests {
     use crate::retrieval::RecordCatalog;
     use preserva_gazetteer::builder::build_gazetteer;
     use preserva_metadata::fnjv;
+    use preserva_metadata::record::Record;
     use preserva_metadata::value::Value;
     use preserva_storage::engine::{Engine, EngineOptions};
     use preserva_taxonomy::backbone::{Backbone, Classification, Taxon};

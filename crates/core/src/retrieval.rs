@@ -23,10 +23,6 @@ use crate::repository::{decode_row, Repository};
 /// repository naming).
 pub const CATALOG_TABLE: &str = "catalog";
 
-fn decode(row: &[u8]) -> Option<Record> {
-    decode_row(row)
-}
-
 /// Species key: the parsed binomial, lowercased, so dirty spellings of
 /// one name share a key. Text that does not parse has none.
 fn species_key(text: &str) -> Option<Vec<u8>> {
@@ -96,7 +92,7 @@ impl Index {
 /// The index group's extractor: every index key of a row from one
 /// decode. A damaged row has none.
 fn index_keys(row: &[u8]) -> IndexKeys {
-    let record = decode(row);
+    let record = decode_row::<Record>(row);
     Index::ALL
         .iter()
         .map(|ix| record.as_ref().and_then(|r| ix.key_of(r)))
@@ -325,13 +321,13 @@ impl RecordCatalog {
         };
         if probes.is_empty() {
             for (_, row) in snap.scan(self.table())? {
-                if let Some(r) = decode(&row) {
+                if let Some(r) = decode_row(&row) {
                     keep(r);
                 }
             }
         } else {
             for pk in self.postings(snap, probes)? {
-                if let Some(r) = snap.get(self.table(), &pk)?.as_deref().and_then(decode) {
+                if let Some(r) = snap.get(self.table(), &pk)?.as_deref().and_then(decode_row) {
                     keep(r);
                 }
             }
@@ -732,7 +728,7 @@ mod tests {
             let store = open();
             for ix in Index::ALL {
                 let def = IndexDef::new(ix.name(), move |row: &[u8]| {
-                    let r = decode(row)?;
+                    let r = decode_row::<Record>(row)?;
                     match ix {
                         Index::Genus | Index::State => {
                             let text = r.get_text(ix.name())?.trim();

@@ -8,8 +8,9 @@
 //! ask: *what happened to this record?* and *how did this field evolve?*
 
 use preserva_metadata::value::Value;
+use preserva_storage::rows;
 use preserva_storage::table::TableStore;
-use preserva_storage::{StorageError, StorageResult};
+use preserva_storage::StorageResult;
 
 use crate::log::{CurationEvent, CurationLog, LogEntry};
 
@@ -57,8 +58,7 @@ impl<'a> HistoryStore<'a> {
             // The key is formatted after the encode, for the put alone:
             // allocating it before the encode raised exp_e2e write_mix
             // peak RSS from about 184 to 194 MiB (2-core host).
-            let bytes = serde_json::to_vec(&persisted)
-                .map_err(|e| StorageError::codec(HISTORY_TABLE, format!("{seq:020}"), e))?;
+            let bytes = rows::encode(HISTORY_TABLE, format_args!("{seq:020}"), &persisted)?;
             session.put(HISTORY_TABLE, format!("{seq:020}").as_bytes(), &bytes)?;
             written += 1;
         }
@@ -72,10 +72,7 @@ impl<'a> HistoryStore<'a> {
             .head()
             .scan(HISTORY_TABLE)?
             .into_iter()
-            .map(|(k, v)| {
-                serde_json::from_slice(&v)
-                    .map_err(|e| StorageError::codec(HISTORY_TABLE, String::from_utf8_lossy(&k), e))
-            })
+            .map(|(k, v)| rows::decode(HISTORY_TABLE, &k, &v))
             .collect()
     }
 
@@ -113,6 +110,7 @@ impl<'a> HistoryStore<'a> {
 mod tests {
     use super::*;
     use preserva_storage::engine::{Engine, EngineOptions};
+    use preserva_storage::StorageError;
     use std::sync::Arc;
 
     fn store(name: &str) -> TableStore {

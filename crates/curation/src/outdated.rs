@@ -11,9 +11,11 @@
 use std::collections::BTreeMap;
 
 use preserva_metadata::record::Record;
+use preserva_storage::rows;
 use preserva_storage::table::TableStore;
 use preserva_taxonomy::name::ScientificName;
 use preserva_taxonomy::service::{ColService, LookupOutcome};
+use serde::Serialize;
 
 /// Result of checking one distinct name.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,6 +220,14 @@ pub const UPDATED_NAMES_TABLE: &str = "updated_names";
 /// Table mapping affected record ids to their outdated name.
 pub const NAME_REFS_TABLE: &str = "name_refs";
 
+/// One `updated_names` row, its fields in the order earlier releases wrote.
+#[derive(Serialize)]
+struct UpdatedName {
+    new: String,
+    old: String,
+    verified: bool,
+}
+
 /// Persist detected updates: the `updated_names` table maps each outdated
 /// name to its replacement (flagged unverified until a biologist approves)
 /// and `name_refs` maps each affected record id to its outdated name. The
@@ -231,16 +241,12 @@ pub fn persist_updates(
     let mut session = store.session();
     let mut written = 0usize;
     for (old, new) in &report.outdated {
-        let value = serde_json::json!({
-            "old": old.canonical(),
-            "new": new.canonical(),
-            "verified": false,
-        });
-        session.put(
-            UPDATED_NAMES_TABLE,
-            old.canonical().as_bytes(),
-            value.to_string().as_bytes(),
-        )?;
+        let row = UpdatedName {
+            new: new.canonical(),
+            old: old.canonical(),
+            verified: false,
+        };
+        rows::stage(&mut session, UPDATED_NAMES_TABLE, row.old.as_bytes(), &row)?;
         written += 1;
     }
     let outdated: std::collections::BTreeSet<&ScientificName> =

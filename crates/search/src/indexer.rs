@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use preserva_metadata::record::Record;
 use preserva_obs::{Counter, Registry};
+use preserva_storage::rows;
 use preserva_storage::table::{TableSnapshot, TableStore, WriteSession};
 use preserva_storage::view::{stage_count_delta, DerivedView, ViewDriver, ViewRun, ViewSpec};
 use preserva_storage::{JournalEntry, Lsn, StorageError, StorageResult, ROW_DELETED, ROW_UPSERTED};
@@ -37,6 +38,9 @@ pub struct IndexOutcome {
     pub docs_indexed: usize,
     /// Records removed from the index this run.
     pub docs_removed: usize,
+    /// Records that did not decode, indexed as absent: one codec error
+    /// each, naming the row's table and key.
+    pub undecodable: Vec<String>,
     /// Commit LSN of the run's one input snapshot.
     pub input_lsn: Lsn,
 }
@@ -96,20 +100,17 @@ impl DerivedView for IndexView<'_> {
         let mut facet_delta: BTreeMap<(String, String), i64> = BTreeMap::new();
         let mut name_delta: BTreeMap<String, i64> = BTreeMap::new();
         for &pk in &touched {
-            let codec = |table: &str, e| StorageError::codec(table, String::from_utf8_lossy(pk), e);
-            let old = match snap.get(tables::DOCS, pk)? {
-                Some(row) => {
-                    serde_json::from_slice::<DocState>(&row).map_err(|e| codec(tables::DOCS, e))?
+            // A damaged doc state is the view's own and fails the run
+            // (`rebuild` repairs it); a damaged record is indexed as
+            // absent, so one bad row cannot stop the cursor.
+            let old = rows::get::<DocState>(snap, tables::DOCS, pk)?.unwrap_or_default();
+            let new = match rows::get::<Record>(snap, self.records_table, pk) {
+                Ok(record) => record.map(|r| DocState::extract(&r, self.config)),
+                Err(e @ StorageError::Codec(_)) => {
+                    outcome.undecodable.push(e.to_string());
+                    None
                 }
-                None => DocState::default(),
-            };
-            let new = match snap.get(self.records_table, pk)? {
-                Some(row) => {
-                    let record = serde_json::from_slice::<Record>(&row)
-                        .map_err(|e| codec(self.records_table, e))?;
-                    Some(DocState::extract(&record, self.config))
-                }
-                None => None,
+                Err(e) => return Err(e),
             };
             let empty = DocState::default();
             let new_ref = new.as_ref().unwrap_or(&empty);
@@ -158,8 +159,7 @@ impl DerivedView for IndexView<'_> {
 
             match &new {
                 Some(d) => {
-                    let bytes = serde_json::to_vec(d).map_err(|e| codec(tables::DOCS, e))?;
-                    session.put(tables::DOCS, pk, &bytes)?;
+                    rows::stage(session, tables::DOCS, pk, d)?;
                     outcome.docs_indexed += 1;
                 }
                 None => {
@@ -209,6 +209,7 @@ pub struct Indexer {
     entries_consumed: Arc<Counter>,
     docs_indexed: Arc<Counter>,
     docs_removed: Arc<Counter>,
+    docs_undecodable: Arc<Counter>,
 }
 
 impl Indexer {
@@ -244,6 +245,10 @@ impl Indexer {
             docs_removed: registry.counter(
                 "preserva_search_docs_removed_total",
                 "Records removed from the search index by index runs.",
+            ),
+            docs_undecodable: registry.counter(
+                "preserva_search_docs_undecodable_total",
+                "Records that did not decode, indexed as absent by index runs.",
             ),
             driver: ViewDriver::new::<IndexView>(store, registry),
         }
@@ -287,6 +292,11 @@ impl Indexer {
         self.entries_consumed.add(run.entries_consumed as u64);
         self.docs_indexed.add(out.docs_indexed as u64);
         self.docs_removed.add(out.docs_removed as u64);
+        self.docs_undecodable.add(out.undecodable.len() as u64);
+        for error in &out.undecodable {
+            let note = format!("indexed an undecodable record as absent: {error}");
+            self.metrics_registry().trace("search", note);
+        }
         IndexOutcome {
             cursor_before: run.cursor_before,
             cursor_after: run.cursor_after,
@@ -331,13 +341,32 @@ mod tests {
         let store = Arc::new(TableStore::new(Arc::new(engine)).unwrap());
         store.mark_journaled("records").unwrap();
         store.put("records", b"BAD-1", b"{not json").unwrap();
+        let indexer = Indexer::new(store.clone(), "records");
 
-        match Indexer::new(store, "records").run() {
-            Err(StorageError::Codec(c)) => {
-                assert_eq!((c.table.as_str(), c.key.as_str()), ("records", "BAD-1"));
-            }
-            other => panic!("expected a codec error, got {other:?}"),
-        }
+        // The damaged row is skipped, counted and traced; the run
+        // commits and the cursor moves past it.
+        let first = indexer.run().unwrap();
+        assert_eq!(first.undecodable.len(), 1);
+        assert_eq!(first.cursor_after, store.journal_head());
+        let registry = indexer.metrics_registry();
+        let skipped = registry.counter("preserva_search_docs_undecodable_total", "");
+        assert_eq!(skipped.get(), 1);
+        let traced = registry.trace_events();
+        assert!(
+            traced
+                .iter()
+                .any(|e| e.category == "search" && e.message.contains("records/BAD-1")),
+            "{traced:?}"
+        );
+        assert!(store.head().get(tables::DOCS, b"BAD-1").unwrap().is_none());
+
+        // A record committed after it is indexed.
+        let ok = rows::encode("records", "OK-2", &Record::new("OK-2")).unwrap();
+        store.put("records", b"OK-2", &ok).unwrap();
+        let second = indexer.run().unwrap();
+        assert_eq!((second.docs_indexed, second.undecodable.len()), (1, 0));
+        assert!(store.head().get(tables::DOCS, b"OK-2").unwrap().is_some());
+        assert_eq!(skipped.get(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

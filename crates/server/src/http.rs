@@ -99,9 +99,35 @@ pub fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+/// Why [`read_request`] read no request.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The request breaks a limit or the grammar: answer `status`, then
+    /// close the connection.
+    Refused {
+        /// 400, 413 or 431.
+        status: u16,
+        /// What was wrong, for the reply body.
+        reason: &'static str,
+    },
+    /// The socket failed or the client cut the request off: there is
+    /// nobody to answer.
+    Io(io::Error),
+}
+
+impl From<io::Error> for ReadError {
+    fn from(e: io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+fn refused(status: u16, reason: &'static str) -> ReadError {
+    ReadError::Refused { status, reason }
+}
+
 /// Read one request off the stream. `Ok(None)` means the peer closed (or
 /// idled past the read timeout) between requests — a clean keep-alive end.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, ReadError> {
     let mut head = String::new();
     let mut line = String::new();
     loop {
@@ -123,14 +149,14 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
             {
                 return Ok(None)
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         };
         if n == 0 {
             // EOF: fine between requests, torn mid-head otherwise.
             if head.is_empty() {
                 return Ok(None);
             }
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn head"));
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn head").into());
         }
         if line == "\r\n" || line == "\n" {
             if head.is_empty() {
@@ -140,37 +166,42 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         }
         head.push_str(&line);
         if head.len() > MAX_HEAD_BYTES {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
+            return Err(refused(431, "request head over 16 KiB"));
         }
     }
 
-    let mut lines = head.lines();
-    let request_line = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty request"))?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no method"))?
-        .to_string();
-    let target = parts
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no target"))?;
+    let mut parts = head.lines().next().unwrap_or_default().split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err(refused(400, "malformed request line"));
+    };
+    let method = method.to_string();
     let (path, raw_query) = target.split_once('?').unwrap_or((target, ""));
 
     let mut headers = BTreeMap::new();
-    for l in lines {
+    for l in head.lines().skip(1) {
         if let Some((k, v)) = l.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+            let (k, v) = (k.trim().to_ascii_lowercase(), v.trim());
+            if k == "content-length" && headers.get(&k).is_some_and(|old: &String| old != v) {
+                return Err(refused(400, "conflicting Content-Length headers"));
+            }
+            headers.insert(k, v.to_string());
         }
     }
 
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    // Only a sized body is read: any other framing would leave the body
+    // to be parsed as the next request.
+    if headers.contains_key("transfer-encoding") {
+        return Err(refused(400, "Transfer-Encoding is not supported"));
+    }
+    let len = match headers.get("content-length") {
+        None => 0,
+        Some(v) if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
+            v.parse().unwrap_or(usize::MAX)
+        }
+        Some(_) => return Err(refused(400, "Content-Length is not a decimal number")),
+    };
     if len > MAX_BODY_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
+        return Err(refused(413, "request body over 1 MiB"));
     }
     let mut body = vec![0u8; len];
     if len > 0 {
@@ -225,7 +256,9 @@ fn reason(status: u16) -> &'static str {
         401 => "Unauthorized",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Content Too Large",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",

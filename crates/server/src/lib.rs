@@ -27,8 +27,9 @@ pub mod routes;
 pub mod state;
 pub mod tenants;
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,9 +37,14 @@ use std::time::{Duration, Instant};
 
 use preserva_wfms::pool::TaskPool;
 
-use crate::http::{read_request, write_response};
+use crate::http::{read_request, write_response, ReadError, Response};
 use crate::state::ServerState;
 use crate::tenants::{CollectionManager, TenantConfig};
+
+/// How long a refused connection drains what the client already sent.
+const DRAIN_FOR: Duration = Duration::from_millis(250);
+/// The most a refused connection drains before it closes anyway.
+const DRAIN_BYTES: usize = 1024 * 1024;
 
 /// Server configuration. `addr` may use port 0 to let the OS pick (the
 /// bound address is on [`Server::addr`]).
@@ -206,16 +212,11 @@ impl Drop for Server {
 fn serve_connection(state: &Arc<ServerState>, stream: TcpStream, keep_alive: Duration) {
     let _ = stream.set_read_timeout(Some(keep_alive));
     let _ = stream.set_nodelay(true);
-    let live = state.live_connections.fetch_add(1, Ordering::SeqCst) + 1;
-    state.metrics.active_connections.set(live as u64);
+    let _live = LiveConnection::enter(state);
     state.connections_served.fetch_add(1, Ordering::Relaxed);
 
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            release_connection(state);
-            return;
-        }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
 
@@ -226,7 +227,12 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream, keep_alive: Dur
         let req = match read_request(&mut reader) {
             Ok(Some(r)) => r,
             Ok(None) => break, // clean keep-alive end (EOF or idle)
-            Err(_) => break,   // torn request; nothing sane to answer
+            Err(ReadError::Refused { status, reason }) => {
+                state.metrics.requests_total.inc();
+                refuse(&mut reader, &mut writer, &Response::error(status, reason));
+                break;
+            }
+            Err(ReadError::Io(_)) => break, // torn request; nobody to answer
         };
         state.metrics.requests_total.inc();
         let started = Instant::now();
@@ -242,7 +248,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream, keep_alive: Dur
             break;
         }
 
-        let response = routes::route(state, &req);
+        let response = contain_panics(state, &req, || routes::route(state, &req));
         let close = req.wants_close();
         let ok = write_response(&mut writer, &response, close);
         state
@@ -253,12 +259,65 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream, keep_alive: Dur
             break;
         }
     }
-    release_connection(state);
 }
 
-fn release_connection(state: &Arc<ServerState>) {
-    let live = state.live_connections.fetch_sub(1, Ordering::SeqCst) - 1;
-    state.metrics.active_connections.set(live as u64);
+/// Run `handler`, answering a panic with 500, counted and traced with
+/// the request's method and path. The tenant locks a handler takes
+/// recover from a panic (see `tenants`), so the connection serves on.
+fn contain_panics(
+    state: &ServerState,
+    req: &http::Request,
+    handler: impl FnOnce() -> Response,
+) -> Response {
+    std::panic::catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        state.metrics.panics_total.inc();
+        let note = format!("{} {} panicked; answered 500", req.method, req.path);
+        state.registry.trace("server", note);
+        Response::error(500, "internal error")
+    })
+}
+
+/// Answer a refused request and close without a reset: the write half
+/// is shut first, then what the client already sent is drained (for at
+/// most [`DRAIN_FOR`] and [`DRAIN_BYTES`]), because closing a socket with
+/// unread input resets it and the client would lose the reply.
+fn refuse(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, response: &Response) {
+    if write_response(writer, response, true).is_err() {
+        return;
+    }
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_FOR;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
+/// Counts one live connection in `preserva_server_active_connections`
+/// until dropped, so a handler that panics still releases it.
+struct LiveConnection<'a>(&'a ServerState);
+
+impl<'a> LiveConnection<'a> {
+    fn enter(state: &'a ServerState) -> LiveConnection<'a> {
+        let live = state.live_connections.fetch_add(1, Ordering::SeqCst) + 1;
+        state.metrics.active_connections.set(live as u64);
+        LiveConnection(state)
+    }
+}
+
+impl Drop for LiveConnection<'_> {
+    fn drop(&mut self) {
+        let live = self.0.live_connections.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.0.metrics.active_connections.set(live as u64);
+    }
 }
 
 /// `GET /v1/{tenant}/feed` → the tenant name. Matches on decoded
@@ -271,5 +330,54 @@ fn feed_tenant(req: &http::Request) -> Option<String> {
     match req.segments().as_slice() {
         [v1, tenant, feed] if v1 == "v1" && feed == "feed" => Some(tenant.clone()),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Server state with no tenants: nothing is opened or written.
+    fn state() -> Arc<ServerState> {
+        let manager = CollectionManager::new(std::path::Path::new("unused"), Vec::new()).unwrap();
+        ServerState::new(manager, Duration::from_millis(10), None)
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_is_counted() {
+        let state = state();
+        let req = http::Request {
+            method: "GET".into(),
+            path: "/v1/herp/stats".into(),
+            raw_query: String::new(),
+            headers: Default::default(),
+            body: Vec::new(),
+        };
+        let reply = contain_panics(&state, &req, || panic!("a handler bug"));
+        assert_eq!(reply.status, 500);
+        assert_eq!(reply.body, b"{\"error\":\"internal error\"}\n".to_vec());
+        assert_eq!(state.metrics.panics_total.get(), 1);
+        let traced = state.registry.trace_events();
+        assert!(
+            traced
+                .iter()
+                .any(|e| e.category == "server" && e.message.contains("GET /v1/herp/stats")),
+            "{traced:?}"
+        );
+        let fine = contain_panics(&state, &req, || Response::text(200, "ok"));
+        assert_eq!((fine.status, state.metrics.panics_total.get()), (200, 1));
+    }
+
+    #[test]
+    fn a_panic_still_releases_the_live_connection() {
+        let state = state();
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _live = LiveConnection::enter(&state);
+            assert_eq!(state.metrics.active_connections.get(), 1);
+            panic!("a feed bug");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(state.live_connections.load(Ordering::SeqCst), 0);
+        assert_eq!(state.metrics.active_connections.get(), 0);
     }
 }

@@ -16,6 +16,7 @@ pub struct ServerMetrics {
     pub requests_total: Arc<Counter>,
     pub auth_failures: Arc<Counter>,
     pub quota_rejections: Arc<Counter>,
+    pub panics_total: Arc<Counter>,
     pub active_connections: Arc<Gauge>,
     pub feed_subscribers: Arc<Gauge>,
     pub feed_events_total: Arc<Counter>,
@@ -36,6 +37,10 @@ impl ServerMetrics {
             quota_rejections: registry.counter(
                 "preserva_server_quota_rejections_total",
                 "Requests rejected by a tenant request quota",
+            ),
+            panics_total: registry.counter(
+                "preserva_server_panics_total",
+                "Requests whose handler panicked, answered 500",
             ),
             active_connections: registry.gauge(
                 "preserva_server_active_connections",

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use preserva_core::collection::{Collection, CollectionError, CollectionOptions};
@@ -49,6 +49,10 @@ struct QuotaWindow {
     used: u64,
 }
 
+/// A panic cannot tear what either lock guards: the slot changes in
+/// one assignment, and nothing between the window's field updates can
+/// panic. So a guard poisoned by a panicking request is recovered, and
+/// the tenant keeps serving.
 struct TenantState {
     config: TenantConfig,
     dir: PathBuf,
@@ -140,7 +144,7 @@ impl CollectionManager {
             return Err(Gate::BadKey);
         }
         if state.config.quota.max_requests > 0 {
-            let mut w = state.window.lock().expect("quota window poisoned");
+            let mut w = state.window.lock().unwrap_or_else(PoisonError::into_inner);
             if w.started.elapsed() >= state.config.quota.window {
                 w.started = Instant::now();
                 w.used = 0;
@@ -154,7 +158,10 @@ impl CollectionManager {
     }
 
     fn open(&self, state: &TenantState) -> Result<Arc<Collection>, CollectionError> {
-        let mut slot = state.collection.lock().expect("collection slot poisoned");
+        let mut slot = state
+            .collection
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(c) = slot.as_ref() {
             return Ok(c.clone());
         }
@@ -172,7 +179,7 @@ impl CollectionManager {
             .get(tenant)?
             .collection
             .lock()
-            .expect("collection slot poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
@@ -199,7 +206,7 @@ impl CollectionManager {
             let c = state
                 .collection
                 .lock()
-                .expect("collection slot poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .take();
             if let Some(c) = c {
                 if let Err(e) = c.close() {

@@ -146,7 +146,7 @@ fn hostile_requests_leave_every_tenant_serving() {
     let mut long = b"GET /v1/herp/stats HTTP/1.1\r\nX-Filler: ".to_vec();
     long.resize(long.len() + 64 * 1024, b'a');
     let reply = exchange(addr, &long, false);
-    assert_eq!(reply.status, None);
+    assert_eq!(reply.status, Some(431));
     assert!(
         reply.closed_after < Duration::from_secs(1),
         "an endless header line held the connection for {:?}",
@@ -159,8 +159,43 @@ fn hostile_requests_leave_every_tenant_serving() {
         head("PUT", "/v1/herp/records", "key-herp", 2 * 1024 * 1024).as_bytes(),
         false,
     );
-    assert_eq!(reply.status, None);
+    assert_eq!(reply.status, Some(413));
     assert!(reply.closed_after < Duration::from_secs(1));
+
+    // A Content-Length that is not a number is refused, so the body (a
+    // whole GET of ornith's record) is never served as the next request.
+    let smuggled = format!(
+        "PUT /v1/herp/records HTTP/1.1\r\nHost: t\r\nAuthorization: Bearer key-herp\r\n\
+         Content-Length: abc\r\n\r\n{}",
+        head("GET", "/v1/ornith/records/O-1", "key-ornith", 0)
+    );
+    let reply = exchange(addr, smuggled.as_bytes(), false);
+    assert_eq!(reply.status, Some(400), "{}", reply.body);
+    assert!(
+        !reply.body.contains("HTTP/1.1"),
+        "a second reply: {}",
+        reply.body
+    );
+    assert!(reply.closed_after < Duration::from_secs(1));
+
+    // A chunked body is refused: only sized bodies are read.
+    let chunked = "PUT /v1/herp/records HTTP/1.1\r\nHost: t\r\nAuthorization: Bearer key-herp\r\n\
+                   Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+    let reply = exchange(addr, chunked.as_bytes(), false);
+    assert_eq!(reply.status, Some(400), "{}", reply.body);
+    assert!(reply.body.contains("Transfer-Encoding"), "{}", reply.body);
+
+    // Two Content-Length headers that disagree are refused, whichever
+    // comes last.
+    let record = r#"{"id":"DUP-1","fields":{"species":{"Text":"Hyla faber"}}}"#;
+    let dup = format!(
+        "PUT /v1/herp/records HTTP/1.1\r\nHost: t\r\nAuthorization: Bearer key-herp\r\n\
+         Content-Length: 0\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{record}",
+        record.len()
+    );
+    let reply = exchange(addr, dup.as_bytes(), false);
+    assert_eq!(reply.status, Some(400), "{}", reply.body);
+    assert!(reply.body.contains("Content-Length"), "{}", reply.body);
 
     // A body cut short by the client commits nothing.
     let whole = r#"{"id":"TORN-1","fields":{"species":{"Text":"Hyla faber"}}}"#;
@@ -181,6 +216,8 @@ fn hostile_requests_leave_every_tenant_serving() {
     );
     let torn_get = call(addr, "GET", "/v1/herp/records/TORN-1", "key-herp", "");
     assert_eq!(torn_get.status, Some(404));
+    let dup_get = call(addr, "GET", "/v1/herp/records/DUP-1", "key-herp", "");
+    assert_eq!(dup_get.status, Some(404));
 
     // Both tenants still serve: ornith reads the same bytes, herp commits.
     let again = call(addr, "GET", "/v1/ornith/records/O-1", "key-ornith", "");
@@ -217,6 +254,20 @@ fn a_damaged_record_answers_500_naming_its_table_and_key() {
     assert_eq!(missing.status, Some(404));
     let fine = call(addr, "GET", "/v1/herp/records/OK-1", "key-herp", "");
     assert_eq!(fine.status, Some(200));
+
+    // Search skips the damaged record and keeps indexing later ones.
+    assert_eq!(
+        put_record(addr, "herp", "key-herp", "OK-2").status,
+        Some(201)
+    );
+    let hits = call(addr, "GET", "/v1/herp/search?q=faber", "key-herp", "");
+    assert_eq!(hits.status, Some(200), "{}", hits.body);
+    assert!(hits.body.contains("\"OK-2\""), "{}", hits.body);
+    assert!(!hits.body.contains("BAD-1"), "{}", hits.body);
+    let facets = call(addr, "GET", "/v1/herp/facets", "key-herp", "");
+    assert_eq!(facets.status, Some(200), "{}", facets.body);
+    let still = call(addr, "GET", "/v1/herp/records/BAD-1", "key-herp", "");
+    assert_eq!(still.status, Some(500), "{}", still.body);
     drop(herp);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&root).ok();

@@ -22,11 +22,10 @@ pub enum StorageError {
         reason: String,
     },
     /// One of storage's own formats (a WAL frame, a journal entry, a run
-    /// block, a view's state row) could not be decoded into the expected
-    /// shape.
+    /// block) could not be decoded into the expected shape.
     Decode(String),
-    /// A stored row failed to encode or decode through the codec of
-    /// the layer that owns its table.
+    /// A stored typed row failed to encode or decode through
+    /// [`crate::rows`].
     Codec(Box<CodecError>),
     /// The engine directory is already locked by another live instance.
     Locked(String),

@@ -34,10 +34,12 @@
 //!   memtable; flushes, bulk runs and compactions all install their
 //!   output through one crash-ordered routine;
 //! * [`view::ViewDriver`] keeps journal-derived views (search, provenance
-//!   index, reassessment) current from a durable cursor.
+//!   index, reassessment) current from a durable cursor;
+//! * [`rows`] is the one codec of every layer's stored typed rows.
 //!
-//! The engine is deliberately dependency-free: encoding lives in
-//! [`codec`], checksums in [`crc32`].
+//! The engine's own formats stay dependency-free: encoding lives in
+//! [`codec`], checksums in [`crc32`]. Only [`rows`] uses the vendored
+//! serde (and [`view`], for its cursor row).
 //!
 //! # Example
 //!
@@ -63,6 +65,7 @@ pub mod error;
 pub mod journal;
 pub mod manifest;
 pub mod memtable;
+pub mod rows;
 pub mod snapshot;
 pub mod sstable;
 pub mod table;

@@ -11,9 +11,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use preserva_obs::{Counter, Gauge, Histogram, Registry};
+use serde::{Deserialize, Serialize};
 
 use crate::error::{StorageError, StorageResult};
 use crate::journal::JournalEntry;
+use crate::rows;
 use crate::snapshot::Lsn;
 use crate::table::{CommitReceipt, TableSnapshot, TableStore, WriteSession};
 
@@ -70,8 +72,9 @@ pub trait DerivedView {
     }
 }
 
-/// The durable cursor state of one view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The durable cursor state of one view, stored through [`rows`] as
+/// `{"cursor":N,"runs":M}`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViewState {
     /// Highest journal sequence number folded into the view.
     pub cursor: u64,
@@ -80,35 +83,9 @@ pub struct ViewState {
 }
 
 impl ViewState {
-    /// The row bytes, in the compact JSON shape earlier releases wrote.
-    fn encode(&self) -> Vec<u8> {
-        format!("{{\"cursor\":{},\"runs\":{}}}", self.cursor, self.runs).into_bytes()
-    }
-
-    /// Parse a row written by [`encode`](Self::encode); no row is the
-    /// zero state.
-    fn decode(row: Option<Vec<u8>>) -> StorageResult<ViewState> {
-        let Some(row) = row else {
-            return Ok(ViewState::default());
-        };
-        std::str::from_utf8(&row)
-            .ok()
-            .and_then(|t| t.strip_prefix("{\"cursor\":")?.strip_suffix('}'))
-            .and_then(|t| t.split_once(",\"runs\":"))
-            .and_then(|(cursor, runs)| {
-                Some(ViewState {
-                    cursor: cursor.parse().ok()?,
-                    runs: runs.parse().ok()?,
-                })
-            })
-            .ok_or_else(|| {
-                StorageError::Decode(format!("view state {:?}", String::from_utf8_lossy(&row)))
-            })
-    }
-
     /// The state stored in `meta_table` as of `snap` (zero if absent).
     pub fn load_at(snap: &TableSnapshot, meta_table: &str) -> StorageResult<ViewState> {
-        ViewState::decode(snap.get(meta_table, STATE_KEY)?)
+        Ok(rows::get(snap, meta_table, STATE_KEY)?.unwrap_or_default())
     }
 }
 
@@ -276,7 +253,7 @@ impl ViewDriver {
         let counted = V::runs_counted(&outcome);
         state.cursor = head;
         state.runs += counted;
-        session.put(self.spec.meta_table, STATE_KEY, &state.encode())?;
+        rows::stage(&mut session, self.spec.meta_table, STATE_KEY, &state)?;
         // Input fully captured: unpin before committing so the fold
         // horizon never waits on the commit.
         drop(snap);
@@ -284,7 +261,7 @@ impl ViewDriver {
         if receipt.entries() > 0 && receipt.first_seq == head + 1 {
             state.cursor = receipt.last_seq;
             let mut bump = self.store.session();
-            bump.put(self.spec.meta_table, STATE_KEY, &state.encode())?;
+            rows::stage(&mut bump, self.spec.meta_table, STATE_KEY, &state)?;
             bump.commit()?;
         }
         if let Some(h) = &self.batch_entries {
@@ -338,8 +315,12 @@ impl ViewDriver {
         let runs = ViewState::load_at(&snap, self.spec.meta_table)?.runs;
         drop(snap);
         stage(&mut session)?;
-        let state = ViewState { cursor, runs };
-        session.put(self.spec.meta_table, STATE_KEY, &state.encode())?;
+        rows::stage(
+            &mut session,
+            self.spec.meta_table,
+            STATE_KEY,
+            &ViewState { cursor, runs },
+        )?;
         Ok(session.commit()?)
     }
 
@@ -418,8 +399,17 @@ mod tests {
             cursor: 42,
             runs: 7,
         };
-        assert_eq!(s.encode(), br#"{"cursor":42,"runs":7}"#.to_vec());
-        assert_eq!(ViewState::decode(Some(s.encode())).unwrap(), s);
+        let (store, dir) = store("shape");
+        assert_eq!(
+            ViewState::load_at(store.head(), "m").unwrap(),
+            ViewState::default()
+        );
+        let mut session = store.session();
+        rows::stage(&mut session, "m", STATE_KEY, &s).unwrap();
+        session.commit().unwrap();
+        let row = store.head().get("m", STATE_KEY).unwrap().unwrap();
+        assert_eq!(row, br#"{"cursor":42,"runs":7}"#.to_vec());
+        assert_eq!(ViewState::load_at(store.head(), "m").unwrap(), s);
         for bad in [
             &b""[..],
             b"{}",
@@ -427,8 +417,11 @@ mod tests {
             b"{\"cursor\":-1,\"runs\":0}",
             b"[1,2]",
         ] {
-            assert!(ViewState::decode(Some(bad.to_vec())).is_err(), "{bad:?}");
+            store.put("m", STATE_KEY, bad).unwrap();
+            let err = ViewState::load_at(store.head(), "m").unwrap_err();
+            assert!(err.to_string().contains("m/state"), "{bad:?}: {err}");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A foreign write committed between the pin and the view's commit
