@@ -295,15 +295,17 @@ impl DerivedView for ReassessView<'_> {
             }
         }
 
-        // Load the touched records that still exist; ids the journal
-        // touched but the table no longer holds are treated as deleted.
+        // Load the touched records that still exist, in one key-ordered
+        // pass; ids the journal touched but the table no longer holds are
+        // treated as deleted.
         let mut records = Vec::new();
         let mut gone: BTreeSet<String> = plan.deleted_records.clone();
-        for id in touched.keys() {
-            match snap.get(self.records_table, id.as_bytes())? {
+        let ids: Vec<&String> = touched.keys().collect();
+        for (id, row) in ids.iter().zip(snap.get_many(self.records_table, &ids)?) {
+            match row {
                 Some(row) => records.push(rows::decode(self.records_table, id.as_bytes(), &row)?),
                 None => {
-                    gone.insert(id.clone());
+                    gone.insert(id.to_string());
                 }
             }
         }
@@ -320,10 +322,11 @@ impl DerivedView for ReassessView<'_> {
         // Name bookkeeping: reference-count deltas from records whose
         // species moved, plus re-checks for names the backbone retired.
         let mut ref_delta: BTreeMap<String, i64> = BTreeMap::new();
-        for (before, after) in records.iter().zip(curated.iter()) {
-            let old_name = snap
-                .get(REASSESS_NAMES_TABLE, after.id.as_bytes())?
-                .and_then(|v| String::from_utf8(v).ok());
+        let name_of = |row: Option<Vec<u8>>| row.and_then(|v| String::from_utf8(v).ok());
+        let ids: Vec<&str> = curated.iter().map(|r| r.id.as_str()).collect();
+        let old_names = snap.get_many(REASSESS_NAMES_TABLE, &ids)?;
+        for ((before, after), old_name) in records.iter().zip(curated.iter()).zip(old_names) {
+            let old_name = name_of(old_name);
             let new_name = after
                 .get_text("species")
                 .and_then(ScientificName::parse)
@@ -343,11 +346,10 @@ impl DerivedView for ReassessView<'_> {
                 rows::stage(session, self.records_table, after.id.as_bytes(), after)?;
             }
         }
-        for id in &gone {
-            if let Some(old) = snap
-                .get(REASSESS_NAMES_TABLE, id.as_bytes())?
-                .and_then(|v| String::from_utf8(v).ok())
-            {
+        let gone_ids: Vec<&String> = gone.iter().collect();
+        let gone_names = snap.get_many(REASSESS_NAMES_TABLE, &gone_ids)?;
+        for (id, old) in gone_ids.into_iter().zip(gone_names) {
+            if let Some(old) = name_of(old) {
                 *ref_delta.entry(old).or_insert(0) -= 1;
                 session.delete(REASSESS_NAMES_TABLE, id.as_bytes())?;
             }

@@ -16,6 +16,7 @@ use preserva_storage::table::{
 };
 use preserva_storage::StorageResult;
 use preserva_taxonomy::name::ScientificName;
+use serde::{de, DeError, Deserialize, Deserializer};
 
 use crate::repository::{decode_row, Repository};
 
@@ -74,14 +75,28 @@ impl Index {
         }
     }
 
-    /// The key a record is indexed under, if any. Legacy text dates are
-    /// not year-indexable until curated.
-    fn key_of(self, r: &Record) -> Option<Vec<u8>> {
+    /// The record field the index keys on.
+    fn field(self) -> &'static str {
         match self {
-            Index::Species => r.get_text("species").and_then(species_key),
-            Index::Genus => r.get_text("genus").and_then(text_key),
-            Index::State => r.get_text("state").and_then(text_key),
-            Index::Year => match r.get("collect_date")? {
+            Index::Species => "species",
+            Index::Genus => "genus",
+            Index::State => "state",
+            Index::Year => "collect_date",
+        }
+    }
+
+    /// The key a record is indexed under, if any.
+    fn key_of(self, r: &Record) -> Option<Vec<u8>> {
+        self.value_key(r.get(self.field())?)
+    }
+
+    /// The key a value of the index's field is indexed under, if any.
+    /// Legacy text dates are not year-indexable until curated.
+    fn value_key(self, value: &Value) -> Option<Vec<u8>> {
+        match self {
+            Index::Species => value.as_text().and_then(species_key),
+            Index::Genus | Index::State => value.as_text().and_then(text_key),
+            Index::Year => match value {
                 Value::Date(d) => Some(year_key(d.year)),
                 _ => None,
             },
@@ -89,13 +104,54 @@ impl Index {
     }
 }
 
+/// The values of a record row's four indexed fields, in [`Index::ALL`]
+/// order, decoded without the rest of the row: every other field, `id`
+/// included, is skipped without being built. It yields the keys of the
+/// full [`Record`] decode for every row that decode accepts. A `fields` map
+/// that repeats a name keeps its last value, as the record's map does,
+/// and a row that repeats `fields` keeps the first map, as the record's
+/// derived decode does. A row whose JSON does not parse decodes to
+/// nothing.
+#[derive(Debug, Default, PartialEq)]
+struct IndexedFields([Option<Value>; 4]);
+
+impl Deserialize for IndexedFields {
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, DeError> {
+        de::expect_map(d, "Record")?;
+        let mut fields = None;
+        while let Some(key) = d.next_key()? {
+            match key.as_ref() {
+                "fields" if fields.is_none() => fields = Some(Self::fields(d)?),
+                _ => d.skip()?,
+            }
+        }
+        Ok(fields.unwrap_or_default())
+    }
+}
+
+impl IndexedFields {
+    fn fields<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, DeError> {
+        de::expect_map(d, "Record fields")?;
+        let mut values = IndexedFields::default();
+        while let Some(name) = d.next_key()? {
+            match Index::ALL.iter().position(|ix| ix.field() == name) {
+                Some(slot) => values.0[slot] = Some(Value::deserialize(d)?),
+                None => d.skip()?,
+            }
+        }
+        Ok(values)
+    }
+}
+
 /// The index group's extractor: every index key of a row from one
-/// decode. A damaged row has none.
+/// decode of its four indexed fields. A row whose JSON does not parse
+/// has none.
 fn index_keys(row: &[u8]) -> IndexKeys {
-    let record = decode_row::<Record>(row);
+    let values = decode_row::<IndexedFields>(row).unwrap_or_default();
     Index::ALL
         .iter()
-        .map(|ix| record.as_ref().and_then(|r| ix.key_of(r)))
+        .zip(values.0)
+        .map(|(ix, value)| value.and_then(|v| ix.value_key(&v)))
         .collect()
 }
 
@@ -420,6 +476,7 @@ mod tests {
     use super::*;
     use preserva_metadata::value::{Coordinates, Date};
     use preserva_storage::engine::{Engine, EngineOptions};
+    use proptest::prelude::*;
 
     fn catalog(name: &str) -> RecordCatalog {
         let dir =
@@ -781,6 +838,98 @@ mod tests {
         }
         drop((snap, c));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every index key of a row by the full record decode: the reference
+    /// the projection must agree with.
+    fn full_keys(row: &[u8]) -> IndexKeys {
+        let record = decode_row::<Record>(row);
+        Index::ALL
+            .iter()
+            .map(|ix| record.as_ref().and_then(|r| ix.key_of(r)))
+            .collect()
+    }
+
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            "[A-Za-z]{1,9} {1,2}[a-zA-Z]{1,9}".prop_map(Value::Text),
+            "[A-Z][a-z]{2,8} [a-z]{3,9} \\([A-Z][a-z]{2,6}, [0-9]{4}\\)".prop_map(Value::Text),
+            "[ \t]{0,2}[A-Za-zãé]{1,8}[ \t\u{a0}]{0,3}[A-Za-zãé]{0,8}".prop_map(Value::Text),
+            "[0-9]{1,2}/[0-9]{2}/[0-9]{2,4}".prop_map(Value::Text),
+            "[ ]{0,3}".prop_map(Value::Text),
+            any::<i64>().prop_map(Value::Integer),
+            (1900i32..2030, 1u8..=12, 1u8..=28)
+                .prop_map(|(y, m, d)| Value::Date(Date::new(y, m, d).unwrap())),
+            any::<bool>().prop_map(Value::Boolean),
+            (-90.0f64..90.0, -180.0f64..180.0)
+                .prop_map(|(lat, lon)| Value::Coordinates(Coordinates::new(lat, lon).unwrap())),
+        ]
+    }
+
+    fn field_strategy() -> impl Strategy<Value = &'static str> {
+        prop_oneof![
+            Just("species"),
+            Just("genus"),
+            Just("state"),
+            Just("collect_date"),
+            Just("country"),
+            Just("notes"),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The four-field projection keys a stored record exactly as
+        /// the full record decode does.
+        #[test]
+        fn projected_keys_equal_full_decode_keys(
+            id in "[A-Z]{4}-[0-9]{1,6}",
+            fields in collection::vec((field_strategy(), value_strategy()), 0..8),
+        ) {
+            let mut record = Record::new(id);
+            for (field, value) in fields {
+                record.set(field, value);
+            }
+            let row = preserva_storage::rows::encode(CATALOG_TABLE, &record.id, &record).unwrap();
+            prop_assert_eq!(index_keys(&row), full_keys(&row));
+        }
+    }
+
+    #[test]
+    fn projected_keys_equal_full_decode_keys_on_hand_made_rows() {
+        let rows: [&str; 9] = [
+            // A repeated field: the last value wins in both decodes.
+            r#"{"id":"a","fields":{"species":{"Text":"Hyla faber"},"state":{"Text":"Bahia"},"species":{"Text":"Scinax ruber"}}}"#,
+            // A non-text species, and a legacy text date.
+            r#"{"id":"b","fields":{"species":{"Integer":7},"collect_date":{"Text":"15/03/1982"}}}"#,
+            // A typed date among unindexed fields, escapes included.
+            r#"{"id":"c","fields":{"notes":{"Text":"say \"hi\"\n"},"collect_date":{"Date":{"year":1982,"month":3,"day":15}},"genus":{"Text":"Hyla"}}}"#,
+            // Fields before the id, and an unknown top-level key.
+            r#"{"fields":{"genus":{"Text":"  São  "}},"extra":[1,{"x":null}],"id":"d"}"#,
+            // A repeated `fields`: the first map wins in both decodes.
+            r#"{"id":"e","fields":{"genus":{"Text":"Hyla"}},"fields":{"genus":{"Text":"Scinax"}}}"#,
+            // No `fields` at all, and an empty map.
+            r#"{"id":"f"}"#,
+            r#"{"id":"g","fields":{}}"#,
+            // Damaged JSON has no keys.
+            r#"{"id":"h","fields":{"species":{"Text":"Hyla faber"}"#,
+            r#"{"id":"i","fields":{"species":{"Text":"Hyla faber"}}} trailing"#,
+        ];
+        for row in rows {
+            assert_eq!(
+                index_keys(row.as_bytes()),
+                full_keys(row.as_bytes()),
+                "{row}"
+            );
+        }
+        let keys = |row: &str| index_keys(row.as_bytes());
+        assert_eq!(keys(rows[0])[0].as_deref(), Some(&b"scinax ruber"[..]));
+        assert_eq!(keys(rows[1]), vec![None; 4]);
+        assert_eq!(keys(rows[2])[3].as_deref(), Some(&b"1982"[..]));
+        assert_eq!(keys(rows[4])[1].as_deref(), Some(&b"hyla"[..]));
+        assert_eq!(keys(rows[5]), vec![None; 4]);
+        assert_eq!(keys(rows[7]), vec![None; 4]);
     }
 
     #[test]

@@ -97,14 +97,22 @@ impl DerivedView for IndexView<'_> {
             .filter(|e| e.kind == ROW_UPSERTED || e.kind == ROW_DELETED)
             .map(|e| e.key.as_slice())
             .collect();
+        // Doc states and records are each read in one key-ordered pass.
+        let touched: Vec<&[u8]> = touched.into_iter().collect();
+        let docs = snap.get_many(tables::DOCS, &touched)?;
+        let records = snap.get_many(self.records_table, &touched)?;
         let mut facet_delta: BTreeMap<(String, String), i64> = BTreeMap::new();
         let mut name_delta: BTreeMap<String, i64> = BTreeMap::new();
-        for &pk in &touched {
+        for ((&pk, doc), record) in touched.iter().zip(docs).zip(records) {
             // A damaged doc state is the view's own and fails the run
             // (`rebuild` repairs it); a damaged record is indexed as
             // absent, so one bad row cannot stop the cursor.
-            let old = rows::get::<DocState>(snap, tables::DOCS, pk)?.unwrap_or_default();
-            let new = match rows::get::<Record>(snap, self.records_table, pk) {
+            let old = match doc {
+                Some(row) => rows::decode::<DocState>(tables::DOCS, pk, &row)?,
+                None => DocState::default(),
+            };
+            let record = record.map(|row| rows::decode::<Record>(self.records_table, pk, &row));
+            let new = match record.transpose() {
                 Ok(record) => record.map(|r| DocState::extract(&r, self.config)),
                 Err(e @ StorageError::Codec(_)) => {
                     outcome.undecodable.push(e.to_string());
@@ -367,6 +375,35 @@ mod tests {
         assert_eq!((second.docs_indexed, second.undecodable.len()), (1, 0));
         assert!(store.head().get(tables::DOCS, b"OK-2").unwrap().is_some());
         assert_eq!(skipped.get(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A damaged cursor row fails every run, naming the row, until
+    /// `rebuild` — the documented repair — replaces it.
+    #[test]
+    fn rebuild_repairs_a_damaged_cursor_row() {
+        let dir = std::env::temp_dir().join(format!(
+            "preserva-search-indexer-{}-damaged-cursor",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::open(&dir, EngineOptions::default()).unwrap();
+        let store = Arc::new(TableStore::new(Arc::new(engine)).unwrap());
+        store.mark_journaled("records").unwrap();
+        let record = rows::encode("records", "R-1", &Record::new("R-1")).unwrap();
+        store.put("records", b"R-1", &record).unwrap();
+        store
+            .put(tables::META, preserva_storage::view::STATE_KEY, b"{damaged")
+            .unwrap();
+        let indexer = Indexer::new(store.clone(), "records");
+
+        let err = indexer.run().unwrap_err();
+        assert!(err.to_string().contains("__search:meta/state"), "{err}");
+        let rebuilt = indexer.rebuild().unwrap();
+        assert_eq!((rebuilt.cursor_before, rebuilt.docs_indexed), (0, 1));
+        let next = indexer.run().unwrap();
+        assert!(next.is_noop());
+        assert_eq!(next.cursor_after, store.journal_head());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

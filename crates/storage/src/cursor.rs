@@ -19,7 +19,7 @@ use std::ops::Bound;
 use crate::error::{StorageError, StorageResult};
 use crate::memtable::VersionRef;
 use crate::snapshot::Lsn;
-use crate::sstable::RunCursor;
+use crate::sstable::{RunCursor, Versions};
 
 /// A version as a layer holds it: `(table, key, lsn, value)`, the table
 /// name still raw bytes. The merge checks it is UTF-8 once per table it
@@ -262,6 +262,23 @@ impl<'a> MergeCursor<'a> {
                 decided = true;
                 f(version);
             }
+        }
+    }
+}
+
+impl Versions for MergeCursor<'_> {
+    /// Every version of every layer, in merge order: what a flush writes
+    /// when it merges a batch into the frozen memtable.
+    fn for_each_version(
+        &mut self,
+        f: &mut dyn FnMut(VersionRef<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        loop {
+            self.advance()?;
+            let Some(version) = self.current() else {
+                return Ok(());
+            };
+            f(version)?;
         }
     }
 }

@@ -20,11 +20,13 @@
 //! frozen memtable into a fresh level-1 run (O(memtable), never O(total
 //! data)), commits it to the manifest, and deletes the frozen segment.
 //! Compaction merges runs level by level in the background, folding
-//! tombstones once a merge reaches the bottom of the tree. Presorted
-//! bulk input skips the WAL and memtable and becomes a level-1 run
-//! directly ([`Engine::ingest_run`]); a flush, a bulk run and a
-//! compaction output all enter the tree through one crash-ordered
-//! install routine (`Core::install_run`).
+//! tombstones once a merge reaches the bottom of the tree. A batch that
+//! alone reaches the checkpoint threshold, and every bulk load
+//! ([`Engine::ingest_run`]), is committed as the flush it would
+//! trigger: merged with the memtable straight into one level-1 run,
+//! never entering the WAL or the memtable (`Core::commit_run`). A
+//! flush, a run commit and a compaction output all enter the tree
+//! through one crash-ordered install routine (`Core::install_run`).
 //!
 //! ## Read path
 //!
@@ -32,7 +34,10 @@
 //! → runs in `(level asc, id desc)` order — level 1 always holds the
 //! newest versions, ids order runs within a level. Point gets consult
 //! each run's bloom filter and block index, touching at most one data
-//! block per run. Scans, counts and key listings walk one merge cursor
+//! block per run; a many-key read ([`Snapshot::get_many`]) is the same
+//! walk per key, and reuses the block each run's last lookup verified,
+//! so keys in ascending order read each block once. Scans, counts and
+//! key listings walk one merge cursor
 //! over those layers (see `cursor.rs`) and take each key's highest LSN
 //! at or below the read LSN. Reads take no global lock: the memtables
 //! sit behind `RwLock`s and the run set is an immutable `Arc` snapshot
@@ -48,9 +53,10 @@
 //! per-entry LSNs, and an **LSN-disjointness invariant** holds — the
 //! LSN intervals of active memtable, frozen memtable and each run in
 //! precedence order strictly decrease, because
-//! data only moves active → frozen → level-1 run, and a compaction
-//! merges a contiguous precedence suffix into output older than every
-//! surviving layer above it.
+//! data only moves active → frozen → level-1 run (a batch committed as
+//! a flush joins the frozen memtable in its run, above it), and a
+//! compaction merges a contiguous precedence suffix into output older
+//! than every surviving layer above it.
 //!
 //! A reader that wants repeatable reads takes a [`Snapshot`]: it pins
 //! the committed LSN in the [`SnapshotRegistry`] and every read through
@@ -63,9 +69,11 @@
 //! snapshot (see `compaction`), so an idle engine with no pins keeps
 //! exactly one version per key, same as before MVCC.
 //!
-//! A point read walks layers newest → oldest; the first layer holding a
-//! version at or below its read LSN yields the verdict. Layer
-//! disjointness makes this first-verdict-wins walk exact.
+//! A point read walks layers newest → oldest and keeps the highest LSN
+//! at or below its read LSN that any layer holds, skipping each layer
+//! whose newest version is no newer than that: layer disjointness makes
+//! the first layer that answers the last one consulted, and the walk
+//! stays exact where recovery breaks disjointness (see `Core::get_each`).
 //!
 //! ## Recovery
 //!
@@ -116,9 +124,9 @@ use crate::compaction::{self, CompactionOptions};
 use crate::cursor::{Copied, Layer, MergeCursor, Span};
 use crate::error::{StorageError, StorageResult};
 use crate::manifest::{self, RunEntry};
-use crate::memtable::Memtable;
+use crate::memtable::{self, Memtable};
 use crate::snapshot::{Lsn, SnapshotRegistry};
-use crate::sstable::{self, Run, RunLookup, RunSummary, Versions};
+use crate::sstable::{self, Block, Run, RunLookup, RunSummary, Versions};
 use crate::wal::{self, Wal, WalRecord};
 
 pub use crate::wal::BatchOp;
@@ -130,7 +138,10 @@ pub struct EngineOptions {
     pub fsync: bool,
     /// Checkpoint automatically once the memtable's estimated size —
     /// table + key + value + 8 bytes per version — reaches this many
-    /// bytes.
+    /// bytes. A batch whose own ops reach it, counted the same way, is
+    /// committed as that checkpoint: merged with the memtable into one
+    /// level-1 run, without passing through the WAL or the memtable
+    /// ([`Engine::apply_batch`]).
     pub checkpoint_bytes: usize,
     /// Metrics registry to record into. `None` (the default) gives the
     /// engine a private registry, so per-instance counters stay exact; the
@@ -420,6 +431,28 @@ fn apply_committed(records: Vec<WalRecord>, memtable: &mut Memtable) -> (u64, u6
     (ops, max_txid)
 }
 
+/// `ops` in `(table, key)` order, each key once with its last op: the
+/// versions a memtable keeps of a batch, which overwrites a key it
+/// writes twice at the batch's one LSN.
+fn last_op_per_key(ops: Vec<BatchOp>) -> Vec<BatchOp> {
+    fn key(op: &BatchOp) -> (&str, &[u8]) {
+        let (table, key, _) = op.parts();
+        (table, key)
+    }
+    // An unstable sort with each op's position breaking ties orders
+    // like a stable one, and faster.
+    let mut ops: Vec<(usize, BatchOp)> = ops.into_iter().enumerate().collect();
+    ops.sort_unstable_by(|(i, a), (j, b)| (key(a), i).cmp(&(key(b), j)));
+    let mut last: Vec<BatchOp> = Vec::with_capacity(ops.len());
+    for (_, op) in ops {
+        match last.last_mut() {
+            Some(prev) if key(prev) == key(&op) => *prev = op,
+            _ => last.push(op),
+        }
+    }
+    last
+}
+
 impl Core {
     fn view(&self) -> RunView {
         self.runs.read().expect("engine poisoned").clone()
@@ -453,67 +486,106 @@ impl Core {
     }
 
     fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> StorageResult<Option<Vec<u8>>> {
-        self.metrics.gets.inc();
-        // Walk layers newest → oldest, keeping the newest version at or
-        // below the read LSN found so far. A layer whose every version is
-        // at or below that one cannot hold a newer one and is skipped, so
-        // a read the memtable answers costs one comparison per run. The
-        // walk cannot stop at the first layer that answers: a bulk run
-        // ([`Core::ingest_run`]) commits at a fresh LSN straight into
-        // level 1, above versions still in the memtable, and after the
-        // next flush those older versions sit in a run consulted before
-        // it.
-        let mut best: Option<(Lsn, Option<Vec<u8>>)> = None;
-        let newer = |best: &Option<(Lsn, Option<Vec<u8>>)>, lsn: Lsn| {
-            best.as_ref().is_none_or(|(found, _)| lsn > *found)
-        };
-        // Memtable first.
-        {
-            let mem = self.mem.read().expect("engine poisoned");
-            if let Some((lsn, value)) = mem.get(table, key, max_lsn) {
-                best = Some((lsn, value.map(<[u8]>::to_vec)));
-            }
-        }
-        // Then the frozen memtable, if a flush is in flight. Data moves
-        // active → frozen → runs and we probe in that same order, so a
-        // version can never slip past us mid-flush.
-        let frozen = self.frozen.read().expect("engine poisoned").clone();
-        if let Some(frozen) = frozen.filter(|f| f.max_lsn().is_some_and(|l| newer(&best, l))) {
-            if let Some((lsn, value)) = frozen.get(table, key, max_lsn) {
-                if newer(&best, lsn) {
+        let mut found = None;
+        self.get_each(table, &[key], max_lsn, |value| found = value)?;
+        Ok(found)
+    }
+
+    /// Point reads of `keys` of `table` at `max_lsn`, handing `f` each
+    /// key's value (`None` when absent), in the order of `keys`. The one
+    /// point-read path: [`Core::get`] is its one-key case.
+    ///
+    /// Each key samples the memtable, the frozen memtable and the run
+    /// view afresh, as a lone read would, because a flush may move data
+    /// between layers during the pass. Each run's lookups share one
+    /// cursor block, kept by run id: a key that lies in the block the
+    /// run's last lookup verified walks those bytes again instead of
+    /// reading them, so keys given in ascending order read and check
+    /// each block once. A lone key keeps no block.
+    fn get_each<K: AsRef<[u8]>>(
+        &self,
+        table: &str,
+        keys: &[K],
+        max_lsn: Lsn,
+        mut f: impl FnMut(Option<Vec<u8>>),
+    ) -> StorageResult<()> {
+        let mut blocks: Vec<(u64, Block)> = Vec::new();
+        for key in keys {
+            let key = key.as_ref();
+            self.metrics.gets.inc();
+            // Walk layers newest → oldest, keeping the newest version at
+            // or below the read LSN found so far. A layer whose every
+            // version is at or below that one cannot hold a newer one and
+            // is skipped, so a read the memtable answers costs one
+            // comparison per run. The walk cannot stop at the first layer
+            // that answers: a flush that commits a batch merges it into
+            // the memtable's run, but a crash before `wal.frozen` is
+            // deleted replays that segment into a run that precedes it
+            // and holds older versions of the batch's keys (and a bulk
+            // run an older build wrote may sit above versions still in
+            // the WAL).
+            let mut best: Option<(Lsn, Option<Vec<u8>>)> = None;
+            let newer = |best: &Option<(Lsn, Option<Vec<u8>>)>, lsn: Lsn| {
+                best.as_ref().is_none_or(|(found, _)| lsn > *found)
+            };
+            // Memtable first.
+            {
+                let mem = self.mem.read().expect("engine poisoned");
+                if let Some((lsn, value)) = mem.get(table, key, max_lsn) {
                     best = Some((lsn, value.map(<[u8]>::to_vec)));
                 }
             }
-        }
-        // Then runs in precedence order. Reading the view last is safe: a
-        // flush that races us only moves data from a memtable into a run
-        // we are about to consult.
-        for handle in self.view().iter() {
-            if !newer(&best, handle.run.max_lsn()) {
-                continue;
+            // Then the frozen memtable, if a flush is in flight. Data
+            // moves active → frozen → runs and we probe in that same
+            // order, so a version can never slip past us mid-flush.
+            let frozen = self.frozen.read().expect("engine poisoned").clone();
+            if let Some(frozen) = frozen.filter(|f| f.max_lsn().is_some_and(|l| newer(&best, l))) {
+                if let Some((lsn, value)) = frozen.get(table, key, max_lsn) {
+                    if newer(&best, lsn) {
+                        best = Some((lsn, value.map(<[u8]>::to_vec)));
+                    }
+                }
             }
-            let (lsn, value) = match handle.run.get(table, key, max_lsn)? {
-                RunLookup::BloomSkip => {
-                    self.metrics.bloom_misses.inc();
+            // Then runs in precedence order. Reading the view last is
+            // safe: a flush that races us only moves data from a memtable
+            // into a run we are about to consult.
+            for handle in self.view().iter() {
+                if !newer(&best, handle.run.max_lsn()) {
                     continue;
                 }
-                RunLookup::Absent => {
-                    self.metrics.bloom_hits.inc();
-                    continue;
+                let mut fresh = Block::default();
+                let block = match blocks.iter_mut().find(|(id, _)| *id == handle.id) {
+                    Some((_, kept)) => kept,
+                    None => &mut fresh,
+                };
+                let lookup = handle.run.get_from(block, table, key, max_lsn)?;
+                if keys.len() > 1 && fresh.is_held() {
+                    blocks.push((handle.id, fresh));
                 }
-                RunLookup::Tombstone(lsn) => (lsn, None),
-                RunLookup::Value(lsn, v) => (lsn, Some(v)),
-            };
-            self.metrics.bloom_hits.inc();
-            if newer(&best, lsn) {
-                best = Some((lsn, value));
+                let (lsn, value) = match lookup {
+                    RunLookup::BloomSkip => {
+                        self.metrics.bloom_misses.inc();
+                        continue;
+                    }
+                    RunLookup::Absent => {
+                        self.metrics.bloom_hits.inc();
+                        continue;
+                    }
+                    RunLookup::Tombstone(lsn) => (lsn, None),
+                    RunLookup::Value(lsn, v) => (lsn, Some(v)),
+                };
+                self.metrics.bloom_hits.inc();
+                if newer(&best, lsn) {
+                    best = Some((lsn, value));
+                }
             }
+            let value = best.and_then(|(_, value)| value);
+            if let Some(v) = &value {
+                self.metrics.value_bytes_read.add(v.len() as u64);
+            }
+            f(value);
         }
-        let value = best.and_then(|(_, value)| value);
-        if let Some(v) = &value {
-            self.metrics.value_bytes_read.add(v.len() as u64);
-        }
-        Ok(value)
+        Ok(())
     }
 
     /// Visit each live row of `range` — of every table when `None` — at
@@ -642,11 +714,32 @@ impl Core {
     /// not part of the write: once published the commit returns `Ok`, a
     /// failed checkpoint goes to the trace ring, and the next commit
     /// over the threshold retries it.
+    ///
+    /// A batch whose own bytes, counted the memtable's way, reach
+    /// `checkpoint_bytes` would trigger a checkpoint by itself; it is
+    /// committed as that flush instead ([`Core::commit_run`]), and never
+    /// enters the WAL or the memtable.
     fn apply_batch(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
         if ops.is_empty() {
             return Ok(self.committed_lsn.load(Ordering::SeqCst));
         }
         let started = Instant::now();
+        let bytes: usize = ops
+            .iter()
+            .map(|op| memtable::version_bytes(op.parts()))
+            .sum();
+        if bytes >= self.options.checkpoint_bytes {
+            let deletes = ops.iter().filter(|op| op.parts().2.is_none()).count() as u64;
+            let puts = ops.len() as u64 - deletes;
+            let lsn = self.commit_run(ops)?;
+            self.metrics.puts.add(puts);
+            self.metrics.deletes.add(deletes);
+            self.metrics.checkpoints.inc();
+            self.metrics
+                .checkpoint_seconds
+                .observe_duration(started.elapsed());
+            return Ok(lsn);
+        }
         let needs_checkpoint;
         let lsn;
         {
@@ -694,64 +787,130 @@ impl Core {
         Ok(lsn)
     }
 
-    /// Build a level-1 run directly from presorted rows, bypassing the
-    /// WAL and memtable entirely — the bulk-ingest fast path.
-    ///
-    /// `rows` must be strictly ascending by `(table, key)`; the whole
-    /// batch is stamped with ONE fresh LSN, so it becomes visible
-    /// atomically and `as_of` time travel treats it as a single commit.
-    ///
-    /// The WAL lock is held for the duration of the build: LSN order and
-    /// visibility order must agree, so no commit may be assigned a newer
-    /// LSN and publish before this run does. Readers are unaffected
-    /// (they never take the WAL lock); concurrent writers queue behind
-    /// the build, which is the documented trade of the bulk path.
-    ///
-    /// Crash safety is [`Core::install_run`]'s: all-or-nothing per batch.
+    /// Bulk-ingest presorted rows: [`Core::commit_run`] with puts only.
+    /// `rows` must be strictly ascending by `(table, key)`.
     fn ingest_run(&self, rows: Vec<(String, Vec<u8>, Vec<u8>)>) -> StorageResult<Lsn> {
+        if let Some(pair) = rows
+            .windows(2)
+            .find(|pair| (&pair[0].0, &pair[0].1) >= (&pair[1].0, &pair[1].1))
+        {
+            return Err(StorageError::Decode(format!(
+                "bulk ingest input not strictly sorted by (table, key): {:?}/{:?} \
+                 precedes {:?}/{:?}",
+                pair[0].0,
+                String::from_utf8_lossy(&pair[0].1),
+                pair[1].0,
+                String::from_utf8_lossy(&pair[1].1),
+            )));
+        }
         if rows.is_empty() {
             return Ok(self.committed_lsn.load(Ordering::SeqCst));
         }
-        for pair in rows.windows(2) {
-            let a = (&pair[0].0, &pair[0].1);
-            let b = (&pair[1].0, &pair[1].1);
-            if a >= b {
-                return Err(StorageError::Decode(format!(
-                    "bulk ingest input not strictly sorted by (table, key): {:?}/{:?} \
-                     precedes {:?}/{:?}",
-                    a.0,
-                    String::from_utf8_lossy(a.1),
-                    b.0,
-                    String::from_utf8_lossy(b.1),
-                )));
-            }
-        }
-        let started = Instant::now();
         let n = rows.len() as u64;
-        let wal = self.wal.lock().expect("engine poisoned");
+        let ops = rows
+            .into_iter()
+            .map(|(table, key, value)| BatchOp::Put { table, key, value })
+            .collect();
+        let lsn = self.commit_run(ops)?;
+        self.metrics.puts.add(n);
+        self.metrics.ingest_records.add(n);
+        self.metrics.bulk_batches.inc();
+        Ok(lsn)
+    }
+
+    /// Commit `ops` as the flush they trigger: the memtable and the
+    /// batch, merged straight into one level-1 run, all under ONE fresh
+    /// LSN. The batch never enters the WAL or the memtable. The path of
+    /// every batch that alone reaches `checkpoint_bytes`, and of every
+    /// bulk load.
+    ///
+    /// 1. Take `flush_lock`, and retry a parked frozen memtable first,
+    ///    as [`Core::checkpoint`] does.
+    /// 2. Take the WAL lock, check that the WAL is writable, and draw
+    ///    the LSN. The lock is held to the publish: LSN order and
+    ///    visibility order must agree. Readers never take it; writers
+    ///    queue behind the run write.
+    /// 3. Rotate the WAL and freeze the memtable, if it holds anything.
+    /// 4. Sort the batch; the last op of a key wins, as a same-LSN
+    ///    overwrite in the memtable does.
+    /// 5. Stream the frozen memtable merged with the batch through
+    ///    [`Core::install_run`] into one level-1 run; on equal keys the
+    ///    batch's version comes first, its LSN being the higher.
+    /// 6. Publish the LSN, still under the WAL lock. Then retire the
+    ///    frozen memtable and delete `wal.frozen`.
+    ///
+    /// The memtable is merged in, not left beside the run, so that a
+    /// level-1 run keeps holding everything older than the memtable: a
+    /// run whose tombstone is newer than a memtable version of its key
+    /// would be folded away at the bottom level by compaction, and the
+    /// memtable's older version would read again. The merge also makes
+    /// the commit durable together with every commit before it, synced
+    /// or not, and writes exactly the run the checkpoint the batch
+    /// would have triggered writes.
+    ///
+    /// If the run install fails, the batch is not committed and nothing
+    /// is poisoned, since nothing reached the WAL; a frozen memtable
+    /// stays parked, as after a failed flush, for the next checkpoint.
+    fn commit_run(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
+        let started = Instant::now();
+        let _flush = self.flush_lock.lock().expect("engine poisoned");
+        if self.frozen.read().expect("engine poisoned").is_some() {
+            self.flush_frozen()?;
+        }
+        let mut wal = self.wal.lock().expect("engine poisoned");
         wal.writable()?;
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
-        let mut versions = rows.iter().map(|(table, key, value)| {
-            (table.as_str(), key.as_slice(), lsn, Some(value.as_slice()))
+        let frozen = {
+            let mut mem = self.mem.write().expect("engine poisoned");
+            if mem.is_empty() {
+                None
+            } else {
+                wal.rotate_to(&self.dir.join(WAL_FROZEN_FILE))?;
+                let frozen = Arc::new(std::mem::take(&mut *mem));
+                *self.frozen.write().expect("engine poisoned") = Some(frozen.clone());
+                self.metrics.memtable_bytes.set(0);
+                Some(frozen)
+            }
+        };
+        // Sized as the memtable the batch would have joined counts it:
+        // every op, repeated keys included.
+        let expected = frozen.as_ref().map_or(0, |f| f.len()) + ops.len();
+        let ops = last_op_per_key(ops);
+        let batch = ops.iter().map(|op| {
+            let (table, key, value) = op.parts();
+            (table.as_bytes(), key, lsn, value)
         });
-        let (id, summary) = self.install_run(1, n, &mut versions, &[])?;
+        let mut layers = vec![Layer::mem(batch)];
+        if let Some(frozen) = frozen.as_deref() {
+            layers.push(Layer::mem(
+                frozen
+                    .iter()
+                    .map(|(t, k, lsn, v)| (t.as_bytes(), k, lsn, v)),
+            ));
+        }
+        let (id, summary) =
+            self.install_run(1, expected as u64, &mut MergeCursor::new(layers), &[])?;
         // Publish while still holding the WAL lock: a snapshot pinned the
         // instant after this returns must see the whole batch.
         self.committed_lsn.store(lsn, Ordering::SeqCst);
         drop(wal);
+        if frozen.is_some() {
+            *self.frozen.write().expect("engine poisoned") = None;
+            let _ = std::fs::remove_file(self.dir.join(WAL_FROZEN_FILE));
+        }
         self.refresh_snapshot_gauges();
         self.metrics.commits.inc();
-        self.metrics.puts.add(n);
-        self.metrics.ingest_records.add(n);
-        self.metrics.bulk_batches.inc();
         self.metrics
             .commit_seconds
             .observe_duration(started.elapsed());
         self.obs.trace(
             "storage",
             format!(
-                "bulk run {id}: {n} rows, {} bytes, lsn {lsn}",
-                summary.bytes
+                "flush {id} commits lsn {lsn}: {} ops over {} memtable entries, {} bytes, {} tombstones",
+                ops.len(),
+                frozen.as_ref().map_or(0, |f| f.len()),
+                summary.bytes,
+                summary.tombstones
             ),
         );
         self.schedule_compaction();
@@ -1302,26 +1461,39 @@ impl Engine {
 
     /// Apply a batch of operations atomically: either every operation is
     /// visible after a crash, or none is. Returns the batch's commit LSN
-    /// (the current head LSN for an empty batch). A checkpoint the batch
-    /// triggers is not part of the commit: its failure goes to the trace
-    /// ring, never to the caller of a batch that has landed. A failed WAL
-    /// write, flush or sync poisons the engine: this and every later
-    /// commit, bulk ingest and checkpoint fail
-    /// ([`StorageError::Poisoned`] after the first) until a reopen,
+    /// (the current head LSN for an empty batch).
+    ///
+    /// A batch below [`EngineOptions::checkpoint_bytes`] commits through
+    /// the WAL. A checkpoint it triggers is not part of the commit: its
+    /// failure goes to the trace ring, never to the caller of a batch
+    /// that has landed. A failed WAL write, flush or sync poisons the
+    /// engine: this and every later commit, bulk ingest and checkpoint
+    /// fail ([`StorageError::Poisoned`] after the first) until a reopen,
     /// while reads and compaction keep working.
+    ///
+    /// A batch that alone reaches the threshold is committed as the
+    /// flush it would trigger: the flush *is* the commit. The memtable
+    /// and the batch are merged into one synced level-1 run under one
+    /// LSN (the last op of a key wins), so the commit is durable with
+    /// every commit before it, and neither WAL nor memtable sees the
+    /// batch. If the run cannot be installed the call fails, nothing of
+    /// the batch is visible, nothing is poisoned, and the memtable it
+    /// froze stays parked for the next checkpoint.
     pub fn apply_batch(&self, ops: Vec<BatchOp>) -> StorageResult<Lsn> {
         self.core.apply_batch(ops)
     }
 
-    /// Bulk-ingest presorted rows straight into a level-1 run, bypassing
-    /// the WAL and memtable — one LSN for the whole batch, MANIFEST
-    /// committed, all-or-nothing after a crash. `rows` must be strictly
-    /// ascending by `(table, key)` and the keys must be fresh: a bulk
-    /// row shadows an existing version correctly, but nothing retracts
-    /// derived rows (e.g. index entries) the old version left behind —
-    /// use sessions for updates. Returns the batch's commit LSN (the
-    /// head LSN for an empty batch); like a checkpoint after a commit, a
-    /// compaction the run triggers reports failure to the trace ring.
+    /// Bulk-ingest presorted rows: the puts-only case of a batch
+    /// committed as a flush ([`apply_batch`](Self::apply_batch)), at any
+    /// size. The rows and the memtable are merged into one level-1 run
+    /// under one LSN, bypassing the WAL — MANIFEST committed,
+    /// all-or-nothing after a crash. `rows` must be strictly ascending
+    /// by `(table, key)` and the keys must be fresh: a bulk row shadows
+    /// an existing version correctly, but nothing retracts derived rows
+    /// (e.g. index entries) the old version left behind — use sessions
+    /// for updates. Returns the batch's commit LSN (the head LSN for an
+    /// empty batch); like a checkpoint after a commit, a compaction the
+    /// run triggers reports failure to the trace ring.
     pub fn ingest_run(&self, rows: Vec<(String, Vec<u8>, Vec<u8>)>) -> StorageResult<Lsn> {
         self.core.ingest_run(rows)
     }
@@ -1467,6 +1639,22 @@ impl Snapshot {
     /// most one data block per run thanks to bloom filter + block index.
     pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         self.core.get(table, key, self.lsn)
+    }
+
+    /// Point reads of many keys of `table` in one pass: each key's value
+    /// (`None` when absent), in the order of `keys`, exactly as
+    /// [`get`](Self::get) would read them one by one. Keys may come in
+    /// any order, repeated or absent; in ascending order, keys that share
+    /// a run's data block read and check it once.
+    pub fn get_many<K: AsRef<[u8]>>(
+        &self,
+        table: &str,
+        keys: &[K],
+    ) -> StorageResult<Vec<Option<Vec<u8>>>> {
+        let mut values = Vec::with_capacity(keys.len());
+        self.core
+            .get_each(table, keys, self.lsn, |value| values.push(value))?;
+        Ok(values)
     }
 
     /// Range scan over `table`: keys in `[start, end)`, `end = None`
@@ -2349,6 +2537,83 @@ mod tests {
         );
         // And fresh ids never collide with the deleted orphan's.
         assert!(e.core.next_run_id.load(Ordering::SeqCst) > 999);
+    }
+
+    /// One step of the `get_many` property: a put of a value of the
+    /// given length, a delete, a flush, or a snapshot pinned.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Put(u8, usize),
+        Delete(u8),
+        Flush,
+        Pin,
+    }
+
+    fn step_strategy() -> impl proptest::prelude::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => (0u8..12, 0usize..300).prop_map(|(k, len)| Step::Put(k, len)),
+            // Key 0 gathers a version chain long enough to spill across
+            // data blocks.
+            3 => (200usize..600).prop_map(|len| Step::Put(0, len)),
+            2 => (0u8..12).prop_map(Step::Delete),
+            1 => Just(Step::Flush),
+            1 => Just(Step::Pin),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `get_many` reads what `get` reads, key by key: keys unsorted,
+        /// repeated and absent, versions spread over the memtable, a
+        /// parked frozen memtable and runs, chains spilling across
+        /// blocks, tombstones, and snapshots pinned at older LSNs.
+        #[test]
+        fn get_many_reads_what_get_reads(
+            before in proptest::collection::vec(step_strategy(), 1..80),
+            after in proptest::collection::vec(step_strategy(), 0..30),
+            keys in proptest::collection::vec(0u8..16, 0..40),
+        ) {
+            let dir = tmpdir("get-many");
+            let e = Engine::open(&dir, EngineOptions {
+                compaction: CompactionOptions { background: false, max_runs_per_level: 3 },
+                ..EngineOptions::default()
+            }).unwrap();
+            e.put("a", b"before", b"t").unwrap();
+            e.put("u", b"after", b"t").unwrap();
+            let mut pins = Vec::new();
+            let mut step = |e: &Engine, s: &Step, n: usize, flush: bool| match *s {
+                Step::Put(k, len) => e.put("t", &[k], &vec![n as u8; len]).unwrap(),
+                Step::Delete(k) => e.delete("t", &[k]).unwrap(),
+                Step::Flush if flush => {
+                    e.checkpoint().unwrap();
+                }
+                Step::Flush => {}
+                Step::Pin => pins.push(e.snapshot()),
+            };
+            for (n, s) in before.iter().enumerate() {
+                step(&e, s, n, true);
+            }
+            // A flush whose run cannot be written parks the memtable
+            // frozen, where reads keep finding it.
+            let blocker = run_tmp_path(&dir, e.core.next_run_id.load(Ordering::SeqCst));
+            std::fs::create_dir(&blocker).unwrap();
+            let parked = e.checkpoint().is_err();
+            std::fs::remove_dir(&blocker).unwrap();
+            for (n, s) in after.iter().enumerate() {
+                step(&e, s, before.len() + n, false);
+            }
+            proptest::prop_assert_eq!(parked, e.core.frozen.read().unwrap().is_some());
+            let keys: Vec<Vec<u8>> = keys.into_iter().map(|k| vec![k]).collect();
+            for reader in pins.iter().chain([e.head()]) {
+                let one_by_one: Vec<_> = keys.iter().map(|k| reader.get("t", k).unwrap()).collect();
+                proptest::prop_assert_eq!(reader.get_many("t", &keys).unwrap(), one_by_one);
+            }
+            drop(pins);
+            drop(e);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// Every file in `dir`, by name, with its bytes.

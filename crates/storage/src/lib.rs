@@ -28,11 +28,13 @@
 //! * [`table::TableStore`] layers named tables and secondary indexes on
 //!   top of the flat key space;
 //! * the engine has exactly two write paths: the WAL commit
-//!   ([`engine::Engine::apply_batch`], synced before it returns) and, for
-//!   archive-scale bulk loads, presorted input written straight into a
-//!   sorted run ([`engine::Engine::ingest_run`]), bypassing the WAL and
-//!   memtable; flushes, bulk runs and compactions all install their
-//!   output through one crash-ordered routine;
+//!   ([`engine::Engine::apply_batch`], synced before it returns) and,
+//!   for a batch that alone reaches the checkpoint threshold or a bulk
+//!   load ([`engine::Engine::ingest_run`]), the flush that batch would
+//!   trigger, which merges it with the memtable straight into one sorted
+//!   run, bypassing the WAL and memtable; flushes, run commits and
+//!   compactions all install their output through one crash-ordered
+//!   routine;
 //! * [`view::ViewDriver`] keeps journal-derived views (search, provenance
 //!   index, reassessment) current from a durable cursor;
 //! * [`rows`] is the one codec of every layer's stored typed rows.

@@ -11,9 +11,11 @@
 //! compaction, below the oldest pinned snapshot. A point read seeks
 //! straight to its pin; a range scan steps over each key's other
 //! versions one by one, a walk the flush threshold bounds, since a flush
-//! moves every version into a run.
+//! moves every version into a run. Both probe the map with borrowed
+//! keys (`Probe`), so a read allocates nothing to find its place.
 
-use std::cmp::Reverse;
+use std::borrow::Borrow;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -24,6 +26,60 @@ use crate::wal::BatchOp;
 /// Composite key: table name + user key, ordered by table first.
 pub type NsKey = (String, Vec<u8>);
 
+/// A version's place in the map: its key, then its LSN newest first.
+type VersionKey = (NsKey, Reverse<Lsn>);
+
+/// A version key seen through borrowed parts, so the map can be probed
+/// with `(&str, &[u8], Reverse<Lsn>)` and no owned key is built. Its
+/// order is [`VersionKey`]'s: table, key, then LSN descending.
+trait Probe {
+    fn parts(&self) -> (&str, &[u8], Reverse<Lsn>);
+}
+
+impl Probe for VersionKey {
+    fn parts(&self) -> (&str, &[u8], Reverse<Lsn>) {
+        (&self.0 .0, &self.0 .1, self.1)
+    }
+}
+
+impl Probe for (&str, &[u8], Reverse<Lsn>) {
+    fn parts(&self) -> (&str, &[u8], Reverse<Lsn>) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Probe + 'a> for VersionKey {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn Probe + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn Probe + '_ {}
+
+impl PartialOrd for dyn Probe + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Probe + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+
+/// A version's share of a memtable's size estimate, the unit
+/// `checkpoint_bytes` counts: table + key + value + 8 bytes.
+pub(crate) fn version_bytes((table, key, value): (&str, &[u8], Option<&[u8]>)) -> usize {
+    table.len() + key.len() + value.map_or(0, <[u8]>::len) + 8
+}
+
 /// A borrowed version, as a flush streams it: `(table, key, lsn,
 /// value)`, where a `None` value is a point tombstone.
 pub type VersionRef<'a> = (&'a str, &'a [u8], Lsn, Option<&'a [u8]>);
@@ -31,7 +87,7 @@ pub type VersionRef<'a> = (&'a str, &'a [u8], Lsn, Option<&'a [u8]>);
 /// The mutable, ordered, multi-version write buffer of the engine.
 #[derive(Debug, Default, Clone)]
 pub struct Memtable {
-    entries: BTreeMap<(NsKey, Reverse<Lsn>), Option<Vec<u8>>>,
+    entries: BTreeMap<VersionKey, Option<Vec<u8>>>,
     /// Point writes applied, including a batch's repeated write of one
     /// key that the map keeps once. The flush sizes its run's bloom
     /// filter from this count, so run bytes depend on it.
@@ -65,7 +121,7 @@ impl Memtable {
     }
 
     fn insert(&mut self, table: String, key: Vec<u8>, value: Option<Vec<u8>>, lsn: Lsn) {
-        self.approx_bytes += table.len() + key.len() + value.as_ref().map_or(0, Vec::len) + 8;
+        self.approx_bytes += version_bytes((&table, &key, value.as_deref()));
         self.versions += 1;
         self.max_lsn = self.max_lsn.max(Some(lsn));
         self.entries.insert(((table, key), Reverse(lsn)), value);
@@ -82,9 +138,9 @@ impl Memtable {
     /// Newest version of a key at or below `max_lsn`. `None` means "no
     /// version visible here"; `Some((lsn, None))` is a tombstone.
     pub fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> Option<(Lsn, Option<&[u8]>)> {
-        let nskey = (table.to_string(), key.to_vec());
+        let probe = (table, key, Reverse(max_lsn));
         self.entries
-            .range((nskey, Reverse(max_lsn))..)
+            .range::<dyn Probe, _>((Bound::Included(&probe as &dyn Probe), Bound::Unbounded))
             .next()
             .filter(|(((t, k), _), _)| t == table && k == key)
             .map(|((_, Reverse(lsn)), v)| (*lsn, v.as_deref()))
@@ -95,9 +151,9 @@ impl Memtable {
     /// unbounded). Tombstones are included.
     pub fn range<'a>(
         &'a self,
-        table: &str,
-        start: &[u8],
-        end: Option<&[u8]>,
+        table: &'a str,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
         max_lsn: Lsn,
     ) -> impl Iterator<Item = (&'a [u8], Lsn, Option<&'a [u8]>)> + 'a {
         let mut last: Option<&'a [u8]> = None;
@@ -115,31 +171,35 @@ impl Memtable {
 
     /// Every version in `span` — of every table when `None` — borrowed
     /// and ordered `(key asc, lsn desc)`, as a read merges them.
-    pub(crate) fn versions(&self, span: Option<Span<'_>>) -> impl Iterator<Item = VersionRef<'_>> {
+    pub(crate) fn versions<'a>(
+        &'a self,
+        span: Option<Span<'a>>,
+    ) -> impl Iterator<Item = VersionRef<'a>> + 'a {
         // `Reverse(Lsn::MAX)` sorts first among a key's versions and
         // `Reverse(0)` last.
-        let at = |table: &str, key: &[u8], lsn| ((table.to_string(), key.to_vec()), Reverse(lsn));
-        let (lo, hi, table) = match span {
-            None => (Bound::Unbounded, Bound::Unbounded, None),
-            // An empty span is an empty range, not a panic (BTreeMap::range
-            // panics on start > end).
-            Some(s) if s.is_empty() => {
-                let lo = at(s.table, s.start, Lsn::MAX);
-                (Bound::Included(lo.clone()), Bound::Excluded(lo), None)
-            }
+        let range = match span {
+            None => Some(self.entries.range::<dyn Probe, _>(..)),
+            // An empty span is an empty range, not a panic
+            // (BTreeMap::range panics on start > end).
+            Some(s) if s.is_empty() => None,
             Some(s) => {
+                let lo = (s.table, s.start, Reverse(Lsn::MAX));
                 let hi = match s.end {
-                    Bound::Included(e) => Bound::Included(at(s.table, e, 0)),
-                    Bound::Excluded(e) => Bound::Excluded(at(s.table, e, Lsn::MAX)),
+                    Bound::Included(e) => Bound::Included((s.table, e, Reverse(0))),
+                    Bound::Excluded(e) => Bound::Excluded((s.table, e, Reverse(Lsn::MAX))),
                     Bound::Unbounded => Bound::Unbounded,
                 };
-                let lo = Bound::Included(at(s.table, s.start, Lsn::MAX));
-                (lo, hi, Some(s.table.to_string()))
+                Some(self.entries.range::<dyn Probe, _>((
+                    Bound::Included(&lo as &dyn Probe),
+                    hi.as_ref().map(|h| h as &dyn Probe),
+                )))
             }
         };
-        self.entries
-            .range((lo, hi))
-            .take_while(move |(((t, _), _), _)| table.as_ref().is_none_or(|table| t == table))
+        let table = span.map(|s| s.table);
+        range
+            .into_iter()
+            .flatten()
+            .take_while(move |(((t, _), _), _)| table.is_none_or(|table| t == table))
             .map(|(((t, k), Reverse(lsn)), v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
     }
 

@@ -37,7 +37,10 @@
 //! the block the index names for a span's first key and never reads a
 //! block whose first key lies past the span's end. Point lookups consult
 //! the bloom filter first and walk one key's versions, usually within
-//! one block (more only when the versions spill across blocks). Scans,
+//! one block (more only when the versions spill across blocks); a lookup
+//! can start out holding the block an earlier one verified, and walks
+//! those bytes again when its key lies there instead of reading them, so
+//! keys looked up in ascending order read each block once. Scans,
 //! counts and compactions walk the run as one layer of the
 //! `MergeCursor` (`cursor.rs`), which merges the layers
 //! of a view by `(key asc, lsn desc)`, so a key's highest LSN wins
@@ -616,9 +619,12 @@ impl Run {
         self.bytes
     }
 
-    /// Read one data block into `buf`, which the caller reuses from block
-    /// to block, and verify its CRC. `buf` is left empty on failure.
-    fn read_block(&self, meta: &BlockMeta, buf: &mut Vec<u8>) -> StorageResult<()> {
+    /// Read data block `index` into `block`, which the caller reuses from
+    /// block to block, and verify its CRC. `block` is left empty on
+    /// failure.
+    fn read_block(&self, index: usize, block: &mut Block) -> StorageResult<()> {
+        let meta = &self.index[index];
+        let buf = &mut block.bytes;
         buf.clear();
         buf.resize(meta.len as usize, 0);
         let read = match read_exact_at(&self.file, buf, meta.offset) {
@@ -629,6 +635,7 @@ impl Run {
             )),
             Ok(()) => Ok(()),
         };
+        block.index = read.is_ok().then_some(index);
         if read.is_err() {
             buf.clear();
         }
@@ -658,17 +665,29 @@ impl Run {
 
     /// A cursor over the versions of `span` — every version when `None`.
     pub(crate) fn cursor<'a>(&'a self, span: Option<Span<'a>>) -> RunCursor<'a> {
-        let next_block = match span {
+        self.cursor_from(span, Block::default())
+    }
+
+    /// A cursor over `span` that starts out holding `block`: when the
+    /// span's first key lies in that block, the cursor walks its verified
+    /// bytes again instead of reading them; otherwise it reads the block
+    /// [`block_for`](Self::block_for) names.
+    fn cursor_from<'a>(&'a self, span: Option<Span<'a>>, block: Block) -> RunCursor<'a> {
+        let first = match span {
             None => 0,
             Some(s) if s.is_empty() => self.index.len(),
             Some(s) => self.block_for(s.table, s.start).unwrap_or(0),
+        };
+        let (next_block, pos) = match block.index {
+            Some(held) if held == first => (first + 1, 0),
+            _ => (first, block.bytes.len()),
         };
         RunCursor {
             run: self,
             span,
             next_block,
-            block: Vec::new(),
-            pos: 0,
+            block,
+            pos,
             current: None,
         }
     }
@@ -677,22 +696,55 @@ impl Run {
     /// check, index binary search, one block read (more only when the
     /// key's versions spill across block boundaries).
     pub fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> StorageResult<RunLookup> {
+        self.get_from(&mut Block::default(), table, key, max_lsn)
+    }
+
+    /// [`get`](Self::get) by a cursor that starts out holding `block`,
+    /// the block an earlier lookup in this run left verified, and leaves
+    /// there the block it ends on: keys read in ascending order that
+    /// share a block read and check it once.
+    pub(crate) fn get_from(
+        &self,
+        block: &mut Block,
+        table: &str,
+        key: &[u8],
+        max_lsn: Lsn,
+    ) -> StorageResult<RunLookup> {
         if !self.bloom.may_contain(table.as_bytes(), key) {
             return Ok(RunLookup::BloomSkip);
         }
-        let mut cursor = self.cursor(Some(Span::key(table, key)));
-        loop {
+        let mut cursor = self.cursor_from(Some(Span::key(table, key)), std::mem::take(block));
+        let found = loop {
             cursor.advance()?;
             let Some((_, _, lsn, value)) = cursor.current() else {
-                return Ok(RunLookup::Absent);
+                break RunLookup::Absent;
             };
             if lsn <= max_lsn {
-                return Ok(match value {
+                break match value {
                     Some(v) => RunLookup::Value(lsn, v.to_vec()),
                     None => RunLookup::Tombstone(lsn),
-                });
+                };
             }
-        }
+        };
+        *block = cursor.block;
+        Ok(found)
+    }
+}
+
+/// The data block a [`RunCursor`] holds: the CRC-verified bytes of one
+/// block of its run, which it decodes in place and reuses for the next.
+#[derive(Debug, Default)]
+pub(crate) struct Block {
+    /// Which block of the run `bytes` holds; `None` before the first
+    /// read and after a failed one.
+    index: Option<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Block {
+    /// Whether the block holds verified bytes a later lookup could reuse.
+    pub(crate) fn is_held(&self) -> bool {
+        self.index.is_some()
     }
 }
 
@@ -705,7 +757,7 @@ pub(crate) struct RunCursor<'a> {
     run: &'a Run,
     span: Option<Span<'a>>,
     next_block: usize,
-    block: Vec<u8>,
+    block: Block,
     /// Where the entry after the current one starts in `block`.
     pos: usize,
     current: Option<Entry>,
@@ -717,7 +769,8 @@ impl RunCursor<'_> {
     pub(crate) fn advance(&mut self) -> StorageResult<()> {
         self.current = None;
         loop {
-            if self.pos == self.block.len() {
+            let bytes = &self.block.bytes;
+            if self.pos == bytes.len() {
                 let Some(meta) = self.run.index.get(self.next_block) else {
                     return Ok(());
                 };
@@ -726,24 +779,21 @@ impl RunCursor<'_> {
                     self.next_block = self.run.index.len();
                     return Ok(());
                 }
-                self.run.read_block(meta, &mut self.block)?;
+                self.run.read_block(self.next_block, &mut self.block)?;
                 self.pos = 0;
                 self.next_block += 1;
                 continue;
             }
-            let (entry, next) = decode_entry(&self.block, self.pos)?;
+            let (entry, next) = decode_entry(bytes, self.pos)?;
             self.pos = next;
             if let Some(span) = self.span {
-                let (table, key) = (
-                    &self.block[entry.table.clone()],
-                    &self.block[entry.key.clone()],
-                );
+                let (table, key) = (&bytes[entry.table.clone()], &bytes[entry.key.clone()]);
                 if span.is_before(table, key) {
                     continue;
                 }
                 if span.is_past(table, key) {
                     self.next_block = self.run.index.len();
-                    self.pos = self.block.len();
+                    self.pos = bytes.len();
                     return Ok(());
                 }
             }
@@ -756,11 +806,12 @@ impl RunCursor<'_> {
     /// the block buffer.
     pub(crate) fn current(&self) -> Option<RawVersion<'_>> {
         let entry = self.current.as_ref()?;
+        let bytes = &self.block.bytes;
         Some((
-            &self.block[entry.table.clone()],
-            &self.block[entry.key.clone()],
+            &bytes[entry.table.clone()],
+            &bytes[entry.key.clone()],
             entry.lsn,
-            entry.value.clone().map(|v| &self.block[v]),
+            entry.value.clone().map(|v| &bytes[v]),
         ))
     }
 }

@@ -13,7 +13,7 @@
 //! [`WriteSession`] returns a [`CommitReceipt`] carrying the sequence
 //! numbers assigned to this commit's events.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -447,9 +447,9 @@ impl TableStore {
 
     /// Bulk-load rows into `table` through the direct-run fast path:
     /// the rows, their index entries and their journal events are
-    /// written straight into one level-1 sorted run
-    /// ([`Engine::ingest_run`]), bypassing the WAL and memtable — one
-    /// LSN, one journal sequence range, all-or-nothing after a crash.
+    /// merged with the memtable straight into one level-1 sorted run
+    /// ([`Engine::ingest_run`]), bypassing the WAL — one LSN, one
+    /// journal sequence range, all-or-nothing after a crash.
     ///
     /// Rows are sorted and deduplicated here (last write per key wins,
     /// one journal event per key — the same batch semantics as a
@@ -598,6 +598,19 @@ impl TableSnapshot {
     pub fn get(&self, table: &str, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         check_name(table)?;
         self.snap.get(table, key)
+    }
+
+    /// Read many rows of a table in one pass: each key's row (`None`
+    /// when absent), in the order of `keys`. Keys may come in any order;
+    /// in ascending order, rows that share a data block read it once
+    /// ([`Snapshot::get_many`]).
+    pub fn get_many<K: AsRef<[u8]>>(
+        &self,
+        table: &str,
+        keys: &[K],
+    ) -> StorageResult<Vec<Option<Vec<u8>>>> {
+        check_name(table)?;
+        self.snap.get_many(table, keys)
     }
 
     /// All rows of a table in key order.
@@ -843,23 +856,33 @@ impl WriteSession<'_> {
                 .lock()
                 .expect("journal commit lock poisoned")
         });
-        let mut batch = Vec::with_capacity(staged.len() + events.len());
+        let indexed_defs = |table: &str| indexes.get(table).filter(|defs| !defs.is_empty());
         // Index keys of the image each key held before the op being
         // generated, per def, so repeated writes to one key within the
         // session produce correct index ops and every row image goes
-        // through each extractor once.
+        // through each extractor once. The stored images are read once
+        // per key, in key order, in one pass per table.
+        let mut stored: BTreeMap<&str, (&Vec<IndexDef>, BTreeSet<&[u8]>)> = BTreeMap::new();
+        for (table, key, _) in &staged {
+            if let Some(defs) = indexed_defs(table) {
+                let (_, keys) = stored.entry(table).or_insert((defs, BTreeSet::new()));
+                keys.insert(key);
+            }
+        }
         let mut current: HashMap<(String, Vec<u8>), Vec<IndexKeys>> = HashMap::new();
+        for (table, (defs, keys)) in stored {
+            let keys: Vec<&[u8]> = keys.into_iter().collect();
+            let images = store.engine.head().get_many(table, &keys)?;
+            for (key, old) in keys.into_iter().zip(images) {
+                let old_keys = defs.iter().map(|def| def.keys(old.as_deref())).collect();
+                current.insert((table.to_string(), key.to_vec()), old_keys);
+            }
+        }
+        let mut batch = Vec::with_capacity(staged.len() + events.len());
         for (table, key, new_value) in staged {
-            let defs = indexes.get(&table).filter(|d| !d.is_empty());
-            if let Some(defs) = defs {
+            if let Some(defs) = indexed_defs(&table) {
                 let slot = (table.clone(), key.clone());
-                let old_keys = match current.remove(&slot) {
-                    Some(keys) => keys,
-                    None => {
-                        let old = store.engine.head().get(&table, &key)?;
-                        defs.iter().map(|def| def.keys(old.as_deref())).collect()
-                    }
-                };
+                let old_keys = current.remove(&slot).expect("every indexed key was read");
                 let new_keys: Vec<_> = defs
                     .iter()
                     .map(|def| def.keys(new_value.as_deref()))
@@ -1540,18 +1563,23 @@ mod tests {
         assert_eq!(at2.read_journal(0, 100).unwrap().len(), 4);
     }
 
-    /// A write whose triggered checkpoint fails has still landed: it
-    /// returns `Ok` with its journal seqs, the failure goes to the trace
-    /// ring, and the next trigger retries the checkpoint.
+    /// A WAL commit whose triggered checkpoint fails has still landed:
+    /// it returns `Ok` with its journal seqs, the failure goes to the
+    /// trace ring, and the next trigger retries the checkpoint.
     #[test]
     fn failed_checkpoint_after_a_landed_write_keeps_its_journal_seqs() {
         let dir = store_dir("ckpt-fails");
+        // Each journaled one-row write stays below the threshold, so it
+        // commits through the WAL; the memtable filled beforehand makes
+        // it cross the threshold and trigger a checkpoint.
         let options = EngineOptions {
-            checkpoint_bytes: 1,
+            checkpoint_bytes: 256,
             ..EngineOptions::default()
         };
         let s = TableStore::new(Arc::new(Engine::open(&dir, options).unwrap())).unwrap();
         s.mark_journaled("t").unwrap();
+        s.put("fill", b"k", &[0u8; 150]).unwrap();
+        assert_eq!(s.engine().stats().checkpoints, 0);
         // A directory where the flush rotates the live WAL to makes every
         // checkpoint fail after its commit has landed.
         let blocker = dir.join("wal.frozen");

@@ -299,6 +299,9 @@ impl ViewDriver {
 
     /// Replace the view wholesale in one commit: wipe its tables, stage
     /// the new rows through `stage`, and move the cursor to `cursor`.
+    /// The run count carries over; a cursor row that does not decode is
+    /// replaced too, its count restarting at 0 (the fact is traced under
+    /// the view's name), since this is the path that repairs it.
     pub fn reset<E: From<StorageError>>(
         &self,
         cursor: u64,
@@ -312,7 +315,15 @@ impl ViewDriver {
                 session.delete(table, &key)?;
             }
         }
-        let runs = ViewState::load_at(&snap, self.spec.meta_table)?.runs;
+        let runs = match ViewState::load_at(&snap, self.spec.meta_table) {
+            Ok(state) => state.runs,
+            Err(e @ StorageError::Codec(_)) => {
+                let note = format!("replacing a damaged cursor row, runs restart at 0: {e}");
+                self.obs.trace(self.spec.name, note);
+                0
+            }
+            Err(e) => return Err(e.into()),
+        };
         drop(snap);
         stage(&mut session)?;
         rows::stage(
@@ -480,6 +491,36 @@ mod tests {
             drop(held);
             assert_eq!(noop, Ok(true), "a caught-up run waited for the lock");
         });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cursor row that does not decode fails a run, naming the row;
+    /// `rebuild` replaces it, restarting the run count, and traces that.
+    #[test]
+    fn rebuild_repairs_a_damaged_cursor_row() {
+        let (store, dir) = store("damaged");
+        store.put("src", b"a", b"1").unwrap();
+        store.put("echo_meta", STATE_KEY, b"{damaged").unwrap();
+        let driver = ViewDriver::new::<Echo>(store.clone(), Arc::new(Registry::new()));
+        let mut view = Echo {
+            store: store.clone(),
+            intrude: false,
+            seen: Vec::new(),
+        };
+        let err = driver.run(&mut view, None, None).unwrap_err();
+        assert!(err.to_string().contains("echo_meta/state"), "{err}");
+        let rebuilt = driver.rebuild(&mut view).unwrap();
+        assert_eq!(rebuilt.cursor_before, 0);
+        assert_eq!(driver.state().unwrap().runs, 1, "the count restarted");
+        assert!(driver.run(&mut view, None, None).unwrap().outcome.is_none());
+        assert_eq!(driver.lag().unwrap(), 0);
+        let traced = driver.metrics_registry().trace_events();
+        assert!(
+            traced
+                .iter()
+                .any(|e| e.category == "echo" && e.message.contains("damaged cursor row")),
+            "{traced:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

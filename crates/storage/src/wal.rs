@@ -51,6 +51,16 @@ pub enum BatchOp {
     },
 }
 
+impl BatchOp {
+    /// The op's table, key and value (`None` for a delete).
+    pub(crate) fn parts(&self) -> (&str, &[u8], Option<&[u8]>) {
+        match self {
+            BatchOp::Put { table, key, value } => (table, key, Some(value)),
+            BatchOp::Delete { table, key } => (table, key, None),
+        }
+    }
+}
+
 /// Logical records of the WAL: batch operations and the commit frames
 /// that make them visible.
 #[derive(Debug, Clone, PartialEq, Eq)]

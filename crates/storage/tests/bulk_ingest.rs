@@ -473,3 +473,255 @@ fn torn_wal_batch_recovers_to_a_batch_boundary() {
     assert!(boundaries_seen.contains(&batches));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ------------------------------------------- large batches commit as flushes
+
+/// Threshold of the large-batch tests: a batch whose bytes, counted the
+/// memtable's way, reach it is committed as the flush it triggers.
+const THRESHOLD: usize = 4096;
+
+fn large_batch_options() -> EngineOptions {
+    EngineOptions {
+        checkpoint_bytes: THRESHOLD,
+        ..foreground()
+    }
+}
+
+/// Bytes `ops` add to the memtable's estimate: table + key + value + 8
+/// per op.
+fn batch_bytes(ops: &[BatchOp]) -> usize {
+    ops.iter()
+        .map(|op| match op {
+            BatchOp::Put { table, key, value } => table.len() + key.len() + value.len() + 8,
+            BatchOp::Delete { table, key } => table.len() + key.len() + 8,
+        })
+        .sum()
+}
+
+/// Puts into table `f` that bring a batch to the threshold on their own.
+fn filler() -> Vec<BatchOp> {
+    (0..THRESHOLD / 64)
+        .map(|i| put("f", format!("fill-{i:04}").as_bytes(), &[b'x'; 64]))
+        .collect()
+}
+
+/// A large batch deleting a key whose older version sits in the
+/// memtable: were the batch written as a run of its own beside the
+/// memtable, a full compaction would fold its tombstone at the bottom
+/// level and the memtable's version would read again.
+#[test]
+fn a_large_batch_delete_never_resurrects_a_memtable_version() {
+    let dir = tmpdir("resurrect");
+    let expect_gone = |engine: &Engine, when: &str| {
+        assert_eq!(engine.head().get("t", b"k").unwrap(), None, "get {when}");
+        assert!(
+            engine.head().scan_all("t").unwrap().is_empty(),
+            "scan {when}"
+        );
+    };
+    {
+        let engine = Engine::open(&dir, large_batch_options()).unwrap();
+        engine.put("t", b"k", b"old").unwrap();
+        let mut batch = vec![BatchOp::Delete {
+            table: "t".to_string(),
+            key: b"k".to_vec(),
+        }];
+        batch.extend(filler());
+        engine.apply_batch(batch).unwrap();
+        expect_gone(&engine, "after the batch");
+        engine.compact().unwrap();
+        expect_gone(&engine, "after a full compaction");
+    }
+    let engine = Engine::open(&dir, large_batch_options()).unwrap();
+    expect_gone(&engine, "after a reopen");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With `fsync` off, commits before a bulk load or a large batch sit
+/// unsynced in `wal.log`; deleting the log stands in for a power cut
+/// that loses them. The run the later commit writes holds them too, so
+/// what survives is still a prefix of the commit order.
+#[test]
+fn no_run_outlives_an_earlier_commit() {
+    for large_session in [false, true] {
+        let dir = tmpdir(if large_session {
+            "prefix-session"
+        } else {
+            "prefix-bulk"
+        });
+        {
+            let s = TableStore::new(Arc::new(Engine::open(&dir, large_batch_options()).unwrap()))
+                .unwrap();
+            s.put("t", b"A", b"a").unwrap();
+            if large_session {
+                let mut session = s.session();
+                session.put("t", b"B", b"b").unwrap();
+                for op in filler() {
+                    if let BatchOp::Put { table, key, value } = op {
+                        session.put(&table, &key, &value).unwrap();
+                    }
+                }
+                session.commit().unwrap();
+            } else {
+                s.bulk_load("t", vec![(b"B".to_vec(), b"b".to_vec())])
+                    .unwrap();
+            }
+        }
+        std::fs::remove_file(dir.join("wal.log")).unwrap();
+        let engine = Engine::open(&dir, large_batch_options()).unwrap();
+        assert_eq!(
+            engine.head().scan_all("t").unwrap(),
+            vec![
+                (b"A".to_vec(), b"a".to_vec()),
+                (b"B".to_vec(), b"b".to_vec())
+            ],
+            "large session batch: {large_session}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Commits below the threshold: two versions of `k`, a delete of `gone`
+/// and a key the batch leaves alone.
+fn memtable_commits(engine: &Engine) {
+    engine.put("t", b"k", b"k1").unwrap();
+    engine.put("t", b"gone", b"g").unwrap();
+    engine.put("t", b"k", b"k2").unwrap();
+    engine.delete("t", b"gone").unwrap();
+    engine.put("t", b"kept", b"v").unwrap();
+}
+
+/// The large batch: a repeated key (the last op wins), a delete of a
+/// memtable key, a put over a memtable tombstone, and the filler.
+fn large_batch() -> Vec<BatchOp> {
+    let mut batch = vec![
+        put("t", b"k", b"first"),
+        put("t", b"gone", b"back"),
+        BatchOp::Delete {
+            table: "t".to_string(),
+            key: b"kept".to_vec(),
+        },
+        put("t", b"k", b"last"),
+    ];
+    batch.extend(filler());
+    batch
+}
+
+/// Every file in `dir` named `run-*.sst` or `MANIFEST`, with its bytes.
+fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".sst") || name == "MANIFEST")
+        .map(|name| (name.clone(), std::fs::read(dir.join(&name)).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// A large batch over a non-empty memtable is committed as the flush it
+/// triggers: it writes byte for byte the run a WAL commit followed by a
+/// checkpoint writes, reads back the same, and leaves no WAL frame.
+#[test]
+fn a_large_batch_commits_as_the_flush_it_triggers() {
+    let batch_size = batch_bytes(&large_batch());
+    assert!(batch_size >= THRESHOLD);
+    let flushed = tmpdir("as-flush");
+    let committed = tmpdir("via-wal");
+    let dumps: Vec<_> = [(&flushed, batch_size), (&committed, usize::MAX)]
+        .into_iter()
+        .map(|(dir, checkpoint_bytes)| {
+            let engine = Engine::open(
+                dir,
+                EngineOptions {
+                    checkpoint_bytes,
+                    ..foreground()
+                },
+            )
+            .unwrap();
+            memtable_commits(&engine);
+            assert_eq!(engine.stats().checkpoints, 0, "the memtable stays below");
+            engine.apply_batch(large_batch()).unwrap();
+            if checkpoint_bytes == usize::MAX {
+                assert!(engine.checkpoint().unwrap() > 0);
+            }
+            assert_eq!(engine.stats().checkpoints, 1);
+            engine.put("t", b"after", b"x").unwrap();
+            let dump = (
+                engine.head().scan_all("t").unwrap(),
+                engine.head().scan_all("f").unwrap().len(),
+            );
+            assert_eq!(
+                engine.head().get("t", b"k").unwrap().as_deref(),
+                Some(&b"last"[..])
+            );
+            dump
+        })
+        .collect();
+    assert_eq!(dumps[0], dumps[1], "same table dump");
+    assert_eq!(
+        dumps[0].0,
+        vec![
+            (b"after".to_vec(), b"x".to_vec()),
+            (b"gone".to_vec(), b"back".to_vec()),
+            (b"k".to_vec(), b"last".to_vec()),
+        ]
+    );
+    assert_eq!(
+        store_files(&flushed),
+        store_files(&committed),
+        "byte-identical runs and MANIFEST"
+    );
+    // Only the commit after the batch is in the WAL: the batch and the
+    // memtable it joined are in the run.
+    let replayed = preserva_storage::wal::replay(&flushed.join("wal.log")).unwrap();
+    assert_eq!(replayed.records.len(), 2, "{:?}", replayed.records);
+    let engine = Engine::open(&flushed, large_batch_options()).unwrap();
+    assert_eq!(engine.head().scan_all("t").unwrap(), dumps[0].0);
+    assert_eq!(engine.stats().recovered_records, 1, "the one later op");
+    std::fs::remove_dir_all(&flushed).ok();
+    std::fs::remove_dir_all(&committed).ok();
+}
+
+/// A large batch whose run install fails is not committed: the call
+/// fails, no journal seq is burned, nothing reads the batch, later
+/// writes still commit, and the memtable it froze stays parked for the
+/// next checkpoint.
+#[test]
+fn a_failed_large_batch_commits_nothing_and_parks_the_memtable() {
+    let dir = tmpdir("large-fails");
+    let s = TableStore::new(Arc::new(Engine::open(&dir, large_batch_options()).unwrap())).unwrap();
+    s.mark_journaled("t").unwrap();
+    s.put("t", b"k", b"old").unwrap();
+    assert_eq!(s.journal_head(), 1);
+    // The batch's run is the store's first: a directory at its temp
+    // path makes the install fail.
+    let blocker = dir.join(format!("run-{:016}.tmp", 1));
+    std::fs::create_dir(&blocker).unwrap();
+    let mut session = s.session();
+    session.put("t", b"k", b"new").unwrap();
+    for op in filler() {
+        if let BatchOp::Put { table, key, value } = op {
+            session.put(&table, &key, &value).unwrap();
+        }
+    }
+    assert!(session.commit().is_err());
+    assert_eq!(s.journal_head(), 1, "no journal seq burned");
+    assert_eq!(s.head().get("t", b"k").unwrap(), Some(b"old".to_vec()));
+    assert_eq!(s.head().count("f").unwrap(), 0, "nothing reads the batch");
+    assert_eq!(s.head().read_journal(0, 10).unwrap().len(), 1);
+    std::fs::remove_dir(&blocker).unwrap();
+    // Nothing was poisoned: a small write commits through the WAL.
+    s.put("t", b"later", b"x").unwrap();
+    assert_eq!(s.journal_head(), 2);
+    assert_eq!(s.engine().stats().checkpoints, 0);
+    assert!(s.engine().checkpoint().unwrap() > 0);
+    assert_eq!(s.engine().stats().checkpoints, 2, "parked, then active");
+    drop(s);
+    let s = store_at(&dir);
+    assert_eq!(s.journal_head(), 2);
+    assert_eq!(s.head().get("t", b"k").unwrap(), Some(b"old".to_vec()));
+    assert_eq!(s.head().get("t", b"later").unwrap(), Some(b"x".to_vec()));
+    std::fs::remove_dir_all(&dir).ok();
+}

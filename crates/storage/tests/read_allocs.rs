@@ -1,8 +1,11 @@
 //! Allocation budget of the read path: a read allocates per block and
 //! per row it returns, never per entry it walks past. Runs are walked
 //! in place from one reused block buffer, so a count allocates a fixed
-//! handful whatever the table holds, a point get a few, and a scan two
-//! per row it returns (the key and the value it hands back).
+//! handful whatever the table holds, a point get two (its block buffer
+//! and the value it hands back; the memtable is probed with borrowed
+//! keys), a many-key read one per row it returns plus its buffers, and
+//! a scan two per row it returns (the key and the value it hands back).
+//! A point get is the one-key case of the many-key read.
 //!
 //! The store holds the FNJV case study's shape in one run: 11,898
 //! records of 730 bytes beside an index table of one posting per
@@ -95,11 +98,28 @@ fn a_point_get_allocates_a_handful_on_any_block() {
         assert_eq!(got, Some(want));
         eprintln!("get on a {table} block: {} allocations", tally.allocs);
         assert!(
-            tally.allocs <= 8,
-            "{} allocations for one get on a {table} block (budget 8)",
+            tally.allocs <= 2,
+            "{} allocations for one get on a {table} block (budget 2)",
             tally.allocs
         );
     }
+}
+
+#[test]
+fn a_many_key_read_allocates_per_returned_row() {
+    let engine = engine("get-many");
+    let keys: Vec<Vec<u8>> = (0..ROWS).step_by(2).map(record_key).collect();
+    let (got, tally) = counted(|| engine.head().get_many(RECORDS, &keys).expect("get_many"));
+    assert!(got.iter().all(|v| v.as_deref() == Some(&[b'r'; VALUE][..])));
+    let per_row = tally.allocs as f64 / keys.len() as f64;
+    eprintln!(
+        "get_many of {} ascending keys: {per_row:.3} allocations per returned row",
+        keys.len()
+    );
+    assert!(
+        per_row <= 1.01,
+        "{per_row:.3} allocations per returned row (budget 1.01)"
+    );
 }
 
 #[test]
