@@ -878,6 +878,7 @@ fn metrics_report(
     use preserva_wfms::engine::{Engine as WfEngine, EngineConfig};
     use preserva_wfms::model::{Processor, Workflow};
     use preserva_wfms::services::{port, PortMap, ServiceRegistry};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     // Same options as every other command, metrics routed to `obs`
     // (which IS the process registry when invoked as a command) — so
@@ -888,22 +889,18 @@ fn metrics_report(
         ..CollectionOptions::default()
     };
 
-    // 1. The user's store, observed: recovery counters from open, then
-    //    read-only traffic (gets / scans / value bytes).
-    let coll = Collection::open(dir, observed.clone())?;
-    let _ = coll.store().head().get(META_TABLE, b"ingest")?;
-    let records = coll.store().head().count("records")?;
-    obs.trace("cli", format!("metrics probe: {records} records on disk"));
-    coll.close()?;
-    drop(coll);
-
-    // 2. Write-path probe on a scratch collection: puts, deletes, WAL
+    // 1. Write-path probe on a scratch collection: puts, deletes, WAL
     //    appends, fsyncs, a commit and a checkpoint — without touching
     //    user data.
-    let scratch = std::env::temp_dir().join(format!("preserva-metrics-{}", std::process::id()));
+    // One scratch directory per call: two reports in one process (tests
+    // run in parallel) must not remove each other's probe store.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let scratch =
+        std::env::temp_dir().join(format!("preserva-metrics-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let result = (|| -> Result<(), Box<dyn Error>> {
-        let probe_coll = Collection::open(&scratch, observed)?;
+        let probe_coll = Collection::open(&scratch, observed.clone())?;
         let probe = probe_coll.store();
         probe.put("probe", b"k", b"observability probe value")?;
         let _ = probe.head().get("probe", b"k")?;
@@ -916,7 +913,7 @@ fn metrics_report(
             vec![(b"k".to_vec(), b"bulk probe value".to_vec())],
         )?;
 
-        // 3. Workflow + provenance probe: a two-step chain through the
+        // 2. Workflow + provenance probe: a two-step chain through the
         //    observed engine, captured by the collection's provenance
         //    manager.
         let pm = probe_coll.provenance().clone();
@@ -937,7 +934,7 @@ fn metrics_report(
             .run(&workflow, &port("x", serde_json::json!("probe")))
             .map_err(|(e, _)| e.to_string())?;
 
-        // 4. Quality probe: assess the captured run with the case-study
+        // 3. Quality probe: assess the captured run with the case-study
         //    model through the collection's quality manager.
         let user = EndUser::new("metrics-probe", "cli");
         let mut facts = std::collections::BTreeMap::new();
@@ -953,6 +950,18 @@ fn metrics_report(
     })();
     std::fs::remove_dir_all(&scratch).ok();
     result?;
+
+    // 4. The user's store, observed last, so the gauges that describe a
+    //    store's state (runs and bytes per level, v2 runs, memtable
+    //    bytes) describe this one, not the scratch probe: recovery
+    //    counters from open, then read-only traffic (gets / scans /
+    //    value bytes).
+    let coll = Collection::open(dir, observed)?;
+    let _ = coll.store().head().get(META_TABLE, b"ingest")?;
+    let records = coll.store().head().count("records")?;
+    obs.trace("cli", format!("metrics probe: {records} records on disk"));
+    coll.close()?;
+    drop(coll);
 
     Ok(if summary {
         obs.render_summary()
@@ -1520,6 +1529,36 @@ mod tests {
         // The command itself works against the global registry.
         run(&args(&format!("metrics --dir {d}"))).unwrap();
         run(&args(&format!("metrics --dir {d} --summary true"))).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The gauges that describe a store's runs describe the user's store,
+    /// not the scratch collection the write-path probe opens: the
+    /// per-level byte gauges sum to the run files in `--dir`.
+    #[test]
+    fn metrics_report_gauges_describe_the_users_store() {
+        let dir = tmp("metrics-gauges");
+        let d = dir.to_string_lossy();
+        run(&args(&format!(
+            "ingest --dir {d} --records 60 --species 10 --outdated 0"
+        )))
+        .unwrap();
+        run(&args(&format!("compact --dir {d} --flushes 2"))).unwrap();
+        let obs = Arc::new(preserva_obs::Registry::new());
+        let text = metrics_report(&dir, &obs, false).unwrap();
+        let gauged: u64 = text
+            .lines()
+            .filter(|line| line.starts_with("preserva_storage_run_bytes{"))
+            .map(|line| line.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        let on_disk: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap())
+            .filter(|f| f.file_name().to_string_lossy().ends_with(".sst"))
+            .map(|f| f.metadata().unwrap().len())
+            .sum();
+        assert_eq!(gauged, on_disk, "{text}");
+        assert!(text.contains("\npreserva_storage_v2_runs 0\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,12 +30,13 @@ impl Request {
     /// Path segments, percent-decoded individually. The raw path is
     /// split on '/' FIRST, so `%2F` inside a segment (e.g. a record id
     /// containing a slash) stays inside that segment instead of
-    /// changing the route shape.
+    /// changing the route shape. A `+` in a segment is itself, not a
+    /// space: record `a+b` is `/records/a+b`.
     pub fn segments(&self) -> Vec<String> {
         self.path
             .split('/')
             .filter(|s| !s.is_empty())
-            .map(percent_decode)
+            .map(decode_segment)
             .collect()
     }
 
@@ -71,24 +72,34 @@ impl Request {
     }
 }
 
-/// Minimal percent-decoding ('+' as space, `%XX` bytes), lossy on
-/// malformed escapes.
+/// Percent-decoding of a query component: `+` is a space and `%` with
+/// two hex digits a byte; any other `%` stays as it is, and invalid
+/// UTF-8 is replaced.
 pub fn percent_decode(s: &str) -> String {
+    decode(s, true)
+}
+
+/// Percent-decoding of a path segment: like [`percent_decode`], except
+/// that `+` is itself.
+fn decode_segment(s: &str) -> String {
+    decode(s, false)
+}
+
+fn decode(s: &str, plus_is_space: bool) -> String {
+    let hex = |b: u8| (b as char).to_digit(16);
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'+' => out.push(b' '),
+            b'+' if plus_is_space => out.push(b' '),
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).unwrap_or(&[]);
-                let decoded = std::str::from_utf8(hex)
-                    .ok()
-                    .and_then(|h| u8::from_str_radix(h, 16).ok());
-                if let Some(v) = decoded {
-                    out.push(v);
-                    i += 3;
-                    continue;
+                if let Some(&[hi, lo]) = bytes.get(i + 1..i + 3) {
+                    if let (Some(hi), Some(lo)) = (hex(hi), hex(lo)) {
+                        out.push((hi * 16 + lo) as u8);
+                        i += 3;
+                        continue;
+                    }
                 }
                 out.push(b'%');
             }
@@ -328,6 +339,23 @@ mod tests {
         assert_eq!(percent_decode("a%2Fb"), "a/b");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+    }
+
+    #[test]
+    fn only_a_percent_and_two_hex_digits_is_an_escape() {
+        // A sign is not a hex digit: `%+5` is not byte 0x05.
+        for s in ["%+5", "%+f", "%-1", "%5", "%"] {
+            assert_eq!(percent_decode(s), s.replace('+', " "));
+            assert_eq!(decode_segment(s), s);
+        }
+        assert_eq!(percent_decode("%4a%4A"), "JJ");
+    }
+
+    #[test]
+    fn a_plus_in_a_path_segment_is_a_plus() {
+        assert_eq!(decode_segment("a+b"), "a+b");
+        assert_eq!(decode_segment("a%2Bb%20c"), "a+b c");
+        assert_eq!(percent_decode("a+b"), "a b");
     }
 
     #[test]

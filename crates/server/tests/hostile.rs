@@ -236,6 +236,33 @@ fn hostile_requests_leave_every_tenant_serving() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A record id holding `+` or a `%` escape is found by the path that
+/// names it: only a query component maps `+` to a space, and only `%`
+/// with two hex digits is an escape.
+#[test]
+fn record_ids_with_plus_and_percent_round_trip_through_the_path() {
+    let (server, root) = start("ids");
+    let addr = server.addr();
+    for (id, path) in [("a+b", "a+b"), ("a b", "a%20b"), ("%+5", "%+5")] {
+        assert_eq!(put_record(addr, "herp", "key-herp", id).status, Some(201));
+        let got = call(
+            addr,
+            "GET",
+            &format!("/v1/herp/records/{path}"),
+            "key-herp",
+            "",
+        );
+        assert_eq!(got.status, Some(200), "{id}: {}", got.body);
+        assert!(
+            got.body.contains(&format!("\"id\":\"{id}\"")),
+            "{}",
+            got.body
+        );
+    }
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn a_damaged_record_answers_500_naming_its_table_and_key() {
     let (server, root) = start("damaged");

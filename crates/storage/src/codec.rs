@@ -14,12 +14,13 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decode an unsigned varint from the front of `buf`, returning the value
-/// and the number of bytes consumed.
+/// and the number of bytes consumed. A varint that holds more than 64
+/// bits is an error, not a truncated value.
 pub fn get_uvarint(buf: &[u8]) -> StorageResult<(u64, usize)> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     for (i, &b) in buf.iter().enumerate() {
-        if shift >= 64 {
+        if shift > 63 || (shift == 63 && b > 1) {
             return Err(StorageError::Decode("varint overflow".into()));
         }
         v |= u64::from(b & 0x7F) << shift;
@@ -132,6 +133,12 @@ mod tests {
         // 11 continuation bytes exceed 64 bits.
         let buf = [0xFFu8; 11];
         assert!(get_uvarint(&buf).is_err());
+        // So does a tenth byte above 1: u64::MAX ends in 0x01.
+        let mut max = Vec::new();
+        put_uvarint(&mut max, u64::MAX);
+        assert_eq!(max.last(), Some(&1));
+        *max.last_mut().unwrap() = 2;
+        assert!(get_uvarint(&max).is_err());
     }
 
     #[test]

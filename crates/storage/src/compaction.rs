@@ -108,10 +108,11 @@ pub fn plan(view: &[RunEntry], max_runs_per_level: usize) -> Option<Task> {
 
 /// A forced full compaction: merge every run into one bottom-level run,
 /// folding tombstones. `None` when there is nothing useful to do: no
-/// runs, or a single run the caller knows holds nothing foldable
-/// (`single_run_foldable` — tombstones in the lone run).
-pub fn full(view: &[RunEntry], single_run_foldable: bool) -> Option<Task> {
-    if view.is_empty() || (view.len() == 1 && !single_run_foldable) {
+/// runs, or a single run the caller knows needs no rewrite
+/// (`single_run_worth_rewriting` — the lone run holds tombstones or is
+/// in the v2 format).
+pub fn full(view: &[RunEntry], single_run_worth_rewriting: bool) -> Option<Task> {
+    if view.is_empty() || (view.len() == 1 && !single_run_worth_rewriting) {
         return None;
     }
     let inputs = precedence_order(view.iter().map(|e| (e.level, e.id)).collect());

@@ -126,7 +126,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::manifest::{self, RunEntry};
 use crate::memtable::{self, Memtable};
 use crate::snapshot::{Lsn, SnapshotRegistry};
-use crate::sstable::{self, Block, Run, RunLookup, RunSummary, Versions};
+use crate::sstable::{self, Block, Format, Run, RunLookup, RunSummary, Versions};
 use crate::wal::{self, Wal, WalRecord};
 
 pub use crate::wal::BatchOp;
@@ -191,6 +191,7 @@ struct StorageMetrics {
     versions_folded: Arc<Counter>,
     ingest_records: Arc<Counter>,
     bulk_batches: Arc<Counter>,
+    v2_runs: Arc<Gauge>,
 }
 
 impl StorageMetrics {
@@ -287,11 +288,16 @@ impl StorageMetrics {
                 "preserva_storage_bulk_batches_total",
                 "Bulk batches committed (one direct sorted run each).",
             ),
+            v2_runs: reg.gauge(
+                "preserva_storage_v2_runs",
+                "Live runs still in the v2 format, which a compaction rewrites as v3.",
+            ),
         }
     }
 }
 
 const RUNS_PER_LEVEL_HELP: &str = "Live sstable runs at each level of the tiered store.";
+const RUN_BYTES_HELP: &str = "Bytes on disk of the live sstable runs at each level.";
 
 /// Counters exposed for the benchmark harness and tests.
 ///
@@ -467,22 +473,31 @@ impl Core {
             .collect()
     }
 
-    /// Refresh the `runs_per_level` gauge family for every level ever
-    /// seen, zeroing levels that emptied out.
+    /// Refresh the `runs_per_level` and `run_bytes` gauge families for
+    /// every level ever seen, zeroing levels that emptied out, and the
+    /// count of runs still in the v2 format.
     fn update_run_gauges(&self, view: &[Arc<RunHandle>]) {
         let max_now = view.iter().map(|h| u64::from(h.level)).max().unwrap_or(0);
         let prev = self.max_level_seen.fetch_max(max_now, Ordering::SeqCst);
         let top = prev.max(max_now);
         for level in 1..=top {
-            let count = view.iter().filter(|h| u64::from(h.level) == level).count();
+            let runs = view.iter().filter(|h| u64::from(h.level) == level);
+            let (count, bytes) = runs.fold((0, 0), |(n, b), h| (n + 1, b + h.run.bytes()));
+            let label = level.to_string();
+            let labels = [("level", label.as_str())];
             self.obs
                 .gauge_with(
                     "preserva_storage_runs_per_level",
                     RUNS_PER_LEVEL_HELP,
-                    &[("level", &level.to_string())],
+                    &labels,
                 )
-                .set(count as u64);
+                .set(count);
+            self.obs
+                .gauge_with("preserva_storage_run_bytes", RUN_BYTES_HELP, &labels)
+                .set(bytes);
         }
+        let v2 = view.iter().filter(|h| h.run.format() == Format::V2).count();
+        self.metrics.v2_runs.set(v2 as u64);
     }
 
     fn get(&self, table: &str, key: &[u8], max_lsn: Lsn) -> StorageResult<Option<Vec<u8>>> {
@@ -1096,15 +1111,17 @@ impl Core {
     }
 
     /// Forced full compaction: merge every run into a single bottom-level
-    /// run, folding tombstones. Returns whether any merge ran.
+    /// run, folding tombstones. A lone run is rewritten only when it
+    /// holds tombstones or is still v2, so a compacted store ends all-v3.
+    /// Returns whether any merge ran.
     fn compact(&self) -> StorageResult<bool> {
         let _guard = self.compact_lock.lock().expect("engine poisoned");
         let view = self.view();
-        let single_foldable = match view.as_slice() {
-            [only] => only.run.tombstones() > 0,
+        let single_worth_rewriting = match view.as_slice() {
+            [only] => only.run.tombstones() > 0 || only.run.format() == Format::V2,
             _ => false,
         };
-        let Some(task) = compaction::full(&Self::catalog_of(&view), single_foldable) else {
+        let Some(task) = compaction::full(&Self::catalog_of(&view), single_worth_rewriting) else {
             return Ok(false);
         };
         self.execute_compaction(task)?;
@@ -2716,5 +2733,171 @@ mod tests {
             assert_eq!(dir_bytes(&dir), before, "{dir:?} changed by a failed open");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A store whose one run is the v2 fixture (`tests/v2_run.hex`),
+    /// catalogued as run 1 at level 1.
+    fn v2_store(name: &str) -> PathBuf {
+        let dir = tmpdir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(manifest::run_path(&dir, 1), sstable::v2_fixture()).unwrap();
+        manifest::store(&dir, &[RunEntry { id: 1, level: 1 }]).unwrap();
+        dir
+    }
+
+    fn foreground() -> EngineOptions {
+        EngineOptions {
+            compaction: CompactionOptions {
+                background: false,
+                max_runs_per_level: 100,
+            },
+            ..EngineOptions::default()
+        }
+    }
+
+    /// The value of one series (a name and its labels) in `e`'s
+    /// exposition.
+    fn sample(e: &Engine, series: &str) -> Option<u64> {
+        let text = e.metrics_registry().render_prometheus();
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+    }
+
+    /// Reads at every LSN up to the head — point gets, `get_many` and
+    /// scans of both fixture tables — answer what `versions` (in run
+    /// order) say.
+    fn assert_reads_at_every_lsn(e: &Engine, versions: &[sstable::VersionedEntry]) {
+        for lsn in 0..=e.committed_lsn() {
+            let reader = e.as_of(lsn);
+            for table in ["docs", "names"] {
+                let mut keys: Vec<&Vec<u8>> = versions
+                    .iter()
+                    .filter(|((t, _), _, _)| t == table)
+                    .map(|((_, k), _, _)| k)
+                    .collect();
+                keys.dedup();
+                let want: Vec<Option<Vec<u8>>> = keys
+                    .iter()
+                    .map(|k| {
+                        let newest = versions
+                            .iter()
+                            .find(|((t, vk), l, _)| t == table && vk == *k && *l <= lsn);
+                        newest.and_then(|(_, _, v)| v.clone())
+                    })
+                    .collect();
+                let got: Vec<_> = keys.iter().map(|k| reader.get(table, k).unwrap()).collect();
+                assert_eq!(got, want, "{table} at {lsn}");
+                assert_eq!(
+                    reader.get_many(table, &keys).unwrap(),
+                    want,
+                    "{table} at {lsn}"
+                );
+                let rows: Vec<(Vec<u8>, Vec<u8>)> = keys
+                    .iter()
+                    .zip(&want)
+                    .filter_map(|(k, v)| Some(((*k).clone(), v.clone()?)))
+                    .collect();
+                assert_eq!(reader.scan_all(table).unwrap(), rows, "{table} at {lsn}");
+            }
+        }
+    }
+
+    /// A v2 run an earlier build wrote is read at every LSN, merges with
+    /// the v3 run a flush writes above it, and a compaction of the two
+    /// writes one v3 run that keeps every version a pinned reader can
+    /// still see.
+    #[test]
+    fn v2_runs_merge_with_v3_runs_and_compact_to_v3() {
+        let dir = v2_store("v2-merge");
+        let e = Engine::open(&dir, foreground()).unwrap();
+        assert_eq!(
+            e.committed_lsn(),
+            9,
+            "the LSN clock resumes from the v2 footer"
+        );
+        let mut versions = sstable::v2_fixture_versions();
+        assert_reads_at_every_lsn(&e, &versions);
+        e.put("docs", b"hot", b"ten").unwrap();
+        e.delete("names", b"k1").unwrap();
+        e.put("docs", b"b", b"beta").unwrap();
+        e.checkpoint().unwrap();
+        assert_eq!(e.runs_per_level(), vec![(1, 2)]);
+        assert_eq!(sample(&e, "preserva_storage_v2_runs"), Some(1));
+        versions.extend([
+            (
+                ("docs".to_string(), b"hot".to_vec()),
+                10,
+                Some(b"ten".to_vec()),
+            ),
+            (("names".to_string(), b"k1".to_vec()), 11, None),
+            (
+                ("docs".to_string(), b"b".to_vec()),
+                12,
+                Some(b"beta".to_vec()),
+            ),
+        ]);
+        versions
+            .sort_by(|a, b| (&a.0, std::cmp::Reverse(a.1)).cmp(&(&b.0, std::cmp::Reverse(b.1))));
+        assert_reads_at_every_lsn(&e, &versions);
+        let pin = e.as_of(1);
+        assert!(e.compact().unwrap());
+        let view = e.core.view();
+        assert_eq!(view.len(), 1);
+        assert_eq!(view[0].run.format(), Format::V3);
+        assert_eq!(
+            view[0].run.entries(),
+            versions.len() as u64,
+            "the pin keeps every version"
+        );
+        assert_reads_at_every_lsn(&e, &versions);
+        assert_eq!(sample(&e, "preserva_storage_v2_runs"), Some(0));
+        drop((pin, view, e));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `compact` rewrites a lone v2 run, so a store compacted once is
+    /// all-v3: the same rows, the v2 gauge at 0, byte gauges that sum to
+    /// the run files on disk, and nothing left for a second `compact`.
+    #[test]
+    fn a_lone_v2_run_compacts_to_v3_once() {
+        let dir = v2_store("v2-upgrade");
+        let e = Engine::open(&dir, foreground()).unwrap();
+        assert_eq!(sample(&e, "preserva_storage_v2_runs"), Some(1));
+        let fixture_bytes = sstable::v2_fixture().len() as u64;
+        assert_eq!(
+            sample(&e, "preserva_storage_run_bytes{level=\"1\"}"),
+            Some(fixture_bytes)
+        );
+        let rows = |e: &Engine| ["docs", "names"].map(|t| e.head().scan_all(t).unwrap());
+        let before = rows(&e);
+        assert!(e.compact().unwrap());
+        assert_eq!(rows(&e), before);
+        assert_eq!(e.runs_per_level(), vec![(2, 1)]);
+        assert_eq!(e.core.view()[0].run.format(), Format::V3);
+        assert_eq!(sample(&e, "preserva_storage_v2_runs"), Some(0));
+        let on_disk: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap())
+            .filter(|f| f.file_name().to_string_lossy().ends_with(".sst"))
+            .map(|f| f.metadata().unwrap().len())
+            .sum();
+        let gauged = ["1", "2"].map(|level| {
+            sample(
+                &e,
+                &format!("preserva_storage_run_bytes{{level=\"{level}\"}}"),
+            )
+            .unwrap()
+        });
+        assert_eq!(gauged, [0, on_disk]);
+        assert!(
+            !e.compact().unwrap(),
+            "a v3 run without tombstones needs no rewrite"
+        );
+        drop(e);
+        let e = Engine::open(&dir, foreground()).unwrap();
+        assert_eq!(sample(&e, "preserva_storage_v2_runs"), Some(0));
+        assert_eq!(rows(&e), before);
+        drop(e);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Sorted-run files ("SSTables").
 //!
-//! One format lives here: the **tiered run** (`run-*.sst`, magic
-//! `PRN2`), the immutable multi-version unit of the leveled store. A run
+//! One format is written here: the **tiered run** (`run-*.sst`, magic
+//! `PRN3`), the immutable multi-version unit of the leveled store. A run
 //! is a sequence of ~4 KiB data blocks, a block index, a retired
 //! range-tombstone section, a bloom filter and a fixed-size footer:
 //!
@@ -13,27 +13,47 @@
 //! [bloom]                       -- FNV-1a double-hashed bit array
 //! [footer: index_off u64 | rt_off u64 | bloom_off u64 | entries u64 |
 //!          tombstones u64 | max_lsn u64 | level u32 | tail_crc u32 |
-//!          RUN_MAGIC_V2 u32]
+//!          RUN_MAGIC_V3 u32]
 //! ```
 //!
-//! Each entry is `tag u8 | lsn u64 | table | key | [value]` with
-//! length-prefixed byte strings; tombstones round-trip so deletions
-//! shadow older runs until compaction folds them out at the bottom
-//! level, below the oldest pinned snapshot. The footer
-//! records the run's **level** so recovery can rebuild correct read
-//! precedence — `(level asc, id desc)` — even when the manifest is lost,
-//! and its **max_lsn** so recovery can restore the engine's LSN clock
-//! after the WAL segment holding those commits was deleted by a flush.
-//! Opening a run reads only index + range-tombstone count + bloom
-//! (`tail_crc` covers exactly that region), so open cost is O(index),
-//! not O(data);
-//! each data block carries its own CRC, verified on every read — no
-//! block is cached.
+//! An entry's key is the **namespaced key** `varint(table len) ++ table
+//! ++ key`; the length prefix makes the split unambiguous, so a table
+//! name may hold any byte. Each entry stores only the length it shares
+//! with the previous entry's key and the rest, and its LSN as a varint:
+//!
+//! ```text
+//! varint shared | varint rest_len | varint value | varint lsn | rest | value bytes
+//!
+//! shared  leading bytes of the previous entry's key; 0 on a block's
+//!         first entry, which stores its whole key
+//! value   0 for a tombstone, else the value's length + 1
+//! ```
+//!
+//! The `(key asc, lsn desc)` order puts a key's versions and a table's
+//! keys side by side, so a version repeats none of its key and a posting
+//! pays its table name and token once per block. There is no restart
+//! array: every read decodes a block from its first entry (a lookup
+//! walks from there to its key, and a cursor that resumes a held block
+//! starts it over), so restart points would buy no faster seek, only
+//! bytes. There is no table dictionary either: with shared prefixes a
+//! table name costs one copy per block.
+//!
+//! Tombstones round-trip so deletions shadow older runs until
+//! compaction folds them out at the bottom level, below the oldest
+//! pinned snapshot. The footer records the run's **level** so recovery
+//! can rebuild correct read precedence — `(level asc, id desc)` — even
+//! when the manifest is lost, and its **max_lsn** so recovery can
+//! restore the engine's LSN clock after the WAL segment holding those
+//! commits was deleted by a flush. Opening a run reads only index +
+//! range-tombstone count + bloom (`tail_crc` covers exactly that
+//! region), so open cost is O(index), not O(data); each data block
+//! carries its own CRC, verified on every read — no block is cached.
 //!
 //! Every read of a run goes through one `RunCursor`: it reads one
 //! block at a time into a buffer it reuses, verifies the block's CRC and
-//! decodes each entry in place, lending `(table, key, lsn, value)` out
-//! of the buffer, so walking an entry allocates nothing. It starts at
+//! decodes each entry in place, rebuilding the entry's key at the end of
+//! the same buffer and lending `(table, key, lsn, value)` out of it, so
+//! walking an entry allocates nothing. It starts at
 //! the block the index names for a span's first key and never reads a
 //! block whose first key lies past the span's end. Point lookups consult
 //! the bloom filter first and walk one key's versions, usually within
@@ -47,12 +67,21 @@
 //! whichever layer holds it; compaction applies its fold rules to the
 //! same stream and hands the survivors to [`write_run`] borrowed.
 //!
+//! **v2 runs are read, never written.** Every earlier build wrote magic
+//! `PRN2`, whose entries are `tag u8 | lsn u64 | len table | len key |
+//! [len value]` (tag 0 live, 1 tombstone; length-prefixed byte strings).
+//! [`Run::open`] records each run's [`Format`] and the cursor decodes a
+//! v2 entry as a v3 entry that shares nothing; that decoder is the only
+//! second path. A compaction rewrites v2 inputs as v3, a forced full
+//! compaction rewrites even a lone v2 run, and the engine's
+//! `preserva_storage_v2_runs` gauge counts the runs left to rewrite.
+//!
 //! Two forms only older builds wrote open as
 //! [`StorageError::Unsupported`], never as corruption, so recovery leaves
 //! them on disk instead of deleting them: a file ending in the v1 magic
 //! (`PRUN`, single-version entries without LSNs), and a run whose
 //! range-tombstone count is not zero (range deletes are retired; this
-//! build writes every run with a zero count, so its bytes are unchanged).
+//! build writes every run with a zero count).
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -66,13 +95,17 @@ use crate::error::{StorageError, StorageResult};
 use crate::memtable::{NsKey, VersionRef};
 use crate::snapshot::Lsn;
 
+/// v2 entry tags.
 const TAG_LIVE: u8 = 0;
 const TAG_TOMBSTONE: u8 = 1;
 /// Magic trailer of v1 (single-version) run files ("PRUN"), which this
 /// build refuses to open.
 const RUN_MAGIC_V1: u32 = 0x5052_554E;
-/// Magic trailer of run files ("PRN2").
+/// Magic trailer of v2 run files ("PRN2"), read until a compaction
+/// rewrites them.
 pub const RUN_MAGIC_V2: u32 = 0x5052_4E32;
+/// Magic trailer of the run files this build writes ("PRN3").
+pub const RUN_MAGIC_V3: u32 = 0x5052_4E33;
 /// Target uncompressed size of one data block.
 const BLOCK_TARGET: usize = 4096;
 /// Footer size: index_off + rt_off + bloom_off + entries + tombstones
@@ -81,6 +114,17 @@ const RUN_FOOTER_LEN: usize = 8 * 6 + 4 * 3;
 /// Bloom sizing: bits per entry and number of probes.
 const BLOOM_BITS_PER_KEY: u64 = 10;
 const BLOOM_PROBES: u32 = 7;
+
+/// The entry encoding of a run's data blocks, told by its magic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// `PRN2`: whole table and key per entry, fixed 8-byte LSN. Read
+    /// only, until a compaction rewrites the run.
+    V2,
+    /// `PRN3`: prefix-shared namespaced keys and varint LSNs; the only
+    /// format written.
+    V3,
+}
 
 /// A stream of borrowed versions in `(key asc, lsn desc)` order, as
 /// [`write_run`] takes them: a frozen memtable's versions for a flush,
@@ -218,44 +262,81 @@ struct BlockMeta {
     first: NsKey,
 }
 
-fn encode_entry(out: &mut Vec<u8>, (table, key, lsn, value): VersionRef<'_>) {
-    match value {
-        Some(v) => {
-            out.push(TAG_LIVE);
-            codec::put_u64(out, lsn);
-            codec::put_bytes(out, table.as_bytes());
-            codec::put_bytes(out, key);
-            codec::put_bytes(out, v);
-        }
-        None => {
-            out.push(TAG_TOMBSTONE);
-            codec::put_u64(out, lsn);
-            codec::put_bytes(out, table.as_bytes());
-            codec::put_bytes(out, key);
-        }
-    }
+/// Write `table` and `key` into the cleared `out` as the namespaced key
+/// `varint(table len) ++ table ++ key`.
+fn namespaced(out: &mut Vec<u8>, table: &str, key: &[u8]) {
+    out.clear();
+    codec::put_uvarint(out, table.len() as u64);
+    out.extend_from_slice(table.as_bytes());
+    out.extend_from_slice(key);
 }
 
-/// Where one entry's parts sit in its data block.
+/// Append one v3 entry whose namespaced `key` shares its first `shared`
+/// bytes with the previous entry's.
+fn encode_entry(out: &mut Vec<u8>, shared: usize, key: &[u8], lsn: Lsn, value: Option<&[u8]>) {
+    let rest = &key[shared..];
+    codec::put_uvarint(out, shared as u64);
+    codec::put_uvarint(out, rest.len() as u64);
+    codec::put_uvarint(out, value.map_or(0, |v| v.len() as u64 + 1));
+    codec::put_uvarint(out, lsn);
+    out.extend_from_slice(rest);
+    out.extend_from_slice(value.unwrap_or_default());
+}
+
+/// One decoded entry: its LSN and where its value sits in the block.
 #[derive(Debug, Clone)]
 struct Entry {
     lsn: Lsn,
-    table: Range<usize>,
-    key: Range<usize>,
     /// `None` for a point tombstone.
     value: Option<Range<usize>>,
 }
 
-/// Decode the entry at `pos` of a CRC-verified data block in place:
-/// where its parts sit, and where the next entry starts.
-fn decode_entry(block: &[u8], pos: usize) -> StorageResult<(Entry, usize)> {
+/// Decode the v3 entry at `pos` of a block whose verified bytes are
+/// `bytes[..end]` and whose key slot `bytes[end..]` holds the previous
+/// entry's key, and rebuild the entry's key in that slot. Returns the
+/// entry, the length its key shares with the previous one, and where
+/// the next entry starts.
+fn decode_v3(bytes: &mut Vec<u8>, end: usize, pos: usize) -> StorageResult<(Entry, usize, usize)> {
+    let corrupt = |reason: &str| StorageError::corrupt(pos as u64, reason);
+    let block = &bytes[..end];
+    let mut at = pos;
+    let mut varint = || -> StorageResult<u64> {
+        let (v, n) = codec::get_uvarint(&block[at..])?;
+        at += n;
+        Ok(v)
+    };
+    let (shared, rest_len, value, lsn) = (varint()?, varint()?, varint()?, varint()?);
+    if shared > (bytes.len() - end) as u64 {
+        return Err(corrupt("run entry shares more than the previous key"));
+    }
+    if rest_len > (end - at) as u64 {
+        return Err(corrupt("run entry key runs past its block"));
+    }
+    let rest = at..at + rest_len as usize;
+    let value = match value.checked_sub(1) {
+        None => None,
+        Some(len) if len <= (end - rest.end) as u64 => Some(rest.end..rest.end + len as usize),
+        Some(_) => return Err(corrupt("run entry value runs past its block")),
+    };
+    let next = value.as_ref().map_or(rest.end, |v| v.end);
+    let shared = shared as usize;
+    bytes.truncate(end + shared);
+    bytes.extend_from_within(rest);
+    Ok((Entry { lsn, value }, shared, next))
+}
+
+/// Decode the v2 entry at `pos` the way [`decode_v3`] decodes a v3 one:
+/// its table and key are copied into the key slot as a namespaced key
+/// that shares nothing with the previous one.
+fn decode_v2(bytes: &mut Vec<u8>, end: usize, pos: usize) -> StorageResult<(Entry, usize, usize)> {
+    let block = &bytes[..end];
     let tag = block[pos];
     let (lsn, n) = codec::get_u64(&block[pos + 1..])?;
     let mut at = pos + 1 + n;
     let mut field = || -> StorageResult<Range<usize>> {
-        let (bytes, n) = codec::get_bytes(&block[at..])?;
+        let (field, n) = codec::get_bytes(&block[at..])?;
         at += n;
-        Ok(at - bytes.len()..at)
+        Ok(at - field.len()..at)
     };
     let table = field()?;
     let key = field()?;
@@ -263,26 +344,35 @@ fn decode_entry(block: &[u8], pos: usize) -> StorageResult<(Entry, usize)> {
         TAG_LIVE => Some(field()?),
         TAG_TOMBSTONE => None,
         other => {
-            return Err(StorageError::Corrupt {
-                offset: pos as u64,
-                reason: format!("unknown run entry tag {other}"),
-            })
+            return Err(StorageError::corrupt(
+                pos as u64,
+                format!("unknown run entry tag {other}"),
+            ))
         }
     };
-    Ok((
-        Entry {
-            lsn,
-            table,
-            key,
-            value,
-        },
-        at,
-    ))
+    bytes.truncate(end);
+    codec::put_uvarint(bytes, table.len() as u64);
+    bytes.extend_from_within(table);
+    bytes.extend_from_within(key);
+    Ok((Entry { lsn, value }, 0, at))
+}
+
+/// Where the table name sits in a namespaced `key`: after its length
+/// varint, which must not claim more bytes than the key holds.
+fn table_of(key: &[u8], pos: usize) -> StorageResult<Range<usize>> {
+    let (len, n) = codec::get_uvarint(key)?;
+    if len > (key.len() - n) as u64 {
+        return Err(StorageError::corrupt(
+            pos as u64,
+            "run entry table name runs past its key",
+        ));
+    }
+    Ok(n..n + len as usize)
 }
 
 /// Write `versions` (already sorted ascending by `NsKey`, then LSN
-/// *descending* within a key) as a tiered run at `path`, recorded as
-/// living at `level`. Streaming: memory use is bounded by one block
+/// *descending* within a key) as a v3 tiered run at `path`, recorded
+/// as living at `level`. Streaming: memory use is bounded by one block
 /// plus the index and bloom sections, never by the data set — the bloom
 /// filter is sized up front from
 /// `expected_entries` (an upper bound the caller always knows: the
@@ -307,6 +397,9 @@ pub fn write_run(
     let mut tombstone_count = 0u64;
     let mut max_lsn: Lsn = 0;
     let mut bloom = Bloom::with_capacity(expected_entries);
+    // The namespaced keys of the entry being written and of the one
+    // before it, in two buffers swapped per entry.
+    let (mut key_buf, mut prev) = (Vec::new(), Vec::new());
 
     let flush_block = |w: &mut BufWriter<File>,
                        block: &mut Vec<u8>,
@@ -330,11 +423,19 @@ pub fn write_run(
         Ok(())
     };
 
-    versions.for_each_version(&mut |version @ (table, key, lsn, value)| {
-        if block_first.is_none() {
+    versions.for_each_version(&mut |(table, key, lsn, value)| {
+        namespaced(&mut key_buf, table, key);
+        let shared = if block_first.is_none() {
             block_first = Some((table.to_string(), key.to_vec()));
-        }
-        encode_entry(&mut block, version);
+            0
+        } else {
+            prev.iter()
+                .zip(&key_buf)
+                .take_while(|(a, b)| a == b)
+                .count()
+        };
+        encode_entry(&mut block, shared, &key_buf, lsn, value);
+        std::mem::swap(&mut key_buf, &mut prev);
         entry_count += 1;
         if value.is_none() {
             tombstone_count += 1;
@@ -385,7 +486,7 @@ pub fn write_run(
     codec::put_u64(&mut footer, max_lsn);
     codec::put_u32(&mut footer, level);
     codec::put_u32(&mut footer, tail_crc);
-    codec::put_u32(&mut footer, RUN_MAGIC_V2);
+    codec::put_u32(&mut footer, RUN_MAGIC_V3);
     w.write_all(&footer)?;
     w.flush()?;
     w.get_ref().sync_data()?;
@@ -451,6 +552,7 @@ pub enum RunLookup {
 #[derive(Debug)]
 pub struct Run {
     file: File,
+    format: Format,
     index: Vec<BlockMeta>,
     bloom: Bloom,
     entries: u64,
@@ -462,7 +564,8 @@ pub struct Run {
 
 impl Run {
     /// Open a run file, checking the trailing magic and verifying the
-    /// index/bloom CRC. Data blocks are verified lazily, on first read. A
+    /// index/bloom CRC. Data blocks are verified lazily, on first read.
+    /// A v3 (`PRN3`) or v2 (`PRN2`) run opens, its [`Format`] recorded; a
     /// v1 (`PRUN`) file or a run holding range tombstones is
     /// [`StorageError::Unsupported`]; any other wrong magic is corruption.
     pub fn open(path: &Path) -> StorageResult<Run> {
@@ -476,8 +579,9 @@ impl Run {
         let mut magic_buf = [0u8; 4];
         file.read_exact(&mut magic_buf)?;
         let (magic, _) = codec::get_u32(&magic_buf)?;
-        match magic {
-            RUN_MAGIC_V2 => {}
+        let format = match magic {
+            RUN_MAGIC_V3 => Format::V3,
+            RUN_MAGIC_V2 => Format::V2,
             RUN_MAGIC_V1 => {
                 return Err(StorageError::Unsupported {
                     path: path.to_path_buf(),
@@ -490,7 +594,7 @@ impl Run {
                     format!("bad run magic {other:#x}"),
                 ))
             }
-        }
+        };
         if len < RUN_FOOTER_LEN as u64 {
             return Err(StorageError::corrupt(0, "run shorter than footer"));
         }
@@ -580,6 +684,7 @@ impl Run {
         let bloom = Bloom::decode(&tail[pos..])?;
         Ok(Run {
             file,
+            format,
             index,
             bloom,
             entries,
@@ -619,6 +724,11 @@ impl Run {
         self.bytes
     }
 
+    /// The entry encoding of the run's data blocks.
+    pub fn format(&self) -> Format {
+        self.format
+    }
+
     /// Read data block `index` into `block`, which the caller reuses from
     /// block to block, and verify its CRC. `block` is left empty on
     /// failure.
@@ -626,6 +736,7 @@ impl Run {
         let meta = &self.index[index];
         let buf = &mut block.bytes;
         buf.clear();
+        buf.reserve(meta.len as usize + KEY_ROOM);
         buf.resize(meta.len as usize, 0);
         let read = match read_exact_at(&self.file, buf, meta.offset) {
             Err(e) => Err(e.into()),
@@ -639,6 +750,7 @@ impl Run {
         if read.is_err() {
             buf.clear();
         }
+        block.end = buf.len();
         read
     }
 
@@ -680,7 +792,7 @@ impl Run {
         };
         let (next_block, pos) = match block.index {
             Some(held) if held == first => (first + 1, 0),
-            _ => (first, block.bytes.len()),
+            _ => (first, block.end),
         };
         RunCursor {
             run: self,
@@ -731,14 +843,25 @@ impl Run {
     }
 }
 
+/// Bytes a block buffer keeps free past its block for the key a cursor
+/// rebuilds there, so keys up to this long cost no reallocation.
+const KEY_ROOM: usize = 256;
+
 /// The data block a [`RunCursor`] holds: the CRC-verified bytes of one
-/// block of its run, which it decodes in place and reuses for the next.
+/// block of its run, which it decodes in place and reuses for the next,
+/// followed by a key slot holding the namespaced key of the entry it
+/// decoded last, rebuilt from that entry's shared prefix and rest.
 #[derive(Debug, Default)]
 pub(crate) struct Block {
     /// Which block of the run `bytes` holds; `None` before the first
     /// read and after a failed one.
     index: Option<usize>,
+    /// The block's bytes, then the key slot.
     bytes: Vec<u8>,
+    /// Where the block's bytes end and the key slot starts.
+    end: usize,
+    /// Where the table name sits in the key slot.
+    table: Range<usize>,
 }
 
 impl Block {
@@ -746,13 +869,38 @@ impl Block {
     pub(crate) fn is_held(&self) -> bool {
         self.index.is_some()
     }
+
+    /// Decode the entry at `pos` of the block, in the run's `format`,
+    /// into the key slot: where its value sits, and where the next entry
+    /// starts. Every walk starts at the block's first entry (`pos` 0),
+    /// which shares nothing. Bad bytes are an error, never a panic.
+    fn decode(&mut self, format: Format, pos: usize) -> StorageResult<(Entry, usize)> {
+        if pos == 0 {
+            self.bytes.truncate(self.end);
+        }
+        let (entry, shared, next) = match format {
+            Format::V3 => decode_v3(&mut self.bytes, self.end, pos)?,
+            Format::V2 => decode_v2(&mut self.bytes, self.end, pos)?,
+        };
+        // A key that shares its predecessor's table name keeps its split.
+        if pos == 0 || shared < self.table.end {
+            self.table = table_of(&self.bytes[self.end..], pos)?;
+        }
+        Ok((entry, next))
+    }
+
+    /// The decoded entry's table name and key, from the key slot.
+    fn key(&self) -> (&[u8], &[u8]) {
+        let key = &self.bytes[self.end..];
+        (&key[self.table.clone()], &key[self.table.end..])
+    }
 }
 
 /// Walks a run's versions in `(key asc, lsn desc)` order, from a span's
 /// start to its end. It reads one CRC-verified block at a time into a
-/// buffer it reuses and decodes each entry in place, so a version
-/// costs no allocation; a block that starts past the span is never
-/// read.
+/// buffer it reuses and decodes each entry in place, rebuilding its key
+/// in the same buffer, so a version costs no allocation; a block that
+/// starts past the span is never read.
 pub(crate) struct RunCursor<'a> {
     run: &'a Run,
     span: Option<Span<'a>>,
@@ -769,8 +917,7 @@ impl RunCursor<'_> {
     pub(crate) fn advance(&mut self) -> StorageResult<()> {
         self.current = None;
         loop {
-            let bytes = &self.block.bytes;
-            if self.pos == bytes.len() {
+            if self.pos == self.block.end {
                 let Some(meta) = self.run.index.get(self.next_block) else {
                     return Ok(());
                 };
@@ -784,16 +931,16 @@ impl RunCursor<'_> {
                 self.next_block += 1;
                 continue;
             }
-            let (entry, next) = decode_entry(bytes, self.pos)?;
+            let (entry, next) = self.block.decode(self.run.format, self.pos)?;
             self.pos = next;
             if let Some(span) = self.span {
-                let (table, key) = (&bytes[entry.table.clone()], &bytes[entry.key.clone()]);
+                let (table, key) = self.block.key();
                 if span.is_before(table, key) {
                     continue;
                 }
                 if span.is_past(table, key) {
                     self.next_block = self.run.index.len();
-                    self.pos = bytes.len();
+                    self.pos = self.block.end;
                     return Ok(());
                 }
             }
@@ -806,13 +953,9 @@ impl RunCursor<'_> {
     /// the block buffer.
     pub(crate) fn current(&self) -> Option<RawVersion<'_>> {
         let entry = self.current.as_ref()?;
-        let bytes = &self.block.bytes;
-        Some((
-            &bytes[entry.table.clone()],
-            &bytes[entry.key.clone()],
-            entry.lsn,
-            entry.value.clone().map(|v| &bytes[v]),
-        ))
+        let (table, key) = self.block.key();
+        let value = entry.value.clone().map(|v| &self.block.bytes[v]);
+        Some((table, key, entry.lsn, value))
     }
 }
 
@@ -829,10 +972,45 @@ pub(crate) fn borrowed(entries: &[VersionedEntry]) -> impl Iterator<Item = Versi
         .map(|((t, k), lsn, v)| (t.as_str(), k.as_slice(), *lsn, v.as_deref()))
 }
 
+/// The v2 run `tests/v2_run.hex` holds, written by the last build that
+/// wrote v2: two tables, two tombstones, and one key's versions split
+/// across its two data blocks.
+#[cfg(test)]
+pub(crate) fn v2_fixture() -> Vec<u8> {
+    let hex: String = include_str!("../tests/v2_run.hex")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .collect();
+    codec::from_hex(&hex)
+}
+
+/// The versions of [`v2_fixture`], in run order.
+#[cfg(test)]
+pub(crate) fn v2_fixture_versions() -> Vec<VersionedEntry> {
+    let version = |table: &str, key: &[u8], lsn: Lsn, value: Option<Vec<u8>>| {
+        ((table.to_string(), key.to_vec()), lsn, value)
+    };
+    let hot = |lsn: Lsn| version("docs", b"hot", lsn, Some(vec![b'0' + lsn as u8; 1000]));
+    vec![
+        version("docs", b"a", 3, Some(b"alpha".to_vec())),
+        hot(9),
+        version("docs", b"hot", 8, None),
+        hot(6),
+        hot(4),
+        hot(3),
+        hot(2),
+        version("names", b"k1", 5, Some(b"one".to_vec())),
+        version("names", b"k2", 7, None),
+        version("names", b"k3", 1, Some(b"three".to_vec())),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::{Layer, MergeCursor};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
     use std::path::PathBuf;
 
     fn tmpfile(name: &str) -> PathBuf {
@@ -1146,5 +1324,358 @@ mod tests {
                 "key {i} must survive an undersized bloom"
             );
         }
+    }
+
+    /// What a run read at `lsn` returns for `(table, key)`, taken from
+    /// the run's `versions` (newest first within a key).
+    fn lookup_in(versions: &[VersionedEntry], table: &str, key: &[u8], lsn: Lsn) -> RunLookup {
+        versions
+            .iter()
+            .find(|((t, k), l, _)| t == table && k == key && *l <= lsn)
+            .map_or(RunLookup::Absent, |(_, l, v)| match v {
+                Some(v) => RunLookup::Value(*l, v.clone()),
+                None => RunLookup::Tombstone(*l),
+            })
+    }
+
+    /// What [`newest`] returns, taken from the run's `versions`.
+    fn newest_in(
+        versions: &[VersionedEntry],
+        table: &str,
+        start: &[u8],
+        end: Option<&[u8]>,
+        lsn: Lsn,
+    ) -> Vec<(Vec<u8>, Lsn, Option<Vec<u8>>)> {
+        let mut want: Vec<(Vec<u8>, Lsn, Option<Vec<u8>>)> = Vec::new();
+        for ((t, k), l, v) in versions {
+            let in_span =
+                t == table && k.as_slice() >= start && end.is_none_or(|e| k.as_slice() < e);
+            if in_span && *l <= lsn && want.last().is_none_or(|(last, _, _)| last != k) {
+                want.push((k.clone(), *l, v.clone()));
+            }
+        }
+        want
+    }
+
+    /// Every point read at every LSN a version holds (and one below
+    /// each), and a scan of every table at each of them, against the
+    /// versions the run was written from.
+    fn assert_reads_match(run: &Run, versions: &[VersionedEntry]) {
+        let mut lsns: Vec<Lsn> = versions
+            .iter()
+            .flat_map(|v| [v.1, v.1.saturating_sub(1)])
+            .collect();
+        lsns.extend([0, LATEST]);
+        lsns.sort_unstable();
+        lsns.dedup();
+        for &lsn in &lsns {
+            for ((t, k), _, _) in versions {
+                assert_eq!(run.get(t, k, lsn).unwrap(), lookup_in(versions, t, k, lsn));
+            }
+            for ((t, _), _, _) in versions {
+                assert_eq!(
+                    newest(run, t, b"", None, lsn),
+                    newest_in(versions, t, b"", None, lsn)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn v2_fixture_opens_and_reads_every_version() {
+        let path = tmpfile("v2-fixture");
+        std::fs::write(&path, v2_fixture()).unwrap();
+        let run = Run::open(&path).unwrap();
+        assert_eq!(run.format(), Format::V2);
+        assert_eq!(
+            (run.entries(), run.tombstones(), run.max_lsn(), run.level()),
+            (10, 2, 9, 1)
+        );
+        assert_eq!(run.index.len(), 2, "the fixture spans two blocks");
+        assert_eq!(run.index[1].first, ("docs".to_string(), b"hot".to_vec()));
+        let versions = v2_fixture_versions();
+        assert_eq!(all(&run), versions);
+        assert_reads_match(&run, &versions);
+    }
+
+    /// Ten thousand search postings (`field\0token\0pk`, empty values,
+    /// one LSN) cost about 7 bytes each, bloom and index included, once
+    /// keys share their prefixes; a v2 entry spent 58 on each.
+    #[test]
+    fn postings_take_at_most_ten_bytes_per_entry() {
+        let entries: Vec<VersionedEntry> = (0..10_000u32)
+            .map(|i| {
+                let key = format!("species\0token{:04}\0FNJV-{i:06}", i / 40);
+                (
+                    ("__search:postings".to_string(), key.into_bytes()),
+                    1,
+                    Some(Vec::new()),
+                )
+            })
+            .collect();
+        let path = tmpfile("postings-size");
+        let summary = write_run(&path, 1, 10_000, &mut borrowed(&entries)).unwrap();
+        let per_entry = summary.bytes as f64 / 10_000.0;
+        assert!(
+            per_entry <= 10.0,
+            "{per_entry:.2} bytes per posting (pin: 10)"
+        );
+        let run = Run::open(&path).unwrap();
+        assert_eq!(all(&run), entries);
+    }
+
+    fn table_name() -> impl Strategy<Value = String> {
+        prop_oneof![
+            // Short names, the empty one included.
+            "[ab]{0,2}",
+            "t\0[ab]{0,2}",
+            // Names of 130+ bytes (a two-byte length varint) that share
+            // all but their last bytes with each other.
+            "[ab]{0,2}".prop_map(|tail| format!("{}{tail}", "x".repeat(130))),
+        ]
+    }
+
+    fn key_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let byte = || prop_oneof![Just(0u8), Just(b'a'), Just(b'b'), Just(0xff)];
+        prop_oneof![
+            Just(Vec::new()),
+            collection::vec(byte(), 0..6),
+            // Longer than the room a block buffer keeps for its key.
+            collection::vec(byte(), 0..4).prop_map(|tail| [vec![b'k'; 300], tail].concat()),
+        ]
+    }
+
+    fn lsn() -> impl Strategy<Value = Lsn> {
+        prop_oneof![0..16u64, Just(u64::MAX), any::<u64>()]
+    }
+
+    fn value() -> impl Strategy<Value = Option<Vec<u8>>> {
+        prop_oneof![
+            1 => Just(None),
+            3 => collection::vec(any::<u8>(), 0..40).prop_map(Some),
+            1 => (500usize..2000).prop_map(|n| Some(vec![7; n])),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// A v3 run reads back every version it was written from, and
+        /// its point reads and range scans at any LSN answer what the
+        /// versions say: tables with NUL bytes or of 130+ bytes, empty
+        /// and long keys, tombstones, LSNs up to `u64::MAX`, and a
+        /// version chain long enough to spill across blocks.
+        #[test]
+        fn v3_runs_read_back_every_version(
+            versions in collection::vec((table_name(), key_bytes(), lsn(), value()), 0..80),
+            chain in collection::vec((lsn(), value()), 0..24),
+            reads in collection::vec((any::<usize>(), lsn()), 1..24),
+            spans in collection::vec(
+                (any::<usize>(), any::<usize>(), lsn()),
+                1..8,
+            ),
+        ) {
+            let hot = ("x".repeat(130), b"hot".to_vec());
+            let mut entries: Vec<VersionedEntry> = versions
+                .into_iter()
+                .map(|(t, k, l, v)| ((t, k), l, v))
+                .chain(chain.into_iter().map(|(l, v)| (hot.clone(), l, v)))
+                .collect();
+            entries.sort_by(|a, b| (&a.0, Reverse(a.1)).cmp(&(&b.0, Reverse(b.1))));
+            entries.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+            let path = tmpfile("v3-roundtrip");
+            let summary = write_run(&path, 1, entries.len() as u64, &mut borrowed(&entries)).unwrap();
+            let run = Run::open(&path).unwrap();
+            prop_assert_eq!(run.format(), Format::V3);
+            prop_assert_eq!(summary.entries, entries.len() as u64);
+            prop_assert_eq!(all(&run), entries.clone());
+            if entries.is_empty() {
+                return;
+            }
+            for (at, lsn) in reads {
+                let ((t, k), _, _) = &entries[at % entries.len()];
+                let got = match run.get(t, k, lsn).unwrap() {
+                    RunLookup::BloomSkip => RunLookup::Absent,
+                    got => got,
+                };
+                prop_assert_eq!(got, lookup_in(&entries, t, k, lsn));
+            }
+            for (from, to, lsn) in spans {
+                let ((table, start), _, _) = &entries[from % entries.len()];
+                let ((to_table, to_key), _, _) = &entries[to % entries.len()];
+                let end = (to_table == table).then_some(to_key.as_slice());
+                prop_assert_eq!(
+                    newest(&run, table, start, end, lsn),
+                    newest_in(&entries, table, start, end, lsn)
+                );
+            }
+        }
+    }
+
+    /// Each entry of `bytes` decoded as one data block of a `format` run,
+    /// its CRC bypassed, as `(table, key, lsn, value)`; or the first
+    /// error. Every entry it yields must be well formed.
+    #[allow(clippy::type_complexity)]
+    fn walk(
+        format: Format,
+        bytes: &[u8],
+    ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>, Lsn, Option<Vec<u8>>)>> {
+        let mut block = Block {
+            index: Some(0),
+            bytes: bytes.to_vec(),
+            end: bytes.len(),
+            table: 0..0,
+        };
+        let (mut pos, mut out) = (0, Vec::new());
+        while pos < block.end {
+            let (entry, next) = block.decode(format, pos)?;
+            assert!(
+                pos < next && next <= block.end,
+                "entry at {pos} ends at {next}"
+            );
+            let (table, key) = block.key();
+            let value = entry.value.map(|v| {
+                assert!(v.end <= block.end, "value past the block");
+                block.bytes[v].to_vec()
+            });
+            out.push((table.to_vec(), key.to_vec(), entry.lsn, value));
+            pos = next;
+        }
+        Ok(out)
+    }
+
+    /// `walk` returns entries or a `Corrupt`/`Decode` error, nothing else.
+    fn walk_fails_cleanly(format: Format, bytes: &[u8]) {
+        match walk(format, bytes) {
+            Ok(_) | Err(StorageError::Corrupt { .. } | StorageError::Decode(_)) => {}
+            Err(other) => panic!("{format:?} block {bytes:?}: unexpected {other:?}"),
+        }
+    }
+
+    /// The data blocks of the run at `path`, as they sit in the file.
+    fn blocks_of(path: &Path) -> Vec<Vec<u8>> {
+        let bytes = std::fs::read(path).unwrap();
+        let run = Run::open(path).unwrap();
+        run.index
+            .iter()
+            .map(|m| bytes[m.offset as usize..][..m.len as usize].to_vec())
+            .collect()
+    }
+
+    /// A small v3 block holding every kind of entry: a 130-byte table
+    /// name, a NUL in a table name, an empty key, a key longer than a
+    /// block buffer's key room, a tombstone and a `u64::MAX` LSN.
+    fn small_v3_block() -> Vec<u8> {
+        let long = "x".repeat(130);
+        let entries: Vec<VersionedEntry> = vec![
+            (("".to_string(), b"".to_vec()), 2, Some(b"e".to_vec())),
+            (("a".to_string(), b"k".to_vec()), u64::MAX, None),
+            (("a".to_string(), b"k".to_vec()), 1, Some(b"v".to_vec())),
+            (("a".to_string(), b"kk".to_vec()), 3, Some(Vec::new())),
+            (
+                ("t\0a".to_string(), vec![b'k'; 300]),
+                4,
+                Some(b"long".to_vec()),
+            ),
+            ((long.clone() + "a", b"k".to_vec()), 5, Some(b"v".to_vec())),
+            ((long + "b", b"k".to_vec()), 6, None),
+        ];
+        let path = tmpfile("fuzz-v3");
+        write_run(&path, 1, 7, &mut borrowed(&entries)).unwrap();
+        let blocks = blocks_of(&path);
+        assert_eq!(blocks.len(), 1);
+        let decoded: Vec<_> = walk(Format::V3, &blocks[0]).unwrap();
+        let want: Vec<_> = entries
+            .iter()
+            .map(|((t, k), l, v)| (t.as_bytes().to_vec(), k.clone(), *l, v.clone()))
+            .collect();
+        assert_eq!(decoded, want);
+        blocks[0].clone()
+    }
+
+    /// Every one-byte change and every truncation of valid v3 and v2
+    /// blocks decodes to entries or fails with `Corrupt`/`Decode`; none
+    /// panics or reads out of range.
+    #[test]
+    fn block_decoder_survives_every_mutation_and_truncation() {
+        let path = tmpfile("fuzz-v2");
+        std::fs::write(&path, v2_fixture()).unwrap();
+        let v2 = blocks_of(&path);
+        for (format, block) in [(Format::V3, small_v3_block()), (Format::V2, v2[1].clone())] {
+            walk(format, &block).expect("the valid block decodes");
+            for cut in 0..block.len() {
+                walk_fails_cleanly(format, &block[..cut]);
+            }
+            let mut mutated = block.clone();
+            for at in 0..block.len() {
+                for byte in 0..=u8::MAX {
+                    mutated[at] = byte;
+                    walk_fails_cleanly(format, &mutated);
+                }
+                mutated[at] = block[at];
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, decoded as a block of either format, yield
+        /// entries or a `Corrupt`/`Decode` error; none panics.
+        #[test]
+        fn block_decoder_survives_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..256)) {
+            walk_fails_cleanly(Format::V3, &bytes);
+            walk_fails_cleanly(Format::V2, &bytes);
+        }
+    }
+
+    #[test]
+    fn block_decoder_names_each_bad_entry() {
+        // `t`/`k` at LSN 1, a tombstone: shared 0, rest 3, value 0, lsn 1.
+        let first = [0u8, 3, 0, 1, 1, b't', b'k'];
+        assert_eq!(
+            walk(Format::V3, &first).unwrap(),
+            vec![(b"t".to_vec(), b"k".to_vec(), 1, None)]
+        );
+        let corrupt =
+            |bytes: &[u8]| matches!(walk(Format::V3, bytes), Err(StorageError::Corrupt { .. }));
+        // A shared prefix longer than the previous key.
+        assert!(corrupt(&[&first[..], &[4, 0, 0, 1]].concat()));
+        // A shared prefix on a block's first entry, also when the key
+        // slot still holds an earlier walk's key.
+        assert!(corrupt(&[1, 2, 0, 1, b't', b'k']));
+        let mut held = Block {
+            index: Some(0),
+            bytes: [&[1u8, 0, 0, 1][..], &[1, b't', b'k']].concat(),
+            end: 4,
+            table: 1..2,
+        };
+        assert!(matches!(
+            held.decode(Format::V3, 0),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // A rest, or a value, that runs past the block.
+        assert!(corrupt(&[0, 9, 0, 1, 1, b't']));
+        assert!(corrupt(&[0, 2, 5, 1, 1, b't', b'v']));
+        // A table length past the key.
+        assert!(corrupt(&[0, 2, 0, 1, 5, b't']));
+        // A varint of more than 64 bits, and one cut short.
+        let overflow = [&[0xffu8; 9][..], &[0x02, 1, 0, 1]].concat();
+        assert!(matches!(
+            walk(Format::V3, &overflow),
+            Err(StorageError::Decode(_))
+        ));
+        assert!(matches!(
+            walk(Format::V3, &[0x80]),
+            Err(StorageError::Decode(_))
+        ));
+        // A v2 entry with an unknown tag.
+        let mut v2 = vec![7u8];
+        codec::put_u64(&mut v2, 1);
+        v2.extend([1, b't', 1, b'k']);
+        assert!(matches!(
+            walk(Format::V2, &v2),
+            Err(StorageError::Corrupt { .. })
+        ));
     }
 }
